@@ -1,6 +1,6 @@
 """Observability cost ledger: SYS-table scan cost and tracing overhead.
 
-Four numbers guard the "observability is near-free" claim (ISSUE 5
+Three numbers guard the "observability is near-free" claim (ISSUE 5
 satellite f; ISSUE 10 extends it end to end), written to
 ``BENCH_observability.json`` for ``benchmarks/check_regression.py``:
 
@@ -19,9 +19,6 @@ satellite f; ISSUE 10 extends it end to end), written to
   loopback server adopting it, opening the ``wire.<op>`` span and
   building the per-statement profile, vs. both tracers off.  Budget 10%
   (``REMOTE_TRACING_OVERHEAD_BUDGET``).
-* ``sharded_tracing_overhead`` — the ABBA ratio for a sharded (4-way) CO
-  extraction, where every scatter/delta worker adopts the statement's
-  TraceContext and opens a per-shard span.  Same 10% budget.
 
 The run also writes ``BENCH_trace_spans.jsonl`` (a short non-timed
 stanza): client- and server-side JSONL trace records of the same
@@ -42,10 +39,6 @@ from repro.obs.export import JsonlTraceExporter
 from repro.relational.engine import Database
 from repro.relational.sql.parser import parse_statements
 from repro.server.server import ServerThread
-from repro.workloads import oo1
-from repro.xnf.lang.parser import parse_xnf
-from repro.xnf.semantic_rewrite import XNFCompiler
-from repro.xnf.views import XNFViewCatalog, resolve
 
 LEDGER_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_observability.json"
 TRACE_SPANS_PATH = (
@@ -249,44 +242,6 @@ def test_server_tracing_overhead(benchmark):
         f"server tracing overhead: {overhead:+.2%} "
         f"(best of 3 block medians, 6 paired wire batches each)",
     )
-
-
-def test_sharded_tracing_overhead(benchmark):
-    """Distributed-tracing cost on the sharded extraction path (10%).
-
-    Traced = every scatter/delta worker adopts the statement's
-    TraceContext and opens a per-shard span linked into the parent tree;
-    untraced = the tracer is off end to end.  The 4-shard OO1 parts CO
-    exercises both the candidate scatter and partitioned-delta pools.
-    """
-    db = oo1.build_parts_database(300, seed=11, shards=4)
-    compiler = XNFCompiler(db, scatter=True)
-    schema = resolve(parse_xnf(oo1.PARTS_CO), XNFViewCatalog())
-
-    def extract():
-        compiler.instantiate(schema)
-
-    def timed(enabled: bool) -> float:
-        db.tracer.enabled = enabled
-        begin = time.perf_counter()
-        extract()
-        return time.perf_counter() - begin
-
-    for enabled in (True, False):
-        db.tracer.enabled = enabled
-        extract()
-    overhead, block_estimates, _ = _abba_overhead(timed, pairs=6)
-    db.tracer.enabled = True
-    _RESULTS["sharded_tracing_overhead"] = overhead
-    _RESULTS["sharded_tracing_block_medians"] = [
-        round(b, 4) for b in block_estimates
-    ]
-    report(
-        "observability",
-        f"sharded tracing overhead: {overhead:+.2%} "
-        f"(best of 3 block medians, 6 paired extractions each)",
-    )
-    benchmark(extract)
 
 
 @pytest.fixture(scope="module", autouse=True)

@@ -24,11 +24,9 @@ It additionally gates the observability cost ledger
   the ISSUE's 5% budget);
 * **distributed tracing overhead** — the end-to-end wire ratio
   (``server_tracing_overhead``: client TraceContext injection + server
-  adoption + wire.<op> span + profile build) and the sharded-extraction
-  ratio (``sharded_tracing_overhead``: per-shard spans with explicit
-  context handoff) may not exceed ``REMOTE_TRACING_OVERHEAD_BUDGET``
-  (default 0.10 — tracing must be cheap enough to stay on in
-  production even across threads and the wire);
+  adoption + wire.<op> span + profile build) may not exceed
+  ``REMOTE_TRACING_OVERHEAD_BUDGET`` (default 0.10 — tracing must be
+  cheap enough to stay on in production even across the wire);
 * **SYS scan cost** — the acceptance query + SYS join must stay under
   ``SYS_SCAN_BUDGET_MS`` (default 50 ms — generous; it guards against
   accidentally quadratic snapshot providers, not µs-level drift);
@@ -229,22 +227,19 @@ def check_observability(obs: dict) -> int:
                 f"observability: tracing overhead {overhead:+.2%} exceeds "
                 f"the {TRACING_OVERHEAD_BUDGET:.0%} budget"
             )
-    for key, label in (
-        ("server_tracing_overhead", "server (wire) tracing overhead"),
-        ("sharded_tracing_overhead", "sharded extraction tracing overhead"),
-    ):
-        remote = obs.get(key)
-        if remote is None:
-            failures.append(f"observability: ledger lacks {key}")
-            continue
+    remote = obs.get("server_tracing_overhead")
+    if remote is None:
+        failures.append("observability: ledger lacks server_tracing_overhead")
+    else:
         verdict = "FAIL" if remote > REMOTE_TRACING_OVERHEAD_BUDGET else "ok"
         print(
-            f"observability: {label} {remote:+.2%} "
+            f"observability: server (wire) tracing overhead {remote:+.2%} "
             f"(budget {REMOTE_TRACING_OVERHEAD_BUDGET:.0%}) {verdict}"
         )
         if remote > REMOTE_TRACING_OVERHEAD_BUDGET:
             failures.append(
-                f"observability: {label} {remote:+.2%} exceeds the "
+                f"observability: server (wire) tracing overhead "
+                f"{remote:+.2%} exceeds the "
                 f"{REMOTE_TRACING_OVERHEAD_BUDGET:.0%} budget"
             )
     scan_ms = obs.get("sys_scan_ms")

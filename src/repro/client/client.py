@@ -14,7 +14,7 @@ With ``tracing=True`` the client opens a ``client.<op>`` span around every
 round trip and injects its :class:`~repro.obs.trace.TraceContext` into the
 frame, so the server's spans for that statement share the client's trace
 id — one trace follows the statement from the client through the server
-into every shard worker.  :meth:`WireClient.profile` fetches the server's
+into the engine.  :meth:`WireClient.profile` fetches the server's
 structured time breakdown of the session's last statement.
 """
 

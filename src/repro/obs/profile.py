@@ -7,9 +7,9 @@ aggregates it into a small JSON-ready dict:
 * ``stages`` — the statement pipeline (parse, build_qgm, rewrite,
   optimize, execute) in milliseconds, plus the batch count when the
   vectorized executor ran;
-* ``scatter`` / ``delta`` — per-shard durations of the XNF scatter/
-  gather and partitioned-delta fixpoint stages, keyed by shard id, with
-  a ``skew`` ratio (slowest shard over mean) exposing stragglers;
+* ``scatter`` — per-shard durations of the XNF scatter/gather stage,
+  keyed by shard id, with a ``skew`` ratio (slowest shard over mean)
+  exposing stragglers;
 * ``queue_wait_ms`` / ``retry_wait_ms`` / ``lock_conflicts`` — the
   server-side admission/queue wait before the statement ran, time slept
   in transparent IO/serialization retries, and no-wait lock conflicts
@@ -45,7 +45,6 @@ def build_profile(
         return None
     stages: Dict[str, float] = {}
     scatter: Dict[int, float] = {}
-    delta: Dict[int, float] = {}
     batches = 0
     rounds = 0
     rows: Optional[int] = None
@@ -58,9 +57,6 @@ def build_profile(
         elif name == "xnf.scatter.shard":
             shard = span._attrs.get("shard", -1) if span._attrs else -1
             scatter[shard] = scatter.get(shard, 0.0) + dur
-        elif name == "xnf.delta.shard":
-            shard = span._attrs.get("shard", -1) if span._attrs else -1
-            delta[shard] = delta.get(shard, 0.0) + dur
         elif name == "xnf.fixpoint.round":
             rounds += 1
         if span._attrs:
@@ -91,14 +87,11 @@ def build_profile(
         profile["rows"] = rows
     if error is not None:
         profile["error"] = error
-    for key, shards in (("scatter", scatter), ("delta", delta)):
-        if not shards:
-            continue
-        durations = {shard: _ms(s) for shard, s in sorted(shards.items())}
-        mean = sum(shards.values()) / len(shards)
-        profile[key] = {
-            "shards": durations,
-            "skew": round(max(shards.values()) / mean, 3) if mean > 0 else 1.0,
+    if scatter:
+        mean = sum(scatter.values()) / len(scatter)
+        profile["scatter"] = {
+            "shards": {shard: _ms(s) for shard, s in sorted(scatter.items())},
+            "skew": round(max(scatter.values()) / mean, 3) if mean > 0 else 1.0,
         }
     return profile
 
@@ -125,12 +118,10 @@ def render_profile(profile: Optional[Dict[str, Any]]) -> str:
         lines.append(f"  lock conflicts {profile['lock_conflicts']:7d}")
     if "fixpoint_rounds" in profile:
         lines.append(f"  fixpoint rounds {profile['fixpoint_rounds']:6d}")
-    for key in ("scatter", "delta"):
-        section = profile.get(key)
-        if not section:
-            continue
-        lines.append(f"  {key} (skew {section.get('skew', 1.0):.2f}x):")
-        for shard, shard_ms in section.get("shards", {}).items():
+    scatter = profile.get("scatter")
+    if scatter:
+        lines.append(f"  scatter (skew {scatter.get('skew', 1.0):.2f}x):")
+        for shard, shard_ms in scatter.get("shards", {}).items():
             lines.append(f"    shard {shard}: {shard_ms:9.3f} ms")
     if "rows" in profile:
         lines.append(f"  rows         {profile['rows']:9d}")

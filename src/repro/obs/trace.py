@@ -15,20 +15,17 @@ no-op span so the hot path pays a single attribute check.
 Distributed tracing
 -------------------
 
-Span stacks are thread-local, so any span opened on a different thread
-(a wire-server worker, a shard scatter worker) would normally start a
-fresh, *orphaned* tree.  A :class:`TraceContext` carries (trace id,
-parent span id, sampling decision) across that boundary explicitly:
+A statement runs on exactly one thread, so inside a process the span
+stack alone carries parentage.  The one boundary a trace crosses is the
+wire: a :class:`TraceContext` carries (trace id, parent span id, sampling
+decision) from the client into the server worker that runs the statement:
 
-* ``tracer.current_context()`` captures the calling thread's innermost
-  open span as a handoff context;
-* ``tracer.adopt(ctx)`` installs it on the worker thread, so the next
-  root span opened there parents under the captured span (same thread
-  tree when the context's span object is local, id-linked when the
-  context crossed the wire);
 * ``TraceContext.to_wire()`` / ``from_wire()`` serialize the context
   into protocol frames so client- and server-side trees share one
-  trace id.
+  trace id;
+* ``tracer.adopt(ctx)`` installs it on the worker thread, so the next
+  root span opened there becomes a local root that shares the remote
+  trace id and records the remote parent's span id.
 
 Root spans that still complete unparented on a known worker-pool thread
 are counted in :attr:`Tracer.orphans` (and the ``trace.orphan_spans``
@@ -74,32 +71,22 @@ def _next_trace_id() -> int:
 #: thread-name prefixes of the pools whose workers must receive an
 #: explicit TraceContext handoff; a root span completing on one of these
 #: without an adopted context is an orphan (checked once per root).
-_WORKER_THREAD_PREFIXES = ("ThreadPoolExecutor", "xnf-wire", "xnf-scatter")
+_WORKER_THREAD_PREFIXES = ("ThreadPoolExecutor", "xnf-wire")
 
 
 class TraceContext:
     """A portable parent reference: trace id + parent span id + sampling.
 
-    ``span`` holds the live parent :class:`Span` when the context stays
-    in-process (scatter/gather handoff) so the worker's subtree links
-    straight into the parent tree; it is ``None`` when the context
-    crossed the wire, in which case the adopting root span becomes a
-    local root that shares the remote trace id.
+    The adopting root span becomes a local root that shares the remote
+    trace id.
     """
 
-    __slots__ = ("trace_id", "span_id", "sampled", "span")
+    __slots__ = ("trace_id", "span_id", "sampled")
 
-    def __init__(
-        self,
-        trace_id: int,
-        span_id: int,
-        sampled: bool = True,
-        span: Optional["Span"] = None,
-    ):
+    def __init__(self, trace_id: int, span_id: int, sampled: bool = True):
         self.trace_id = trace_id
         self.span_id = span_id
         self.sampled = sampled
-        self.span = span
 
     def to_wire(self) -> Dict[str, Any]:
         return {"id": self.trace_id, "span": self.span_id, "sampled": self.sampled}
@@ -120,7 +107,7 @@ class TraceContext:
     def __repr__(self) -> str:
         return (
             f"TraceContext(trace_id={self.trace_id}, span_id={self.span_id}, "
-            f"sampled={self.sampled}, local={self.span is not None})"
+            f"sampled={self.sampled})"
         )
 
 
@@ -156,7 +143,7 @@ class Span:
         self._tracer: Optional["Tracer"] = None
         self.span_id = next(_SPAN_IDS)
         self.trace_id = 0
-        #: parent span id — set only across thread/wire boundaries; the
+        #: parent span id — set only across the wire boundary; the
         #: in-stack tree carries parentage structurally.
         self.parent_id: Optional[int] = None
         self.sampled = True
@@ -303,9 +290,7 @@ class Tracer:
         self.slow_sample_s = slow_sample_s
         # Each thread gets its own span stack so concurrent sessions build
         # independent trees instead of parenting into each other's spans.
-        # Cross-thread work must hand its parent over explicitly via
-        # current_context()/adopt().  last_trace/recent stay shared
-        # (guarded by _history_mutex).
+        # last_trace/recent stay shared (guarded by _history_mutex).
         self._local = threading.local()
         self._history_mutex = threading.Lock()
         self.last_trace: Optional[Span] = None
@@ -366,11 +351,6 @@ class Tracer:
             span.trace_id = inherited.trace_id
             span.parent_id = inherited.span_id
             span.sampled = inherited.sampled
-            if inherited.span is not None:
-                # Local cross-thread handoff: link straight into the
-                # parent tree (its children list was materialized by
-                # current_context(); list.append is atomic under the GIL).
-                inherited.span.children.append(span)
         else:
             span.trace_id = _next_trace_id()
             rate = self.sample_rate
@@ -380,25 +360,6 @@ class Tracer:
 
     def current(self) -> Optional[Span]:
         return self._stack[-1] if self._stack else None
-
-    def current_context(self) -> Optional[TraceContext]:
-        """Capture the innermost open span as a cross-thread handoff.
-
-        Returns None when nothing is open and nothing was adopted (the
-        worker will then mint a fresh trace — or be counted as an orphan
-        if it never adopts at all).
-        """
-        stack = self._stack
-        if not stack:
-            inherited = getattr(self._local, "inherited", None)
-            if inherited is not None and inherited.trace_id:
-                return inherited
-            return None
-        top = stack[-1]
-        # Materialize the children list now, on the owning thread, so
-        # concurrent workers only ever append to an existing list.
-        _ = top.children
-        return TraceContext(stack[0].trace_id, top.span_id, stack[0].sampled, top)
 
     def force_sample(self) -> None:
         """Late-sample the currently open tree.
@@ -441,10 +402,6 @@ class Tracer:
         if stack:
             return
         inherited = getattr(self._local, "inherited", None)
-        if inherited is not None and inherited.span is not None:
-            # Linked child of a live parent tree on another thread: the
-            # parent root's completion records and exports the whole tree.
-            return
         if inherited is None:
             # A root finished on a pool worker with no explicit handoff:
             # SYS_MONITOR's statement->spans path cannot reach this tree.

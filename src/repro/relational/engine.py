@@ -290,17 +290,23 @@ class Database:
         self.executor_mode = mode
         #: default shard count for CREATE TABLE: explicit ``shards=``
         #: argument, then the REPRO_SHARDS environment variable, else 0
-        #: (unsharded).  Values < 2 mean unsharded.  Sharded heaps are not
-        #: ARIES-durable yet, so persistence (disk/wal reopen) forces the
-        #: default off; ``Database.repartition`` remains available for
-        #: explicit per-table control.
+        #: (unsharded).  Values < 2 mean unsharded.  Sharded heaps are
+        #: memory-only (not ARIES-durable), so asking for them explicitly
+        #: on a durable database (disk/wal) is an error; the environment
+        #: default is ignored there instead, so a REPRO_SHARDS=4 test leg
+        #: still runs the crash suites.
+        durable = disk is not None or wal is not None
         if shards is None:
             try:
-                shards = int(os.environ.get("REPRO_SHARDS", "0"))
+                shards = 0 if durable else int(os.environ.get("REPRO_SHARDS", "0"))
             except ValueError:
                 shards = 0
-        if disk is not None or wal is not None:
-            shards = 0
+        elif shards >= 2 and durable:
+            raise ExecutionError(
+                f"shards={shards} with disk=/wal=: sharded heaps are "
+                "memory-only (not WAL-logged); open the durable database "
+                "unsharded"
+            )
         self.default_shards = shards if shards >= 2 else 0
         # Per-thread session state: the current transaction, the session
         # default isolation, and the last statement's fingerprint/cache-hit
@@ -1594,9 +1600,6 @@ class Database:
                     "xnf.scatter.queries"
                 ).value,
                 "shards_pruned": self.metrics.counter("xnf.scatter.pruned").value,
-                "delta_partitions_skipped": self.metrics.counter(
-                    "xnf.scatter.delta_skipped"
-                ).value,
             },
         }
 

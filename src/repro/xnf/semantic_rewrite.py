@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -97,10 +96,9 @@ class XNFCompiler:
         self.reuse_common = reuse_common
         self.semi_naive = semi_naive
         #: scatter/gather over sharded tables (see repro.xnf.sharding): node
-        #: candidate queries run per shard with bound/zone-map pruning, and
-        #: fixpoint deltas are partitioned by the USING table's partition
-        #: key.  No-op on databases without sharded tables; ``False`` forces
-        #: the facade plans (the equivalence ablation).
+        #: candidate queries run per shard with bound/zone-map pruning.
+        #: No-op on databases without sharded tables; ``False`` forces the
+        #: facade plans (the equivalence ablation).
         self.scatter = scatter
         #: component name -> shard id -> rows that shard fed into the
         #: instance (reported to SYS_CO_STATS as kind="shard" rows)
@@ -346,42 +344,10 @@ class XNFCompiler:
         One generated query per child partner (one for a binary edge); every
         query joins the delta with *all* child partners plus the USING
         tables, because the relationship predicate mentions all of them.
-
-        When the edge joins the delta to a sharded USING table on its
-        partition key and the delta is large enough to amortise the split
-        (:data:`sharding.MIN_PARTITION_DELTA_ROWS`), the delta is
-        partitioned by that key instead (``repro.xnf.sharding``): one
-        ``XNF_DELTA_<node>_S<i>`` worktable per shard with a non-empty
-        partition, empty partitions skipped — the per-round delta exchange
-        of partition-aware reachability.
         """
-        partition_plan = (
-            sharding.delta_partition_plan(self.db, edge, columns[edge.parent])
-            if self.scatter
-            and len(parent_rows) >= sharding.MIN_PARTITION_DELTA_ROWS
-            else None
-        )
-        if partition_plan is not None:
-            return self._derive_children_partitioned(
-                edge, columns, candidate_tables, parent_rows, partition_plan
-            )
         delta_table = self._materialize(
             f"DELTA_{edge.parent}", columns[edge.parent], parent_rows
         )
-        return self._run_child_queries(edge, candidate_tables, delta_table)
-
-    def _child_queries(
-        self,
-        edge: EdgeSchema,
-        candidate_tables: Dict[str, str],
-        delta_table: str,
-    ) -> List[Tuple[str, sql_ast.SelectStmt]]:
-        """Build one reachability query per child partner of *edge*.
-
-        Always runs on the instantiating thread: ``_node_reference`` may
-        materialise candidate worktables (a catalog mutation), which must
-        never race between shard workers.
-        """
         from_tables: List[sql_ast.TableRef] = [
             sql_ast.NamedTable(delta_table, edge.parent_binding),
         ]
@@ -392,101 +358,17 @@ class XNFCompiler:
         from_tables.extend(
             sql_ast.NamedTable(u.table, u.alias) for u in edge.using
         )
-        return [
-            (
-                child_name,
-                sql_ast.SelectStmt(
-                    [sql_ast.SelectItem(sql_ast.Star(binding))],
-                    list(from_tables),
-                    where=edge.predicate,
-                    distinct=True,
-                ),
+        derived: Dict[str, List[Row]] = {}
+        for child_name, binding in zip(edge.child_names(), edge.child_bindings()):
+            query = sql_ast.SelectStmt(
+                [sql_ast.SelectItem(sql_ast.Star(binding))],
+                list(from_tables),
+                where=edge.predicate,
+                distinct=True,
             )
-            for child_name, binding in zip(
-                edge.child_names(), edge.child_bindings()
-            )
-        ]
-
-    def _run_child_queries(
-        self,
-        edge: EdgeSchema,
-        candidate_tables: Dict[str, str],
-        delta_table: str,
-        derived: Optional[Dict[str, List[Row]]] = None,
-    ) -> Dict[str, List[Row]]:
-        if derived is None:
-            derived = {}
-        for child_name, query in self._child_queries(
-            edge, candidate_tables, delta_table
-        ):
             result = self.db.execute_ast(query)
             self.stats.queries_issued += 1
             derived.setdefault(child_name, []).extend(result.rows)
-        return derived
-
-    def _derive_children_partitioned(
-        self,
-        edge: EdgeSchema,
-        columns: Dict[str, List[str]],
-        candidate_tables: Dict[str, str],
-        parent_rows: List[Row],
-        partition_plan: Tuple[Any, int],
-    ) -> Dict[str, List[Row]]:
-        using_table, key_pos = partition_plan
-        buckets = sharding.partition_delta(using_table, key_pos, parent_rows)
-        skipped = using_table.partition.num_shards - len(buckets)
-        if skipped:
-            self.db.metrics.inc("xnf.scatter.delta_skipped", skipped)
-        sink = self.shard_stats.setdefault(edge.name, {})
-        # Materialise every shard delta and build its queries up front on
-        # this thread (worktable and candidate materialisation mutate the
-        # catalog); only the built queries fan out to workers below.
-        jobs: List[Tuple[int, List[Tuple[str, sql_ast.SelectStmt]]]] = []
-        for shard_id in sorted(buckets):
-            rows = buckets[shard_id]
-            sink[shard_id] = sink.get(shard_id, 0) + len(rows)
-            delta_table = self._materialize(
-                f"DELTA_{edge.parent}_S{shard_id}", columns[edge.parent], rows
-            )
-            jobs.append(
-                (shard_id, self._child_queries(edge, candidate_tables, delta_table))
-            )
-        db = self.db
-        tracer = db.tracer
-        # Explicit trace handoff (as in sharding.scatter_candidates): the
-        # per-shard delta spans must parent under the statement span even
-        # when opened on a pool worker's fresh thread-local stack.
-        context = tracer.current_context()
-
-        def run_shard(
-            job: Tuple[int, List[Tuple[str, sql_ast.SelectStmt]]]
-        ) -> List[Tuple[str, List[Row]]]:
-            shard_id, queries = job
-            with tracer.adopt(context):
-                with tracer.span("xnf.delta.shard", shard=shard_id) as span:
-                    out = [
-                        (child_name, db.execute_ast(query).rows)
-                        for child_name, query in queries
-                    ]
-                    span.annotate(rows=sum(len(r) for _, r in out))
-                    return out
-
-        if len(jobs) > 1 and not db.in_transaction:
-            # Same snapshot reasoning as scatter_candidates: autocommit
-            # reads resolve on each worker exactly as a serial autocommit
-            # statement would; a pinned transaction snapshot keeps the
-            # whole exchange on the calling thread instead.
-            with ThreadPoolExecutor(
-                max_workers=len(jobs), thread_name_prefix="xnf-scatter"
-            ) as pool:
-                partials = list(pool.map(run_shard, jobs))
-        else:
-            partials = [run_shard(job) for job in jobs]
-        derived: Dict[str, List[Row]] = {}
-        for (_, queries), partial in zip(jobs, partials):
-            self.stats.queries_issued += len(queries)
-            for child_name, rows in partial:
-                derived.setdefault(child_name, []).extend(rows)
         return derived
 
     def _derive_connections(

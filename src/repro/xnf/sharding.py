@@ -1,46 +1,29 @@
 """Scatter/gather execution of XNF generated queries over sharded tables.
 
 The semantic rewrite produces one query per node/edge (see
-``semantic_rewrite.py``); when such a query reads a
-:class:`~repro.relational.catalog.ShardedTable`, this module
+``semantic_rewrite.py``); when a node's candidate query reads a
+:class:`~repro.relational.catalog.ShardedTable`, this module **scatters**
+it across the table's shard views — skipping shards whose partition
+bounds / zone maps prove the query's restriction predicate unsatisfiable
+there (the work reduction that makes partitioned extraction pay off) —
+runs the remaining per-shard queries one after another on the statement's
+thread, and gathers results in shard order so the row order matches the
+facade's chained scan exactly.
 
-* **scatters** a node's candidate query across the table's shard views —
-  skipping shards whose partition bounds / zone maps prove the query's
-  restriction predicate unsatisfiable there (the work reduction that makes
-  partitioned extraction pay off on a single core), running the remaining
-  per-shard queries on a thread pool when no ambient transaction pins the
-  calling thread's snapshot, and gathering results in shard order so the
-  row order matches the facade's chained scan exactly;
-* **partitions** semi-naive fixpoint deltas by the partition key of the
-  edge's USING table, materialising one ``XNF_DELTA_<node>_S<i>`` scratch
-  worktable per shard and skipping shards whose delta partition is empty —
-  the per-round delta exchange of partition-aware reachability.
-
-Both transformations are pure work-splitting: a scatter is a union of
-disjoint shard reads and a delta partition is a partition of the join's
-outer side, so results are identical to the unsharded plan (the equivalence
-suite asserts bit-identical instances).
+A scatter is a union of disjoint shard reads, so results are identical to
+the unsharded plan (the equivalence suite asserts bit-identical
+instances).
 """
 
 from __future__ import annotations
 
 import copy
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.relational.catalog import ShardedTable
 from repro.relational.sql import ast as sql_ast
-from repro.xnf.schema import EdgeSchema
 
 Row = Tuple[Any, ...]
-
-#: Deltas below this size ride the single facade query instead of being
-#: partitioned: the per-bucket scratch-table materialisation and query
-#: planning are pure overhead when the child join index-probes the USING
-#: table anyway (probing the facade index with partition i's keys touches
-#: only shard i's entries by construction), and only sizeable deltas
-#: amortise the exchange.
-MIN_PARTITION_DELTA_ROWS = 256
 
 #: (low, low_inclusive, high, high_inclusive); None bound = unbounded
 _Interval = Tuple[Any, bool, Any, bool]
@@ -333,109 +316,19 @@ def scatter_candidates(
     pruned = table.partition.num_shards - len(shard_ids)
     if pruned:
         db.metrics.inc("xnf.scatter.pruned", pruned)
-    if not shard_ids:
-        return None, [], {}, pruned
-    queries = [
-        _rewrite_for_shard(query, table.name, table.shard_view_name(shard_id))
-        for shard_id in shard_ids
-    ]
-    db.metrics.inc("xnf.scatter.queries", len(queries))
-    # Hand the calling thread's trace context to each scatter worker
-    # explicitly: worker threads have fresh thread-local span stacks, so
-    # without the handoff every per-shard span would be an orphaned root
-    # instead of a child of the statement span.
-    tracer = db.tracer
-    context = tracer.current_context()
-
-    def run_shard(shard_id: int, shard_query: Any) -> Any:
-        with tracer.adopt(context):
-            with tracer.span("xnf.scatter.shard", shard=shard_id) as span:
-                result = db.execute_ast(shard_query)
-                span.annotate(rows=len(result.rows))
-                return result
-
-    if len(queries) > 1 and not db.in_transaction:
-        # Autocommit reads carry no ambient snapshot into worker threads,
-        # so each per-shard query resolves exactly like a serial autocommit
-        # statement would.  Inside a transaction the snapshot is pinned to
-        # the calling thread: run serially to preserve it.
-        with ThreadPoolExecutor(
-            max_workers=len(queries), thread_name_prefix="xnf-scatter"
-        ) as pool:
-            results = list(pool.map(run_shard, shard_ids, queries))
-    else:
-        results = [
-            run_shard(shard_id, shard_query)
-            for shard_id, shard_query in zip(shard_ids, queries)
-        ]
-    columns = results[0].columns
+    db.metrics.inc("xnf.scatter.queries", len(shard_ids))
+    columns: Optional[List[str]] = None
     rows: List[Row] = []
     per_shard: Dict[int, int] = {}
-    for shard_id, result in zip(shard_ids, results):
+    for shard_id in shard_ids:
+        shard_query = _rewrite_for_shard(
+            query, table.name, table.shard_view_name(shard_id)
+        )
+        with db.tracer.span("xnf.scatter.shard", shard=shard_id) as span:
+            result = db.execute_ast(shard_query)
+            span.annotate(rows=len(result.rows))
+        if columns is None:
+            columns = result.columns
         per_shard[shard_id] = len(result.rows)
         rows.extend(result.rows)
     return columns, rows, per_shard, pruned
-
-
-# -- fixpoint delta partitioning -----------------------------------------------
-
-
-def delta_partition_plan(
-    db: Any, edge: EdgeSchema, parent_columns: List[str]
-) -> Optional[Tuple[ShardedTable, int]]:
-    """Whether *edge*'s reachability join can exchange partitioned deltas.
-
-    Applies when the edge joins the parent delta to exactly one sharded
-    USING table on that table's partition key: rows of delta partition i
-    can then only join shard i's rows, so partitioning the delta by the
-    same routing function and skipping empty partitions is a no-op
-    semantically.  Returns ``(using_table, parent_column_pos)`` — the
-    position of the parent-side join column in *parent_columns*.
-    """
-    sharded = [
-        (u, table)
-        for u in edge.using
-        for table in (db.catalog.tables.get(u.table.upper()),)
-        if isinstance(table, ShardedTable)
-    ]
-    if len(sharded) != 1:
-        return None
-    using, table = sharded[0]
-    spec = table.partition
-    parent_binding = edge.parent_binding.upper()
-    using_binding = (using.alias or using.table).upper()
-    positions = {name.upper(): pos for pos, name in enumerate(parent_columns)}
-    for conjunct in _conjuncts(edge.predicate):
-        if not (isinstance(conjunct, sql_ast.BinaryOp) and conjunct.op == "="):
-            continue
-        for left, right in (
-            (conjunct.left, conjunct.right),
-            (conjunct.right, conjunct.left),
-        ):
-            if not (
-                isinstance(left, sql_ast.ColumnRef)
-                and isinstance(right, sql_ast.ColumnRef)
-            ):
-                continue
-            if (
-                left.table is not None
-                and left.table.upper() == using_binding
-                and left.column.upper() == spec.column.upper()
-                and right.table is not None
-                and right.table.upper() == parent_binding
-            ):
-                pos = positions.get(right.column.upper())
-                if pos is not None:
-                    return table, pos
-    return None
-
-
-def partition_delta(
-    table: ShardedTable, pos: int, parent_rows: List[Row]
-) -> Dict[int, List[Row]]:
-    """Bucket delta rows by the using table's routing of their join key."""
-    route_value = table.partition.route_value
-    buckets: Dict[int, List[Row]] = {}
-    for row in parent_rows:
-        buckets.setdefault(route_value(row[pos]), []).append(row)
-    return buckets

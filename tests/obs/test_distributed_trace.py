@@ -1,10 +1,10 @@
 """End-to-end distributed tracing: one trace id follows one statement from
-the client through the wire server into the engine and every shard worker.
+the client through the wire server into the engine and every shard query.
 
-The hammer scenarios here are the PR's acceptance tests: sharded
-scatter/gather and partitioned-delta workers parent their spans under the
-statement span (zero orphans), concurrent wire sessions keep their traces
-apart, and the client- and server-side JSONL exports join on trace_id.
+A statement runs on exactly one thread, so sharded scatter/gather spans are
+ordinary children of the statement span on the statement's thread (zero
+orphans); concurrent wire sessions keep their traces apart, and the client-
+and server-side JSONL exports join on trace_id.
 """
 
 import io
@@ -29,8 +29,8 @@ def _jsonl(stream: io.StringIO):
 
 
 #: restricted Xpart triggers the candidate-scatter path (same shape as the
-#: sharded-fixpoint equivalence suite); the unrestricted PARTS_CO derives
-#: Xpart through the partitioned-delta fixpoint instead.
+#: sharded-fixpoint equivalence suite); the unrestricted PARTS_CO reads PART
+#: and CONN only through the fixpoint's facade joins and scatters nothing.
 RESTRICTED_CO = """
 OUT OF
  Xlib AS DESIGNLIB,
@@ -45,8 +45,8 @@ TAKE *
 
 
 class TestShardedSpanParenting:
-    """In-process: every shard worker's span must land inside the
-    extraction's own trace tree, never as an orphaned root."""
+    """In-process: every per-shard span must land inside the extraction's
+    own trace tree, on the statement's own thread."""
 
     @pytest.fixture(scope="class")
     def sharded_db(self):
@@ -59,33 +59,34 @@ class TestShardedSpanParenting:
     def _instantiate_roots(self, db):
         return [r for r in db.tracer.recent if r.name == "xnf.instantiate"]
 
-    def test_delta_workers_parent_under_the_statement(self, sharded_db):
-        root = self._instantiate_roots(sharded_db)[0]  # PARTS_CO
-        delta_spans = root.find("xnf.delta.shard")
-        assert {s.attrs["shard"] for s in delta_spans} == {0, 1, 2, 3}
-        assert all(s.trace_id == root.trace_id for s in delta_spans)
-        # the pool genuinely ran on other threads, yet nothing orphaned
-        assert all(s.thread_id != root.thread_id for s in delta_spans)
+    def test_statement_and_its_shard_spans_share_one_thread(self, sharded_db):
+        for root in self._instantiate_roots(sharded_db):
+            assert {s.thread_id for s in root.walk()} == {root.thread_id}
+            assert {s.trace_id for s in root.walk()} == {root.trace_id}
         assert sharded_db.tracer.orphans == 0
 
-    def test_scatter_workers_parent_under_the_statement(self, sharded_db):
+    def test_scatter_spans_parent_under_the_statement(self, sharded_db):
         root = self._instantiate_roots(sharded_db)[1]  # RESTRICTED_CO
         shard_spans = root.find("xnf.scatter.shard")
         assert shard_spans, "restricted candidate did not scatter"
         shards = {s.attrs["shard"] for s in shard_spans}
         assert shards <= {0, 1, 2, 3}
         assert all(s.trace_id == root.trace_id for s in shard_spans)
-        assert all(s.thread_id != root.thread_id for s in shard_spans)
+        assert all(s.thread_id == root.thread_id for s in shard_spans)
         assert sharded_db.tracer.orphans == 0
 
     def test_per_shard_durations_queryable_via_sys_trace_spans(self, sharded_db):
         db = sharded_db
         rows = db.execute(
             "SELECT shard, SUM(duration_ms) FROM SYS_TRACE_SPANS "
-            "WHERE name = 'xnf.delta.shard' GROUP BY shard"
+            "WHERE name = 'xnf.scatter.shard' GROUP BY shard"
         ).rows
-        shards = {row[0] for row in rows}
-        assert {0, 1, 2, 3} <= shards
+        scattered = {
+            span.attrs["shard"]
+            for root in self._instantiate_roots(db)
+            for span in root.find("xnf.scatter.shard")
+        }
+        assert {row[0] for row in rows} == scattered != set()
         assert all(row[1] >= 0.0 for row in rows)
 
     def test_shard_spans_carry_thread_column(self, sharded_db):
@@ -172,7 +173,7 @@ class TestWireTraceStitching:
         assert "wire.query" in text
         assert "execute" in text
 
-    def test_take_over_sharded_server_reaches_every_shard(self):
+    def test_take_over_sharded_server_is_one_trace_on_one_thread(self):
         db = oo1.build_parts_database(300, seed=11, shards=4)
         with ServerThread(db, max_connections=8) as server:
             with WireClient(port=server.port, tracing=True) as client:
@@ -186,11 +187,12 @@ class TestWireTraceStitching:
         ]
         assert roots, "server recorded no wire.xnf root"
         root = roots[0]
-        # one trace id: client -> server -> engine -> every shard worker
+        # one trace id: client -> server -> engine, all on the one server
+        # worker thread that ran the statement
         assert root.trace_id in client_trace_ids
-        shard_spans = root.find("xnf.delta.shard")
-        assert {s.attrs["shard"] for s in shard_spans} == {0, 1, 2, 3}
-        assert all(s.trace_id == root.trace_id for s in shard_spans)
+        assert root.find("xnf.fixpoint.round")
+        assert {s.trace_id for s in root.walk()} == {root.trace_id}
+        assert {s.thread_id for s in root.walk()} == {root.thread_id}
         assert db.tracer.orphans == 0
 
 

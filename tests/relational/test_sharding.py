@@ -8,7 +8,7 @@ read-only per-shard views.
 
 import pytest
 
-from repro.errors import CatalogError, ReproError
+from repro.errors import CatalogError, ExecutionError, ReproError
 from repro.relational.engine import Database
 from repro.relational.storage.sharded import PartitionSpec, _stable_hash
 
@@ -215,6 +215,22 @@ class TestAutoSharding:
         db = Database(disk=DiskManager(4096))
         db.execute("CREATE TABLE T (a INTEGER PRIMARY KEY)")
         assert not db.catalog.get_table("T").is_sharded
+
+    @pytest.mark.parametrize("durable", ["disk", "wal"])
+    def test_explicit_shards_on_durable_database_raise(self, durable):
+        # sharded heaps are memory-only: asking for them explicitly next to
+        # a disk or WAL must fail loudly, not hand back unsharded tables
+        from repro.relational.storage.disk import DiskManager
+
+        volatile = Database(shards=0)
+        storage = {
+            "disk": {"disk": DiskManager(4096)},
+            "wal": {"wal": volatile.txn_manager.wal},
+        }[durable]
+        with pytest.raises(ExecutionError, match="memory-only"):
+            Database(shards=4, **storage)
+        # shards < 2 means unsharded and stays legal on durable databases
+        assert Database(shards=0, **storage).default_shards == 0
 
 
 class TestShardedMVCC:

@@ -1,15 +1,15 @@
 """Sharded scatter/gather extraction must be bit-identical to unsharded.
 
-The scatter stage splits the candidate query across per-shard views and the
-delta stage partitions fixpoint deltas by the USING table's partition key —
-both are pure re-arrangements of the same relational work, so every node's
+The scatter stage splits the candidate query across per-shard views, and the
+fixpoint's reachability joins read sharded USING tables through their facade
+— both are pure re-arrangements of the same relational work, so every node's
 rows and every edge's connection set must come out exactly equal, on cyclic
 graphs, skewed partitions, and when pruning eliminates every shard.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.relational.engine import Database
 from repro.workloads import oo1
 from repro.xnf.lang.parser import parse_xnf
 from repro.xnf.semantic_rewrite import XNFCompiler
@@ -140,3 +140,130 @@ class TestScatterInsideTransactions:
         finally:
             db.execute("ROLLBACK")
         assert _canonical(outside) == _canonical(inside)
+
+
+# -- generated graphs ----------------------------------------------------------
+#
+# The sharded(N) column of the differential oracle: on generated cyclic
+# PART/CONN graphs the scattered extraction, the facade extraction
+# (``scatter=False``) and the unsharded database must agree exactly.
+
+MAX_PID = 12
+
+
+def _build_graph_db(parts, conns, shards=0, conn_kind="hash"):
+    """The OO1 schema over explicit rows; ``shards >= 2`` partitions PART by
+    range on ``x`` and CONN (the reachability join's USING table) by
+    *conn_kind* on ``cfrom``."""
+    db = oo1.build_parts_database(0, shards=shards)
+    if shards >= 2 and conn_kind == "range":
+        top = max([pid for pid, *_ in parts] + [MAX_PID])
+        db.repartition(
+            "CONN", shards, kind="range", column="cfrom",
+            bounds=[(i * top) // shards + 1 for i in range(1, shards)],
+        )
+    db.catalog.get_table("PART").insert_many(parts)
+    db.catalog.get_table("CONN").insert_many(conns)
+    db.execute("ANALYZE")
+    return db
+
+
+def _parts_co(x_bound):
+    """PARTS_CO, with Xpart restricted to ``x < x_bound`` when given (a
+    restricted node is what the candidate scatter and its pruning act on)."""
+    if x_bound is None:
+        return oo1.PARTS_CO
+    return oo1.PARTS_CO.replace(
+        "Xpart AS PART", f"Xpart AS (SELECT * FROM PART WHERE x < {x_bound})"
+    )
+
+
+def _assert_sharded_matches_unsharded(
+    parts, conns, shards, conn_kind, in_txn, x_bound=None
+):
+    text = _parts_co(x_bound)
+    _, expected = _extract(_build_graph_db(parts, conns), text)
+    sharded = _build_graph_db(parts, conns, shards, conn_kind)
+    if in_txn:
+        sharded.execute("BEGIN")
+    try:
+        _, scattered = _extract(sharded, text, scatter=True)
+        _, facade = _extract(sharded, text, scatter=False)
+    finally:
+        if in_txn:
+            sharded.execute("ROLLBACK")
+    assert _canonical(scattered) == _canonical(expected)
+    assert _canonical(facade) == _canonical(expected)
+    return sharded
+
+
+@st.composite
+def part_graphs(draw):
+    """Small cyclic PART/CONN graphs: CONN is keyless, so duplicate rows,
+    self-loops and NULL endpoints are all legal; a NULL ``lib`` detaches a
+    part from the root so only ``connects`` can reach it."""
+    pids = list(range(1, draw(st.integers(1, MAX_PID)) + 1))
+    parts = [
+        (
+            pid,
+            "t",
+            draw(st.integers(0, 99999)),
+            draw(st.integers(0, 99999)),
+            draw(st.sampled_from([1, 1, None])),
+        )
+        for pid in pids
+    ]
+    endpoint = st.one_of(st.none(), st.sampled_from(pids))
+    conns = draw(
+        st.lists(
+            st.tuples(endpoint, endpoint, st.just("c"), st.integers(0, 1)),
+            max_size=3 * len(pids),
+        )
+    )
+    return parts, conns
+
+
+class TestGeneratedGraphs:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        graph=part_graphs(),
+        shards=st.sampled_from([2, 3, 4]),
+        conn_kind=st.sampled_from(["hash", "range"]),
+        in_txn=st.booleans(),
+        x_bound=st.one_of(st.none(), st.integers(0, 100000)),
+    )
+    def test_scatter_facade_and_unsharded_agree(
+        self, graph, shards, conn_kind, in_txn, x_bound
+    ):
+        parts, conns = graph
+        _assert_sharded_matches_unsharded(
+            parts, conns, shards, conn_kind, in_txn, x_bound
+        )
+
+    @pytest.mark.parametrize("conn_kind", ["hash", "range"])
+    @pytest.mark.parametrize("in_txn", [False, True])
+    def test_wide_rounds_past_the_old_partitioning_floor(self, conn_kind, in_txn):
+        """Only part 1 hangs off the library; it fans out to 300 parts, each
+        of which connects to one of 300 more, which all close the cycle back
+        to part 1 — two fixpoint rounds whose delta exceeds 256 rows, the
+        size at which deltas used to be exchanged per shard."""
+        fan = 300
+        parts = [
+            (pid, "t", (pid * 7919) % 100000, pid, 1 if pid == 1 else None)
+            for pid in range(1, 2 * fan + 2)
+        ]
+        conns = (
+            [(1, pid, "c", 0) for pid in range(2, fan + 2)]
+            + [(pid, pid + fan, "c", 0) for pid in range(2, fan + 2)]
+            + [(pid + fan, 1, "c", 0) for pid in range(2, fan + 2)]
+        )
+        sharded = _assert_sharded_matches_unsharded(
+            parts, conns, 4, conn_kind, in_txn
+        )
+        root = [
+            r for r in sharded.tracer.recent if r.name == "xnf.instantiate"
+        ][-1]
+        deltas = [
+            span.attrs["delta_rows"] for span in root.find("xnf.fixpoint.round")
+        ]
+        assert sorted(deltas, reverse=True)[:2] == [fan, fan]
