@@ -121,7 +121,7 @@ def test_concurrent_wire_clients(benchmark):
     latencies = {name: [] for name in OP_NAMES}
     failures = []
     with ServerThread(db, max_connections=CLIENTS + 8) as server:
-        # warm the plan cache / scratch pool so percentiles measure the
+        # warm the plan cache so percentiles measure the
         # steady state, not first-compile costs
         with WireClient(port=server.port) as warm:
             _op_e1_take(warm)

@@ -168,8 +168,8 @@ class RecoveryError(StorageError):
 
 class ResourceExhaustedError(ReproError):
     """An execution guard tripped: fixpoint round/row limit or query
-    timeout.  The engine aborts the statement but leaves catalog, scratch
-    pool and plan cache consistent."""
+    timeout.  The engine aborts the statement but leaves catalog and plan
+    cache consistent."""
 
 
 class SimulatedCrash(BaseException):

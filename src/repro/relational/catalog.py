@@ -213,8 +213,7 @@ class Table:
 
         Equivalent to :meth:`insert` per row but amortises page pinning via
         :meth:`HeapFile.append_rows` and validates column-at-a-time (one
-        tight loop per column instead of one dispatch per value); the XNF
-        layer uses it to refill scratch worktables batch-at-a-time.
+        tight loop per column instead of one dispatch per value).
         All-or-nothing per call: a constraint violation rolls back every row
         of this batch.
         """
@@ -484,8 +483,7 @@ class Table:
         """Drop all rows but keep the schema and index definitions.
 
         Plans compiled against this Table object remain valid: the heap and
-        index *objects* survive, only their contents reset.  The XNF layer
-        uses this to refill per-round delta worktables in place.
+        index *objects* survive, only their contents reset.
         """
         self.heap.truncate()
         for index in self.indexes.values():
@@ -875,27 +873,6 @@ class Catalog:
                     self.bump_version(view.name)
             table.heap.truncate()
             self.bump_version(key)
-
-    def detach_scratch(self, name: str) -> Optional[Table]:
-        """Remove a scratch table from the name space *without* a version
-        bump, keeping the Table object alive for later re-attachment.
-
-        The XNF layer uses this for its worktables: plans compiled against
-        the same Table object stay valid across instantiations, while the
-        catalog looks clean in between (temp tables are invisible once an
-        extraction finishes).
-        """
-        with self._mutex:
-            return self.tables.pop(name.upper(), None)
-
-    def attach_scratch(self, table: Table) -> None:
-        """Re-insert a previously detached scratch table, no version bump."""
-        with self._mutex:
-            key = table.name.upper()
-            if key in self.tables or key in self.views or key in self.virtual_tables:
-                raise CatalogError(f"table or view {table.name} already exists")
-            table._catalog = self
-            self.tables[key] = table
 
     def get_table(self, name: str) -> Table:
         key = name.upper()

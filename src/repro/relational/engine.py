@@ -58,7 +58,7 @@ from repro.relational.sql import ast
 from repro.relational.sql.parser import parse_statements
 from repro.relational.storage import BufferPool, DiskManager
 from repro.relational.systables import install_sys_tables
-from repro.relational.txn.locks import LockMode
+from repro.relational.txn.locks import LockMode, StatementLocks
 from repro.relational.txn.manager import (
     IsolationLevel,
     Transaction,
@@ -356,13 +356,6 @@ class Database:
         self.co_stats = COStatsRegistry()
         self._last_fingerprint: Optional[str] = None
         self._last_cache_hit = False
-        #: detached scratch worktables (name -> Table), parked here by the
-        #: XNF layer between extractions; re-attaching skips version bumps
-        #: so plans compiled against them stay cached.
-        self.scratch_tables: Dict[str, Table] = {}
-        #: serializes XNF CO extractions (their scratch worktables have
-        #: stable names); see XNFCompiler.instantiate
-        self.xnf_mutex = threading.RLock()
         #: wire-server frame/byte counters (behind SYS_STAT_NETWORK); zero
         #: forever unless a repro.server.XNFServer serves this database
         self.network = NetworkStats()
@@ -640,19 +633,18 @@ class Database:
         The plan is compiled outside the cache so the shadowed (counting)
         ``rows`` methods can never leak into a cached, shared plan.
         """
-        for table in self._tables_of(query):
-            self._lock(table, LockMode.SHARED)
-        plan = self._analyze_compile(query)
-        op_stats = instrument_plan(plan.op)
-        start = time.perf_counter()
-        with self.tracer.span("execute") as span:
-            rows = self._execute_plan(plan, None)
-            span.annotate(rows=len(rows), executor=self.executor_mode)
-            batches = sum(stat.batches for stat in op_stats.values())
-            if batches:
-                span.annotate(batches=batches)
-        self.last_timings["execute"] = time.perf_counter() - start
-        self._end_of_statement()
+        with self._read_locks(self._tables_of(query)):
+            plan = self._analyze_compile(query)
+            op_stats = instrument_plan(plan.op)
+            start = time.perf_counter()
+            with self.tracer.span("execute") as span:
+                rows = self._execute_plan(plan, None)
+                span.annotate(rows=len(rows), executor=self.executor_mode)
+                batches = sum(stat.batches for stat in op_stats.values())
+                if batches:
+                    span.annotate(batches=batches)
+            self.last_timings["execute"] = time.perf_counter() - start
+            self._end_of_statement()
         self._record_estimates(op_stats)
         lines = render_analyzed(plan.op, op_stats).splitlines()
         lines.append(f"actual rows: {len(rows)}")
@@ -761,8 +753,6 @@ class Database:
             deps = referenced_objects(normalized.statement, self.catalog)
             entry = CacheEntry(
                 plan,
-                list(normalized.lifted_values),
-                normalized.n_explicit,
                 {name: self.catalog.object_version(name) for name in deps},
                 volatile=any(self.catalog.is_virtual(name) for name in deps),
             )
@@ -815,55 +805,53 @@ class Database:
         return Rewriter().rewrite(box)
 
     def _run_query(self, query: ast.Query) -> Result:
-        for table in self._tables_of(query):
-            self._lock(table, LockMode.SHARED)
-        op_stats = None
-        values: Optional[List[Any]] = None
-        if self.analyze_statements:
-            # Analyze mode (XNF explain_analyze): bypass the cache so the
-            # instrumented operators stay private to this execution.
-            plan = self._analyze_compile(query)
-            op_stats = instrument_plan(plan.op)
-        elif self.plan_cache.capacity > 0:
-            normalized = normalize_statement(query)
-            if normalized.n_explicit:
-                raise SQLError(
-                    "query contains ? parameters; use Database.prepare()"
-                )
-            plan = self._cached_plan(normalized)
-            values = list(normalized.lifted_values)
-        else:
-            plan = self._compile_statement(query)
-        start = time.perf_counter()
-        with self.tracer.span("execute") as span:
-            rows = self._execute_plan(plan, values)
-            span.annotate(rows=len(rows), executor=self.executor_mode)
+        with self._read_locks(self._tables_of(query)):
+            op_stats = None
+            values: Optional[List[Any]] = None
+            if self.analyze_statements:
+                # Analyze mode (XNF explain_analyze): bypass the cache so the
+                # instrumented operators stay private to this execution.
+                plan = self._analyze_compile(query)
+                op_stats = instrument_plan(plan.op)
+            elif self.plan_cache.capacity > 0:
+                normalized = normalize_statement(query)
+                if normalized.n_explicit:
+                    raise SQLError(
+                        "query contains ? parameters; use Database.prepare()"
+                    )
+                plan = self._cached_plan(normalized)
+                values = list(normalized.lifted_values)
+            else:
+                plan = self._compile_statement(query)
+            start = time.perf_counter()
+            with self.tracer.span("execute") as span:
+                rows = self._execute_plan(plan, values)
+                span.annotate(rows=len(rows), executor=self.executor_mode)
+                if op_stats is not None:
+                    batches = sum(stat.batches for stat in op_stats.values())
+                    if batches:
+                        span.annotate(batches=batches)
+                    span.annotate(detail=render_analyzed(plan.op, op_stats))
+            self.last_timings["execute"] = time.perf_counter() - start
+            self._end_of_statement()
             if op_stats is not None:
-                batches = sum(stat.batches for stat in op_stats.values())
-                if batches:
-                    span.annotate(batches=batches)
-                span.annotate(detail=render_analyzed(plan.op, op_stats))
-        self.last_timings["execute"] = time.perf_counter() - start
-        self._end_of_statement()
-        if op_stats is not None:
-            self._record_estimates(op_stats)
-        return Result(plan.columns, rows, len(rows))
+                self._record_estimates(op_stats)
+            return Result(plan.columns, rows, len(rows))
 
     def _execute_prepared_query(
         self, normalized: NormalizedStatement, values: List[Any]
     ) -> Result:
         """Run a prepared query: cached plan + (explicit ++ lifted) params."""
-        for table in self._tables_of(normalized.statement):
-            self._lock(table, LockMode.SHARED)
-        plan = self._cached_plan(normalized)
-        start = time.perf_counter()
-        with self.tracer.span("execute") as span:
-            rows = self._execute_plan(
-                plan, values + list(normalized.lifted_values)
-            )
-            span.annotate(rows=len(rows), executor=self.executor_mode)
-        self.last_timings["execute"] = time.perf_counter() - start
-        self._end_of_statement()
+        with self._read_locks(self._tables_of(normalized.statement)):
+            plan = self._cached_plan(normalized)
+            start = time.perf_counter()
+            with self.tracer.span("execute") as span:
+                rows = self._execute_plan(
+                    plan, values + list(normalized.lifted_values)
+                )
+                span.annotate(rows=len(rows), executor=self.executor_mode)
+            self.last_timings["execute"] = time.perf_counter() - start
+            self._end_of_statement()
         return Result(plan.columns, rows, len(rows))
 
     @contextlib.contextmanager
@@ -980,7 +968,7 @@ class Database:
         """
         implicit = not self.in_transaction
         if implicit:
-            self._txn = self.txn_manager.begin(self.isolation, implicit=True)
+            self._txn = self.txn_manager.begin(self.isolation)
         txn = self._txn
         assert txn is not None
         try:
@@ -1415,23 +1403,29 @@ class Database:
         txn = self._txn
         if txn is None or not txn.active:
             return
-        if self.mvcc is not None:
-            # MVCC mode: reads are served from snapshots and take no locks
-            # at all (writers never block readers and vice versa).  Writers
-            # — implicit per-statement transactions included, since other
-            # threads can interleave mid-statement — take no-wait X locks
-            # for writer-writer ordering.
-            if mode is LockMode.SHARED:
-                return
-            self.txn_manager.locks.acquire(txn.txn_id, table, mode)
+        # MVCC mode: reads are served from snapshots and take no locks at
+        # all (writers never block readers and vice versa).  Writers —
+        # implicit per-statement transactions included, in both modes —
+        # take no-wait X locks, so an autocommit write never lands on a
+        # row another transaction may still roll back.
+        if self.mvcc is not None and mode is LockMode.SHARED:
             return
-        # Implicit (per-statement) transactions skip lock acquisition: the
-        # statement completes before control returns to any other session,
-        # so statement-scope locks would never be observed — and taking
-        # them would make autocommit DML conflict with open transactions,
-        # which the pre-transactional autocommit path never did.
-        if not txn.implicit:
-            self.txn_manager.locks.acquire(txn.txn_id, table, mode)
+        self.txn_manager.locks.acquire(txn.txn_id, table, mode)
+
+    def _read_locks(self, tables: Sequence[str]):
+        """S-lock *tables* for one query; returns the context to run it in.
+
+        Inside a transaction the locks are the transaction's (released per
+        its isolation level).  An autocommit query under 2PL holds no-wait
+        S locks for the statement only, so it never reads another
+        transaction's uncommitted writes.
+        """
+        txn = self._txn
+        if self.mvcc is None and (txn is None or not txn.active):
+            return StatementLocks(self.txn_manager.locks, tables)
+        for table in tables:
+            self._lock(table, LockMode.SHARED)
+        return contextlib.nullcontext()
 
     def _end_of_statement(self) -> None:
         """Cursor stability releases read locks at statement end."""

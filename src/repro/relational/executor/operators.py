@@ -178,14 +178,19 @@ class IndexRangeScan(PlanOp):
 
 
 class ValuesOp(PlanOp):
-    """Constant row source."""
+    """Constant row source, or the relation bound to parameter slot
+    *param* of *context* when the plan is cached and re-bound per run."""
 
-    def __init__(self, rows_: List[Row]):
-        self._rows = rows_
-        self.label = f"Values({len(rows_)} rows)"
+    def __init__(self, rows_: Sequence[Row], param: Optional[int] = None, context=None):
+        self._rows = rows_ if param is None else ()
+        self.param = param
+        self.context = context
+        self.label = f"Values({len(rows_)} rows)" if param is None else f"Values(?{param})"
 
     def rows(self, env: Env) -> Iterator[Row]:
-        return iter(self._rows)
+        if self.param is None:
+            return iter(self._rows)
+        return iter(self.context.params[self.param])
 
 
 class Filter(PlanOp):

@@ -35,6 +35,7 @@ from repro.relational.executor.operators import (
     PlanOp,
     Row,
     RowFn,
+    ValuesOp,
     _Accumulator,
 )
 from repro.relational.types import sort_key
@@ -84,6 +85,17 @@ class RowSource(VecOp):
 
     def children(self) -> List[PlanOp]:
         return [self.child]
+
+
+class VecValues(RowSource):
+    """Batch form of :class:`ValuesOp`: its rows chunked into dense batches."""
+
+    def __init__(self, values: ValuesOp, width: int):
+        super().__init__(values, width)
+        self.label = "Vec" + values.label
+
+    def children(self) -> List[PlanOp]:
+        return []
 
 
 def as_batch_source(op: PlanOp, width: int) -> VecOp:

@@ -59,6 +59,7 @@ from repro.relational.executor.vectorized import (
     VecProject,
     VecSeqScan,
     VecSort,
+    VecValues,
     as_batch_source,
 )
 from repro.relational.optimizer.stats import (
@@ -220,15 +221,17 @@ class Planner:
         return True
 
     def _table_vectorizable(self, table) -> bool:
-        """Table-level gate: virtual tables never, small tables only in
-        mode "batch" (mode "auto" applies the VEC_MIN_ROWS threshold)."""
-        if self.mode == "row" or table is None:
+        """Table-level gate: virtual tables never, others by row count."""
+        if table is None or getattr(table, "is_virtual", False):
             return False
-        if getattr(table, "is_virtual", False):
-            return False
-        if self.mode == "auto" and max(table.stats.row_count, 1) < VEC_MIN_ROWS:
-            return False
-        return True
+        return self._rows_vectorizable(table.stats.row_count)
+
+    def _rows_vectorizable(self, row_count: int) -> bool:
+        """Never in mode "row", always in mode "batch"; mode "auto" applies
+        the VEC_MIN_ROWS threshold."""
+        if self.mode == "auto":
+            return max(row_count, 1) >= VEC_MIN_ROWS
+        return self.mode == "batch"
 
     def _vec_scan_ok(self, table) -> bool:
         return self._vec_active and self._table_vectorizable(table)
@@ -261,7 +264,11 @@ class Planner:
                 return CompiledPlan(VecSeqScan(table), list(box.columns))
             return CompiledPlan(SeqScan(table), list(box.columns))
         if isinstance(box, ValuesBox):
-            return CompiledPlan(ValuesOp(box.rows), box.output_columns())
+            columns = box.output_columns()
+            op = ValuesOp(box.rows, box.param, self.context)
+            if self._vec_active and self._rows_vectorizable(len(box.rows)):
+                op = VecValues(op, len(columns))
+            return CompiledPlan(op, columns)
         raise ExecutionError(f"cannot plan box {box!r}")
 
     def subplan_factory(self, box: Box) -> PlanOp:

@@ -8,7 +8,9 @@ engine-side machinery that makes the "once" real:
 * :func:`normalize_statement` canonicalizes a statement by lifting the
   literal constants of its WHERE clauses (and JOIN conditions) into a
   parameter vector, so ``WHERE pid = 17`` and ``WHERE pid = 99`` share one
-  cache key.  Literals in SELECT lists, GROUP BY, HAVING and ORDER BY are
+  cache key.  The row list of a relation-valued FROM item
+  (:class:`ast.RowsTable`) is lifted the same way, into one slot.
+  Literals in SELECT lists, GROUP BY, HAVING and ORDER BY are
   left in place — those clauses carry positional/textual matching semantics
   (``ORDER BY 2`` is a column position) and their constants rarely vary
   between repetitions of a hot statement.
@@ -204,6 +206,9 @@ def _norm_query(q: ast.Query, lifter: _Lifter) -> ast.Query:
 
 
 def _norm_table_ref(ref: ast.TableRef, lifter: _Lifter) -> ast.TableRef:
+    if isinstance(ref, ast.RowsTable):
+        slot = lifter.lift(ref.rows).index
+        return ast.RowsTable(ref.columns, ref.rows, ref.alias, slot)
     if isinstance(ref, ast.DerivedTable):
         return ast.DerivedTable(_norm_query(ref.subquery, lifter), ref.alias)
     if isinstance(ref, ast.Join):
@@ -400,8 +405,6 @@ def referenced_objects(stmt: ast.Statement, catalog: Catalog) -> List[str]:
 @dataclass
 class CacheEntry:
     plan: Any  # CompiledPlan (typed Any to avoid an import cycle)
-    lifted_values: List[Any]
-    n_explicit: int
     dependencies: Dict[str, int] = field(default_factory=dict)
     #: the plan scans at least one SYS virtual table.  The *plan* is still
     #: cacheable (virtual tables never bump their catalog version), but the
@@ -442,12 +445,7 @@ class PlanCache:
             entry = self._entries.get(key)
             if entry is not None:
                 for name, version in entry.dependencies.items():
-                    if (
-                        catalog.object_version(name) != version
-                        or not (
-                            catalog.has_table(name) or catalog.get_view(name)
-                        )
-                    ):
+                    if catalog.object_version(name) != version:
                         del self._entries[key]
                         self.invalidations += 1
                         GLOBAL_STATS["invalidations"] += 1

@@ -25,6 +25,7 @@ from repro.relational.qgm.model import (
     SetOpBox,
     SubqueryExpr,
     TopBox,
+    ValuesBox,
     walk_resolved,
 )
 from repro.relational.sql import ast
@@ -239,6 +240,10 @@ class QGMBuilder:
             quant = Quantifier(ref.alias, child)
             box.quantifiers.append(quant)
             scope.add(ref.alias, child.output_columns())
+        elif isinstance(ref, ast.RowsTable):
+            values = ValuesBox(list(ref.columns), ref.rows, ref.param)
+            box.quantifiers.append(Quantifier(ref.alias, values))
+            scope.add(ref.alias, values.output_columns())
         elif isinstance(ref, ast.Join):
             self._add_join(box, scope, ref)
         else:  # pragma: no cover
@@ -580,14 +585,6 @@ def _remap_to_quantifier(
 
 def _box_is_correlated(box: Box) -> bool:
     """A box is correlated if any expression below it holds an OuterRef."""
-    from repro.relational.qgm.model import (
-        GroupByBox,
-        SelectBox,
-        SetOpBox,
-        TopBox,
-        ValuesBox,
-    )
-
     def exprs_of(b: Box):
         if isinstance(b, SelectBox):
             for col in b.head:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.relational.sql import ast
 
@@ -162,12 +162,23 @@ class SetOpBox(Box):
 
 
 class ValuesBox(Box):
-    """Literal row source (used for INSERT ... VALUES and tests)."""
+    """Literal row source.
 
-    def __init__(self, columns: List[str], rows: List[Tuple[Any, ...]]):
+    Built from a relation-valued FROM item (``ast.RowsTable``).  When
+    ``param`` is set the plan reads its rows from that parameter slot at
+    execution time; ``rows`` then only sizes the estimates.
+    """
+
+    def __init__(
+        self,
+        columns: List[str],
+        rows: Sequence[Tuple[Any, ...]],
+        param: Optional[int] = None,
+    ):
         super().__init__("values")
         self._columns = columns
         self.rows = rows
+        self.param = param
 
     def output_columns(self) -> List[str]:
         return self._columns

@@ -243,6 +243,33 @@ class DerivedTable(TableRef):
 
 
 @dataclass
+class RowsTable(TableRef):
+    """A relation-valued parameter: caller-supplied rows as a FROM item.
+
+    The XNF semantic rewrite hands its delta, candidate and reachable sets
+    to generated queries this way; they name no catalog object.  The
+    plan-cache normalizer lifts ``rows`` into parameter slot ``param`` like
+    a WHERE literal, so the fingerprint ``(VALUES ?n) AS alias(c1, ...)``
+    does not depend on the rows.
+    """
+
+    columns: List[str]
+    rows: Sequence[Tuple[Any, ...]]
+    alias: str
+    param: Optional[int] = None
+
+    def to_sql(self) -> str:
+        if self.param is not None:
+            body = f"?{self.param}"
+        else:
+            body = ", ".join(
+                "(" + ", ".join(Literal(v).to_sql() for v in row) + ")"
+                for row in self.rows
+            )
+        return f"(VALUES {body}) AS {self.alias}({', '.join(self.columns)})"
+
+
+@dataclass
 class Join(TableRef):
     kind: str  # INNER or LEFT
     left: TableRef

@@ -8,17 +8,20 @@ deadlock detection would; the error is marked ``retryable`` so
 
 Under MVCC mode only writers take (X) locks — reads are served from
 snapshots and never touch the lock table — so no-wait blocking cannot
-starve readers.  The manager is thread-safe: a single mutex guards the
-lock table, and a per-transaction reverse index makes ``release_all`` /
-``release_shared`` O(locks held by that transaction) instead of a scan
-over every locked table.
+starve readers.  Without MVCC every statement locks, autocommit ones
+included: an autocommit query holds its S locks for the statement only
+(:class:`StatementLocks`).  The manager is thread-safe: a single mutex
+guards the lock table, and a per-transaction reverse index makes
+``release_all`` / ``release_shared`` O(locks held by that transaction)
+instead of a scan over every locked table.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import threading
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.errors import DeadlockError
 
@@ -42,6 +45,9 @@ class LockManager:
         #: no-wait conflicts surfaced as DeadlockError (= waits + timeouts
         #: collapsed into one event under the no-wait policy)
         self.conflicts = 0
+        #: owner ids of :class:`StatementLocks`; negated, so they never
+        #: collide with (positive) transaction ids
+        self.statement_owners = itertools.count(1)
 
     def acquire(self, txn_id: int, table: str, mode: LockMode) -> None:
         with self._mutex:
@@ -49,19 +55,18 @@ class LockManager:
             current = holders.get(txn_id)
             if current is LockMode.EXCLUSIVE or current is mode:
                 return
-            others = {t: m for t, m in holders.items() if t != txn_id}
+            # Here txn_id holds nothing on the table, or S when asking for X.
             if mode is LockMode.SHARED:
-                if any(m is LockMode.EXCLUSIVE for m in others.values()):
+                if LockMode.EXCLUSIVE in holders.values():
                     self.conflicts += 1
                     raise DeadlockError(
                         f"txn {txn_id}: table {table} is X-locked by another transaction"
                     )
-            else:
-                if others:
-                    self.conflicts += 1
-                    raise DeadlockError(
-                        f"txn {txn_id}: table {table} is locked by another transaction"
-                    )
+            elif len(holders) > (current is not None):  # anyone else at all
+                self.conflicts += 1
+                raise DeadlockError(
+                    f"txn {txn_id}: table {table} is locked by another transaction"
+                )
             holders[txn_id] = mode
             self._by_txn.setdefault(txn_id, set()).add(table)
             self.acquisitions += 1
@@ -134,3 +139,30 @@ class LockManager:
                 for table in self._by_txn.get(txn_id, ())
                 if txn_id in self._locks.get(table, {})
             }
+
+
+class StatementLocks:
+    """Context manager: the no-wait S locks an autocommit query holds on
+    *tables* under 2PL, for the statement only (released error or not).
+
+    A class rather than a generator-based context manager because every
+    autocommit query enters one.
+    """
+
+    __slots__ = ("locks", "tables", "owner")
+
+    def __init__(self, locks: LockManager, tables: Sequence[str]):
+        self.locks = locks
+        self.tables = tables
+        self.owner = -next(locks.statement_owners)
+
+    def __enter__(self) -> None:
+        try:
+            for table in self.tables:
+                self.locks.acquire(self.owner, table, LockMode.SHARED)
+        except BaseException:
+            self.locks.release_all(self.owner)
+            raise
+
+    def __exit__(self, *exc_info) -> None:
+        self.locks.release_all(self.owner)

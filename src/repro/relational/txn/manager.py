@@ -65,9 +65,6 @@ class Transaction:
     active: bool = True
     #: LSN of this transaction's most recent log record
     last_lsn: int = 0
-    #: True for the per-statement transaction the engine wraps around
-    #: autocommit DML (statement == transaction)
-    implicit: bool = False
     #: MVCC read snapshot (None when MVCC mode is off)
     snapshot: Optional[Any] = None
 
@@ -110,7 +107,6 @@ class TransactionManager:
     def begin(
         self,
         isolation: IsolationLevel = IsolationLevel.REPEATABLE_READ,
-        implicit: bool = False,
     ) -> Transaction:
         with self._mutex:
             ceiling = self.max_concurrent_txns
@@ -120,7 +116,7 @@ class TransactionManager:
                     f"admission control: {len(self._active)} transactions "
                     f"active (max {ceiling}); retry after backoff"
                 )
-            txn = Transaction(next(self._ids), isolation, implicit=implicit)
+            txn = Transaction(next(self._ids), isolation)
             self._active[txn.txn_id] = txn
             self.begun += 1
         record = self.wal.append(txn.txn_id, wal_kinds.BEGIN)

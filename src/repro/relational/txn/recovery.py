@@ -272,8 +272,7 @@ def _rebuild_runtime(database, pages: Dict[int, Page]) -> None:
         table.stats.row_count = count
         database.catalog.bump_version(name)
 
-    # Compiled plans and pooled scratch worktables bind pre-crash Table
-    # state; both are flushed (the plan cache counts the invalidations).
+    # Compiled plans bind pre-crash Table state; all are flushed (the plan
+    # cache counts the invalidations).
     database.plan_cache.invalidate_all()
-    database.scratch_tables.clear()
     database._txn = None

@@ -139,7 +139,7 @@ class XNFSession:
         The shared relational database (plain SQL applications keep using
         it directly — Fig. 7's shared-database architecture).
     reuse_common:
-        Materialise node candidate sets once and share them across the
+        Compute node candidate sets once and share them across the
         generated queries (paper section 4.3); disable for the E3 ablation.
     semi_naive:
         Evaluate recursive reachability semi-naively; disable for the E6
@@ -149,8 +149,8 @@ class XNFSession:
     max_rounds / max_rows / timeout_s:
         Execution guards on the reachability fixpoint: a recursive CO that
         exceeds any of them aborts with
-        :class:`~repro.errors.ResourceExhaustedError`, leaving the catalog,
-        scratch-table pool and plan cache consistent.  ``None`` disables a
+        :class:`~repro.errors.ResourceExhaustedError`; an extraction writes
+        nothing, so there is nothing to clean up.  ``None`` disables a
         guard.
     """
 

@@ -27,7 +27,7 @@ from repro.xnf.cache import COCache
 from repro.xnf.lang import xast
 from repro.xnf.lang.parser import parse_xnf_statements
 from repro.relational.sql.parser import parse_statements as parse_sql_statements
-from repro.xnf.semantic_rewrite import _infer_type
+from repro.xnf.materialize import _infer_type
 
 
 class QueryClass(enum.Enum):

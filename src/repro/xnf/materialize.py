@@ -24,15 +24,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Any, Dict, List, Tuple
 
 from repro.errors import XNFError
 from repro.relational.catalog import Column
 from repro.relational.engine import Database
-from repro.relational.types import INTEGER
+from repro.relational.types import BOOLEAN, FLOAT, INTEGER, SQLType, VARCHAR
 from repro.relational.sql import ast as sql_ast
 from repro.xnf.schema import COSchema, EdgeSchema, NodeSchema
-from repro.xnf.semantic_rewrite import COInstance, _infer_type
+from repro.xnf.semantic_rewrite import COInstance
 
 #: surrogate-key column added to every materialized node table
 RID_COLUMN = "xnf_rid"
@@ -225,3 +225,20 @@ def drop_snapshot(db: Database, handle: MaterializedCOView) -> None:
         handle.edge_tables.values()
     ):
         db.catalog.drop_table(table_name, if_exists=True)
+
+
+def _infer_type(rows: List[Tuple[Any, ...]], position: int) -> SQLType:
+    """Column type of a stored CO table: the first non-NULL value's."""
+    for row in rows:
+        value = row[position]
+        if value is None:
+            continue
+        if isinstance(value, bool):
+            return BOOLEAN
+        if isinstance(value, int):
+            return INTEGER
+        if isinstance(value, float):
+            return FLOAT
+        if isinstance(value, str):
+            return VARCHAR()
+    return VARCHAR()

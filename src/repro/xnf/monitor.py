@@ -12,9 +12,9 @@ like *"which operator dominated my slowest query?"*::
         print(span["name"], span["duration_ms"])
 
 Both components are query-defined (SELECTs over SYS tables), so the
-instantiation pipeline materialises each one ONCE into a scratch table
-before the reachability fixpoint runs — the monitor observes a stable
-snapshot instead of chasing its own footprints.
+instantiation pipeline runs each one ONCE and binds the rows to every
+generated query that needs them — the monitor observes a stable snapshot
+instead of chasing its own footprints.
 """
 
 from __future__ import annotations

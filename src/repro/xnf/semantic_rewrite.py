@@ -10,11 +10,10 @@ the tuples of the associated children."
 Concretely:
 
 * each node's *candidate set* (its defining query, with schema-pushable
-  SUCH THAT restrictions folded in) is materialised **once** into a
-  temporary table and reused by every relationship that touches the node —
-  the common-subexpression sharing the paper describes (ablation: pass
-  ``reuse_common=False`` to recompute the defining query at every use,
-  experiment E3);
+  SUCH THAT restrictions folded in) is computed **once** and reused by
+  every relationship that touches the node — the common-subexpression
+  sharing the paper describes (ablation: pass ``reuse_common=False`` to
+  recompute the defining query at every use, experiment E3);
 * reachability is evaluated as a **semi-naive fixpoint** of generated
   parent⋈child SQL queries — one round for hierarchical COs, ``depth``
   rounds for recursive ones (ablation: ``semi_naive=False`` re-joins the
@@ -24,27 +23,26 @@ Concretely:
 
 Every generated query runs through the unmodified engine pipeline
 (QGM → rewrite → optimizer → executor), which is the paper's architectural
-point: the relational machinery is reused wholesale.
+point: the relational machinery is reused wholesale.  The shared sets —
+per-round delta, candidate sets, reachable sets — enter those queries as
+relation-valued parameters (``RowsTable`` FROM items), so an extraction is
+a pure read: it creates no catalog object and writes no page, and the
+plan cache keys on ``(VALUES ?n) AS alias(...)`` whatever the rows are.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import CatalogError, ResourceExhaustedError, TypeCheckError
-from repro.relational.catalog import Column, Table
+from repro.errors import ResourceExhaustedError
 from repro.relational.engine import Database
 from repro.relational.sql import ast as sql_ast
-from repro.relational.types import BOOLEAN, FLOAT, INTEGER, SQLType, VARCHAR
 from repro.xnf import sharding
 from repro.xnf.schema import COSchema, EdgeSchema, NodeSchema
 
 Row = Tuple[Any, ...]
-
-_temp_ids = itertools.count(1)
 
 
 @dataclass
@@ -54,6 +52,8 @@ class InstantiationStats:
     iterations: int = 0
     queries_issued: int = 0
     candidate_queries_run: int = 0
+    #: catalog tables written; stays 0 since the shared sets are bound as
+    #: in-memory relations (kept so ledgers can show that)
     temp_tables_created: int = 0
 
 
@@ -109,11 +109,6 @@ class XNFCompiler:
         self.max_rounds = max_rounds
         self.max_rows = max_rows
         self.timeout_s = timeout_s
-        #: scratch worktables currently attached to the catalog (name -> Table)
-        self._attached: Dict[str, Table] = {}
-        #: uniquely-named fallback tables (name collided with a user object);
-        #: these are dropped, not pooled, on release
-        self._fallback: set = set()
         self.stats = InstantiationStats()
 
     # -- public ------------------------------------------------------------------
@@ -123,29 +118,21 @@ class XNFCompiler:
         schema.validate()
         self.db.metrics.inc("xnf.fixpoint.instantiations")
         started = time.perf_counter()
-        # Scratch worktables use stable names (for plan-cache fingerprint
-        # reuse), so extractions on one Database must not interleave:
-        # serialize them.  Base-table reads inside the fixpoint still
-        # resolve through the caller's ambient MVCC snapshot, so a CO
-        # extraction inside a transaction is snapshot-consistent while
-        # writers proceed concurrently.
-        with self.db.xnf_mutex:
-            with self.db.tracer.span(
-                "xnf.instantiate", co=schema.name or "<anonymous>"
-            ) as span:
-                try:
-                    instance = self._instantiate(schema)
-                finally:
-                    self._release_temp_tables()
-                span.annotate(
-                    rounds=self.stats.iterations,
-                    tuples=instance.total_tuples(),
-                    connections=instance.total_connections(),
-                )
-                self._record_co_stats(
-                    schema, instance, time.perf_counter() - started
-                )
-                return instance
+        # A pure read: extractions on one Database may interleave freely.
+        # Base-table reads inside the fixpoint resolve through the caller's
+        # ambient MVCC snapshot, so a CO extraction inside a transaction is
+        # snapshot-consistent while writers proceed concurrently.
+        with self.db.tracer.span(
+            "xnf.instantiate", co=schema.name or "<anonymous>"
+        ) as span:
+            instance = self._instantiate(schema)
+            span.annotate(
+                rounds=self.stats.iterations,
+                tuples=instance.total_tuples(),
+                connections=instance.total_connections(),
+            )
+            self._record_co_stats(schema, instance, time.perf_counter() - started)
+            return instance
 
     def _record_co_stats(
         self, schema: COSchema, instance: COInstance, duration_s: float
@@ -231,7 +218,7 @@ class XNFCompiler:
         for name, node in schema.nodes.items():
             columns[name] = self._node_columns(node)
             instance.columns[name] = columns[name]
-        candidate_tables: Dict[str, str] = {}
+        candidates: Dict[str, Tuple[List[str], List[Row]]] = {}
 
         # Reachability: ordered sets per node, seeded from the root tables.
         reachable: Dict[str, Dict[Row, None]] = {
@@ -267,7 +254,7 @@ class XNFCompiler:
                     if not source:
                         continue
                     derived = self._derive_children(
-                        edge, columns, candidate_tables, list(source)
+                        edge, columns, candidates, list(source)
                     )
                     for child_name, rows in derived.items():
                         target = reachable[child_name]
@@ -287,12 +274,11 @@ class XNFCompiler:
             instance.rows[name] = list(reachable[name])
 
         # Connection instances: one query per relationship over the
-        # materialised reachable sets (another shared subexpression).
-        reachable_tables: Dict[str, str] = {}
+        # reachable sets (another shared subexpression).
         for edge in edges:
             with tracer.span("xnf.connections", edge=edge.name) as span:
                 instance.connections[edge.name] = self._derive_connections(
-                    edge, instance, reachable_tables
+                    edge, instance
                 )
                 span.annotate(rows=len(instance.connections[edge.name]))
         return instance
@@ -302,10 +288,8 @@ class XNFCompiler:
     ) -> None:
         """Abort a runaway fixpoint before the next round starts.
 
-        Raised between rounds, so the catalog, the scratch-table pool and
-        the plan cache are never left mid-mutation: ``instantiate``'s
-        ``finally`` clause releases the worktables exactly as it does after
-        a successful run.
+        Raised between rounds; the extraction wrote nothing, so there is
+        nothing to undo.
         """
         if self.max_rounds is not None and self.stats.iterations >= self.max_rounds:
             self.db.metrics.inc("xnf.fixpoint.guard_trips")
@@ -336,7 +320,7 @@ class XNFCompiler:
         self,
         edge: EdgeSchema,
         columns: Dict[str, List[str]],
-        candidate_tables: Dict[str, str],
+        candidates: Dict[str, Tuple[List[str], List[Row]]],
         parent_rows: List[Row],
     ) -> Dict[str, List[Row]]:
         """SQL for: children of *parent_rows* via *edge* (reachability join).
@@ -345,16 +329,11 @@ class XNFCompiler:
         query joins the delta with *all* child partners plus the USING
         tables, because the relationship predicate mentions all of them.
         """
-        delta_table = self._materialize(
-            f"DELTA_{edge.parent}", columns[edge.parent], parent_rows
-        )
         from_tables: List[sql_ast.TableRef] = [
-            sql_ast.NamedTable(delta_table, edge.parent_binding),
+            sql_ast.RowsTable(columns[edge.parent], parent_rows, edge.parent_binding),
         ]
         for child_name, binding in zip(edge.child_names(), edge.child_bindings()):
-            from_tables.append(
-                self._node_reference(child_name, candidate_tables, binding)
-            )
+            from_tables.append(self._node_reference(child_name, candidates, binding))
         from_tables.extend(
             sql_ast.NamedTable(u.table, u.alias) for u in edge.using
         )
@@ -375,21 +354,17 @@ class XNFCompiler:
         self,
         edge: EdgeSchema,
         instance: COInstance,
-        reachable_tables: Dict[str, str],
     ) -> List[Tuple[Row, Tuple[Row, ...], Row]]:
-        parent_table = self._reachable_table(edge.parent, instance, reachable_tables)
-        select_items = [sql_ast.SelectItem(sql_ast.Star(edge.parent_binding))]
-        from_tables: List[sql_ast.TableRef] = [
-            sql_ast.NamedTable(parent_table, edge.parent_binding),
-        ]
         child_names = edge.child_names()
-        child_bindings = edge.child_bindings()
-        for child_name, binding in zip(child_names, child_bindings):
-            child_table = self._reachable_table(
-                child_name, instance, reachable_tables
-            )
-            select_items.append(sql_ast.SelectItem(sql_ast.Star(binding)))
-            from_tables.append(sql_ast.NamedTable(child_table, binding))
+        partners = [
+            (edge.parent, edge.parent_binding),
+            *zip(child_names, edge.child_bindings()),
+        ]
+        select_items = [sql_ast.SelectItem(sql_ast.Star(b)) for _, b in partners]
+        from_tables: List[sql_ast.TableRef] = [
+            sql_ast.RowsTable(instance.columns[name], instance.rows[name], binding)
+            for name, binding in partners
+        ]
         for attr_name, attr_expr in edge.attributes:
             select_items.append(sql_ast.SelectItem(attr_expr, attr_name))
         from_tables.extend(
@@ -415,120 +390,28 @@ class XNFCompiler:
     def _node_reference(
         self,
         node_name: str,
-        candidate_tables: Dict[str, str],
+        candidates: Dict[str, Tuple[List[str], List[Row]]],
         binding: str,
     ) -> sql_ast.TableRef:
         """Reference a node's candidate set in a generated query.
 
-        With common-subexpression reuse this is the materialised temp table;
-        without it the node's defining query is inlined and recomputed."""
+        With common-subexpression reuse this is the set computed once and
+        bound as a relation; without it the node's defining query is
+        inlined and recomputed."""
         node = self._current_schema.nodes[node_name]
         if self._is_trivial(node):
             # Bare base table: reference it directly so the plan optimizer
             # can pick its indexes (both modes — there is nothing to share).
             return sql_ast.NamedTable(node.table, binding)
         if self.reuse_common:
-            table = candidate_tables.get(node_name)
-            if table is None:
-                columns, rows = self._run_candidates(node)
-                table = self._materialize(f"CAND_{node_name}", columns, rows)
-                candidate_tables[node_name] = table
-            return sql_ast.NamedTable(table, binding)
+            if node_name not in candidates:
+                candidates[node_name] = self._run_candidates(node)
+            columns, rows = candidates[node_name]
+            return sql_ast.RowsTable(columns, rows, binding)
         # Without reuse, the node's defining query is rebuilt and re-run at
         # every use — the ablation's whole point (experiment E3).
         self.stats.candidate_queries_run += 1
         return sql_ast.DerivedTable(self.candidate_query(node), binding)
-
-    def _reachable_table(
-        self,
-        node_name: str,
-        instance: COInstance,
-        reachable_tables: Dict[str, str],
-    ) -> str:
-        table = reachable_tables.get(node_name)
-        if table is None:
-            table = self._materialize(
-                f"REACH_{node_name}",
-                instance.columns[node_name],
-                instance.rows[node_name],
-            )
-            reachable_tables[node_name] = table
-        return table
-
-    # -- temp-table plumbing ----------------------------------------------------------
-    #
-    # Worktables get *stable* names (XNF_DELTA_<node>, XNF_CAND_<node>,
-    # XNF_REACH_<node>) so that the generated per-round / per-refresh SQL has
-    # an identical fingerprint every time and re-hits the engine's plan
-    # cache.  The Table objects themselves are recycled: refills go through
-    # ``Table.truncate()`` (no catalog version bump — compiled plans bind the
-    # Table object and stay valid) and, between instantiations, the tables
-    # are parked in ``Database.scratch_tables`` via ``detach_scratch`` /
-    # ``attach_scratch`` so the catalog looks clean while extractions are
-    # not running.
-
-    def _materialize(
-        self, prefix: str, columns: Sequence[str], rows: List[Row]
-    ) -> str:
-        name = f"XNF_{prefix}".upper()
-        table = self._acquire_scratch(name, columns, rows)
-        self.stats.temp_tables_created += 1
-        return table.name
-
-    def _acquire_scratch(
-        self, name: str, columns: Sequence[str], rows: List[Row]
-    ) -> Table:
-        catalog = self.db.catalog
-        table = self._attached.get(name)
-        if table is None:
-            pooled = self.db.scratch_tables.get(name)
-            if pooled is not None and not catalog.has_table(name):
-                del self.db.scratch_tables[name]
-                catalog.attach_scratch(pooled)
-                table = self._attached[name] = pooled
-        if table is not None:
-            same_layout = [c.upper() for c in table.column_names()] == [
-                str(c).upper() for c in columns
-            ]
-            if same_layout:
-                try:
-                    table.truncate()
-                    table.insert_many(rows)
-                    return table
-                except TypeCheckError:
-                    pass  # column types drifted; rebuild below
-            # Layout changed: rebuild under the same name.  drop_table bumps
-            # the catalog version, correctly invalidating plans compiled
-            # against the old layout.
-            self._attached.pop(name, None)
-            catalog.drop_table(name, if_exists=True)
-        column_defs = [
-            Column(col, _infer_type(rows, pos), nullable=True)
-            for pos, col in enumerate(columns)
-        ]
-        try:
-            table = catalog.create_table(name, column_defs)
-        except CatalogError:
-            # The stable name collides with a user table/view: fall back to a
-            # uniquified throwaway (dropped, not pooled, on release).
-            name = f"{name}_{next(_temp_ids)}"
-            table = catalog.create_table(name, column_defs)
-            self._fallback.add(name)
-        table.insert_many(rows)
-        self._attached[name] = table
-        return table
-
-    def _release_temp_tables(self) -> None:
-        for name, table in list(self._attached.items()):
-            if name in self._fallback:
-                self.db.catalog.drop_table(name, if_exists=True)
-            else:
-                detached = self.db.catalog.detach_scratch(name)
-                if detached is not None:
-                    detached.truncate()
-                    self.db.scratch_tables[name] = detached
-        self._attached.clear()
-        self._fallback.clear()
 
 
 def instantiate(
@@ -541,18 +424,3 @@ def instantiate(
     compiler = XNFCompiler(db, reuse_common=reuse_common, semi_naive=semi_naive)
     return compiler.instantiate(schema)
 
-
-def _infer_type(rows: List[Row], position: int) -> SQLType:
-    for row in rows:
-        value = row[position]
-        if value is None:
-            continue
-        if isinstance(value, bool):
-            return BOOLEAN
-        if isinstance(value, int):
-            return INTEGER
-        if isinstance(value, float):
-            return FLOAT
-        if isinstance(value, str):
-            return VARCHAR()
-    return VARCHAR()

@@ -496,8 +496,7 @@ class TestExecutionGuards:
         with pytest.raises(ResourceExhaustedError) as excinfo:
             session.query("OUT OF EXT-ALL-DEPS-ORG TAKE *")
         assert "round" in str(excinfo.value)
-        # the abort released every scratch table back to the pool and left
-        # no worktable registered in the catalog
+        # the aborted extraction left no table registered in the catalog
         assert not [
             n for n in fig4_db.catalog.tables if n.startswith("XNF_")
         ]

@@ -114,6 +114,41 @@ class TestLockConflicts:
         b.commit()
         a.commit()
 
+    @staticmethod
+    def _two_rows(db):
+        db.execute("CREATE TABLE KV (k INTEGER PRIMARY KEY, v INTEGER)")
+        db.execute("INSERT INTO KV VALUES (1, 10), (2, 20)")
+
+    def test_autocommit_read_never_sees_uncommitted_writes(self, shared):
+        db, a, b = shared
+        self._two_rows(db)
+        a.begin()
+        a.execute("DELETE FROM KV WHERE k = 1")
+        a.execute("UPDATE KV SET v = 99 WHERE k = 2")
+        if db.mvcc is not None:
+            # the autocommit read's snapshot is the committed state
+            assert b.execute("SELECT COUNT(*) FROM KV").scalar() == 2
+            assert b.execute("SELECT v FROM KV WHERE k = 2").scalar() == 20
+        else:
+            # 2PL: the statement's no-wait S lock meets a's X lock
+            with pytest.raises(DeadlockError):
+                b.execute("SELECT COUNT(*) FROM KV")
+        a.rollback()
+        assert b.execute("SELECT COUNT(*) FROM KV").scalar() == 2
+        assert b.execute("SELECT v FROM KV WHERE k = 2").scalar() == 20
+
+    def test_autocommit_write_is_never_undone_by_another_rollback(self, shared):
+        db, a, b = shared
+        self._two_rows(db)
+        a.begin()
+        a.execute("UPDATE KV SET v = 99 WHERE k = 2")
+        with pytest.raises(DeadlockError):
+            b.execute("UPDATE KV SET v = 50 WHERE k = 2")
+        a.rollback()
+        assert b.execute("SELECT v FROM KV WHERE k = 2").scalar() == 20
+        b.execute("UPDATE KV SET v = 50 WHERE k = 2")
+        assert b.execute("SELECT v FROM KV WHERE k = 2").scalar() == 50
+
     def test_autocommit_reads_never_hold_locks(self, shared):
         _, a, b = shared
         a.execute("SELECT * FROM PEOPLE")  # autocommit: no txn, no lock

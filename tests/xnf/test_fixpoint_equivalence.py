@@ -96,8 +96,8 @@ class TestCyclicEquivalence:
         assert 100 not in reached
 
     def test_repeated_instantiations_stay_equivalent(self, graph_db):
-        """Re-running both modes re-uses cached plans and pooled scratch
-        tables; results must stay identical across repetitions."""
+        """Re-running both modes re-uses cached plans; results must stay
+        identical across repetitions."""
         first = canonical(both_modes(graph_db, CYCLIC_CO)[0])
         for _ in range(3):
             semi, naive, _, _ = both_modes(graph_db, CYCLIC_CO)
@@ -107,3 +107,43 @@ class TestCyclicEquivalence:
     def test_semi_naive_issues_no_more_queries(self, graph_db):
         _, _, semi_stats, naive_stats = both_modes(graph_db, CYCLIC_CO)
         assert semi_stats.queries_issued <= naive_stats.queries_issued
+
+
+def misses_per_round(db):
+    """Plan-cache misses of each fixpoint round of the last extraction."""
+    per_round = {}
+
+    def walk(span, round_no):
+        if span.name == "xnf.fixpoint.round":
+            round_no = span.attrs["round"]
+            per_round[round_no] = 0
+        elif round_no is not None and span.attrs.get("plan_cache") == "miss":
+            per_round[round_no] += 1
+        for child in span.children:
+            walk(child, round_no)
+
+    walk(db.tracer.last_trace, None)
+    return per_round
+
+
+class TestPlanCacheStability:
+    """The generated SQL of a round has the same fingerprint whatever rows
+    it reads, so a recursive CO compiles each statement once."""
+
+    @pytest.mark.parametrize("semi_naive", [True, False])
+    def test_rounds_and_repeats_add_no_misses(self, graph_db, semi_naive):
+        cache = graph_db.plan_cache
+        XNFCompiler(graph_db, semi_naive=semi_naive).instantiate(
+            resolve_text(CYCLIC_CO)
+        )
+        per_round = misses_per_round(graph_db)
+        assert len(per_round) >= 4
+        # round 1 compiles the seed edge's statement; the recursive edge's
+        # parent has no rows until round 2, which compiles its statement
+        assert per_round[1] == per_round[2] == 1
+        assert all(per_round[r] == 0 for r in per_round if r > 2)
+        misses = cache.misses
+        again = XNFCompiler(graph_db, semi_naive=semi_naive)
+        again.instantiate(resolve_text(CYCLIC_CO))
+        assert again.stats.queries_issued > 0
+        assert cache.misses == misses

@@ -1,7 +1,11 @@
 """The XNF semantic rewrite: generated-SQL instantiation and its ablations."""
 
+import sys
+import threading
+
 import pytest
 
+from repro.errors import ResourceExhaustedError
 from repro.workloads import company
 from repro.xnf.api import XNFSession
 from repro.xnf.lang.parser import parse_xnf
@@ -61,7 +65,7 @@ class TestInstantiation:
         assert stats.iterations >= 1
         # all Fig.-1 nodes are bare tables: only the root's seeding query
         assert stats.candidate_queries_run == 1
-        assert stats.temp_tables_created > 0
+        assert stats.temp_tables_created == 0
 
     def test_empty_root_gives_empty_instance(self, company_db):
         schema = resolve_text(
@@ -181,6 +185,99 @@ class TestSemiNaiveAblation:
         # same number of rounds, but naive re-materialises ever-growing
         # delta tables; measured as total queries it is never cheaper.
         assert semi.stats.queries_issued <= naive.stats.queries_issued
+
+
+def catalog_state(db):
+    """Every catalog name with its object version."""
+    catalog = db.catalog
+    names = [*catalog.tables, *catalog.views, *catalog.virtual_tables]
+    return {name: catalog.object_version(name) for name in names}
+
+
+def closure_co(root):
+    return f"""
+    OUT OF
+      Xroot AS (SELECT * FROM PART WHERE pid = {root}),
+      Xpart AS PART,
+      anchor AS (RELATE Xroot, Xpart WHERE Xroot.pid = Xpart.pid),
+      connects AS (RELATE Xpart source, Xpart target USING CONN c
+                   WHERE source.pid = c.cfrom AND target.pid = c.cto)
+    TAKE *
+    """
+
+
+class TestExtractionIsARead:
+    """An extraction creates no catalog object, bumps no object version and
+    needs no database-wide mutex."""
+
+    @pytest.fixture
+    def watched(self, company_db, monkeypatch):
+        """company_db whose table names are recorded at every statement."""
+        seen = []
+        execute = company_db.execute_ast
+
+        def watching(stmt):
+            seen.append(set(company_db.catalog.tables))
+            return execute(stmt)
+
+        monkeypatch.setattr(company_db, "execute_ast", watching)
+        return company_db, seen
+
+    @pytest.mark.parametrize(
+        "text",
+        [company.FIGURE1_CO, TestCommonSubexpressionAblation.RESTRICTED_CO],
+        ids=["bare-tables", "candidate-sets"],
+    )
+    def test_catalog_untouched(self, watched, text):
+        db, seen = watched
+        before = catalog_state(db)
+        instance = XNFCompiler(db).instantiate(resolve_text(text))
+        assert instance.total_tuples() > 0
+        assert catalog_state(db) == before
+        # not even while the extraction runs
+        assert seen and all(names == set(db.catalog.tables) for names in seen)
+        assert not [n for names in seen for n in names if n.startswith("XNF_")]
+
+    def test_catalog_untouched_by_aborted_extraction(self, fig4_db):
+        session = XNFSession(fig4_db, max_rounds=1)
+        company.create_paper_views(session)
+        before = catalog_state(fig4_db)
+        with pytest.raises(ResourceExhaustedError):
+            session.query("OUT OF EXT-ALL-DEPS-ORG TAKE *")
+        assert catalog_state(fig4_db) == before
+
+    def test_concurrent_extractions_match_serial(self, parts_db):
+        roots = {0: range(1, 21), 1: range(21, 41)}
+        serial = {
+            root: canonical(instantiate(parts_db, resolve_text(closure_co(root))))
+            for rows in roots.values()
+            for root in rows
+        }
+        results, errors = {}, []
+        barrier = threading.Barrier(len(roots))
+
+        def worker(thread_no):
+            try:
+                barrier.wait()
+                for root in roots[thread_no]:
+                    schema = resolve_text(closure_co(root))
+                    results[root] = canonical(instantiate(parts_db, schema))
+            except Exception as err:  # reported below, on the test thread
+                errors.append(err)
+
+        threads = [threading.Thread(target=worker, args=(n,)) for n in roots]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the extractions finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert results == serial
 
 
 class TestGeneratedQueriesGoThroughEngine:
