@@ -41,7 +41,6 @@ from repro.obs.trace import TraceContext, Tracer
 from repro.relational.catalog import Catalog, Column, ShardedTable, Table
 from repro.relational.storage.sharded import PartitionSpec
 from repro.relational.executor.exprs import PlanContext
-from repro.relational.executor.operators import SeqScan
 from repro.relational.executor.vectorized import VecOp
 from repro.relational.optimizer.planner import CompiledPlan, Planner
 from repro.relational.plancache import (
@@ -560,10 +559,8 @@ class Database:
             return self._run_query(stmt)
         if isinstance(stmt, ast.InsertStmt):
             return self._run_insert(stmt)
-        if isinstance(stmt, ast.UpdateStmt):
-            return self._run_update(stmt)
-        if isinstance(stmt, ast.DeleteStmt):
-            return self._run_delete(stmt)
+        if isinstance(stmt, (ast.UpdateStmt, ast.DeleteStmt)):
+            return self._run_write(normalize_statement(stmt))
         if isinstance(stmt, ast.CreateTableStmt):
             return self._run_create_table(stmt)
         if isinstance(stmt, ast.CreateIndexStmt):
@@ -766,11 +763,14 @@ class Database:
             self.tracer.annotate(plan_cache="hit")
         return entry.plan
 
-    def _compile_statement(self, query: ast.Query) -> CompiledPlan:
+    def _compile_statement(self, stmt: ast.Statement) -> CompiledPlan:
+        """Compile a query, or the row-finding plan of an UPDATE/DELETE."""
+        if isinstance(stmt, (ast.UpdateStmt, ast.DeleteStmt)):
+            return self._compile_write(stmt)
         timings: Dict[str, float] = {}
         start = time.perf_counter()
         with self.tracer.span("build_qgm"):
-            box = self.builder.build_query(query)
+            box = self.builder.build_query(stmt)
         timings["build_qgm"] = time.perf_counter() - start
         start = time.perf_counter()
         with self.tracer.span("rewrite"):
@@ -778,26 +778,41 @@ class Database:
         timings["rewrite"] = time.perf_counter() - start
         start = time.perf_counter()
         with self.tracer.span("optimize"):
-            plan = Planner(
-                self.catalog,
-                feedback=self._planner_feedback(),
-                mode=self.executor_mode,
-            ).plan_statement(box)
+            plan = self._planner().plan_statement(box)
         timings["optimize"] = time.perf_counter() - start
         self.last_timings.update(timings)
         return plan
 
-    def _planner_feedback(self):
-        return self.feedback if self.optimizer_feedback else None
+    def _compile_write(self, stmt: ast.Statement) -> CompiledPlan:
+        """Resolve WHERE and SET over the target table, then plan."""
+        table = self.catalog.get_table(stmt.table)
+        columns = table.column_names()
+
+        def resolve(expr: ast.Expr) -> ast.Expr:
+            return self.builder.resolve_standalone_predicate(
+                expr, table.name, columns
+            )
+
+        where = resolve(stmt.where) if stmt.where is not None else None
+        assignments = [
+            (col, resolve(expr)) for col, expr in getattr(stmt, "assignments", ())
+        ]
+        start = time.perf_counter()
+        with self.tracer.span("optimize"):
+            plan = self._planner().plan_write(table, where, assignments)
+        self.last_timings["optimize"] = time.perf_counter() - start
+        return plan
+
+    def _planner(self) -> Planner:
+        return Planner(
+            self.catalog,
+            feedback=self.feedback if self.optimizer_feedback else None,
+            mode=self.executor_mode,
+        )
 
     def compile_box(self, box: Box) -> CompiledPlan:
         """Rewrite + optimize an externally-built QGM box (XNF path)."""
-        box = self._rewrite(box)
-        return Planner(
-            self.catalog,
-            feedback=self._planner_feedback(),
-            mode=self.executor_mode,
-        ).plan_statement(box)
+        return self._planner().plan_statement(self._rewrite(box))
 
     def _rewrite(self, box: Box) -> Box:
         if not self.enable_rewrite:
@@ -1013,15 +1028,16 @@ class Database:
     ) -> Result:
         return self._run_guarded(lambda: self._do_insert(stmt, params))
 
-    def _run_update(
-        self, stmt: ast.UpdateStmt, params: Optional[List[Any]] = None
+    def _run_write(
+        self, normalized: NormalizedStatement, values: Sequence[Any] = ()
     ) -> Result:
-        return self._run_guarded(lambda: self._do_update(stmt, params))
-
-    def _run_delete(
-        self, stmt: ast.DeleteStmt, params: Optional[List[Any]] = None
-    ) -> Result:
-        return self._run_guarded(lambda: self._do_delete(stmt, params))
+        """Run a normalized UPDATE/DELETE with its explicit ``?`` *values*."""
+        if len(values) != normalized.n_explicit:
+            raise SQLError(
+                "statement contains ? parameters; use Database.prepare()"
+            )
+        params = list(values) + normalized.lifted_values
+        return self._run_guarded(lambda: self._do_write(normalized, params))
 
     def _do_insert(
         self, stmt: ast.InsertStmt, params: Optional[List[Any]] = None
@@ -1059,75 +1075,32 @@ class Database:
         self._end_of_statement()
         return Result(rowcount=count)
 
-    def _do_update(
-        self, stmt: ast.UpdateStmt, params: Optional[List[Any]] = None
-    ) -> Result:
-        table = self.catalog.get_table(stmt.table)
-        self._lock(table.name, LockMode.EXCLUSIVE)
-        columns = table.column_names()
-        layout = {(table.name, col): pos + 1 for pos, col in enumerate(columns)}
-        planner = Planner(self.catalog, PlanContext(list(params or [])))
-        compiler = planner.compiler(layout)
-        predicate = None
-        if stmt.where is not None:
-            resolved = self.builder.resolve_standalone_predicate(
-                stmt.where, table.name, columns
-            )
-            predicate = compiler.compile_predicate(resolved)
-        assignments = []
-        for col_name, expr in stmt.assignments:
-            pos = table.position_of(col_name)
-            resolved = self.builder.resolve_standalone_predicate(
-                expr, table.name, columns
-            )
-            assignments.append((pos, compiler.compile(resolved)))
-        scan = SeqScan(table, emit_rid=True)
-        pending: List[Tuple[Any, Tuple[Any, ...], Tuple[Any, ...]]] = []
-        for tagged in scan.rows([]):
-            rid, row = tagged[0], tagged[1:]
-            if predicate is not None and predicate(tagged, []) is not True:
-                continue
-            new_row = list(row)
-            for pos, fn in assignments:
-                new_row[pos] = fn(tagged, [])
-            pending.append((rid, row, tuple(new_row)))
-        for rid, old_row, new_row in pending:
-            self._mvcc_write_check(table, rid)
-            self._mvcc_apply(
-                table, rid, old_row, new_row,
-                lambda: table.update(rid, new_row),
-            )
-            self._record_update(table, rid, old_row, new_row)
-        self._end_of_statement()
-        return Result(rowcount=len(pending))
+    def _do_write(self, normalized: NormalizedStatement, params: List[Any]) -> Result:
+        """UPDATE/DELETE: run the cached row-finding plan
+        (:meth:`Planner.plan_write`), then write each row it found.
 
-    def _do_delete(
-        self, stmt: ast.DeleteStmt, params: Optional[List[Any]] = None
-    ) -> Result:
+        Halloween protection is the materialised RID stream: every target
+        row is found before the first write, so an update that moves a row
+        into the probed index range never visits it twice.
+        """
+        stmt = normalized.statement
         table = self.catalog.get_table(stmt.table)
         self._lock(table.name, LockMode.EXCLUSIVE)
-        columns = table.column_names()
-        layout = {(table.name, col): pos + 1 for pos, col in enumerate(columns)}
-        planner = Planner(self.catalog, PlanContext(list(params or [])))
-        compiler = planner.compiler(layout)
-        predicate = None
-        if stmt.where is not None:
-            resolved = self.builder.resolve_standalone_predicate(
-                stmt.where, table.name, columns
-            )
-            predicate = compiler.compile_predicate(resolved)
-        scan = SeqScan(table, emit_rid=True)
-        pending: List[Tuple[Any, Tuple[Any, ...]]] = []
-        for tagged in scan.rows([]):
-            if predicate is not None and predicate(tagged, []) is not True:
-                continue
-            pending.append((tagged[0], tagged[1:]))
-        for rid, row in pending:
+        found = self._execute_plan(self._cached_plan(normalized), params)
+        width = len(table.columns) + 1
+        for tagged in found:
+            rid, old_row, new_row = tagged[0], tagged[1:width], tagged[width:]
             self._mvcc_write_check(table, rid)
-            self._mvcc_apply(table, rid, row, None, lambda: table.delete(rid))
-            self._record_delete(table, rid, row)
+            if isinstance(stmt, ast.DeleteStmt):
+                self._mvcc_apply(table, rid, old_row, None, lambda: table.delete(rid))
+                self._record_delete(table, rid, old_row)
+            else:
+                self._mvcc_apply(
+                    table, rid, old_row, new_row, lambda: table.update(rid, new_row)
+                )
+                self._record_update(table, rid, old_row, new_row)
         self._end_of_statement()
-        return Result(rowcount=len(pending))
+        return Result(rowcount=len(found))
 
     # -- DDL -------------------------------------------------------------------
 
@@ -1605,11 +1578,11 @@ class Database:
 class Prepared:
     """A statement compiled once and re-executable with fresh parameters.
 
-    Obtained from :meth:`Database.prepare`.  For queries, the plan lives in
-    the database's plan cache: re-executions rebind the parameter vector into
-    the compiled closures without re-running parse/QGM/rewrite/optimize (the
-    cache hit counter proves it).  DDL and transaction-control statements are
-    executed as-is on each call.
+    Obtained from :meth:`Database.prepare`.  For queries and UPDATE/DELETE,
+    the plan lives in the database's plan cache: re-executions rebind the
+    parameter vector into the compiled closures without re-running
+    parse/QGM/rewrite/optimize (the cache hit counter proves it).  DDL and
+    transaction-control statements are executed as-is on each call.
     """
 
     def __init__(self, db: Database, stmt: ast.Statement):
@@ -1628,8 +1601,10 @@ class Prepared:
         self._fingerprint = (
             self._normalized.fingerprint if self._normalized is not None else None
         )
-        # Compile queries eagerly so the first execute() is already a re-bind.
-        if isinstance(stmt, (ast.SelectStmt, ast.SetOpStmt)):
+        # Compile eagerly so the first execute() is already a re-bind.
+        if isinstance(
+            stmt, (ast.SelectStmt, ast.SetOpStmt, ast.UpdateStmt, ast.DeleteStmt)
+        ):
             self.db._cached_plan(self._normalized)
 
     @property
@@ -1649,13 +1624,11 @@ class Prepared:
             return self._timed(
                 lambda: self.db._execute_prepared_query(self._normalized, values)
             )
-        full = values + list(self._normalized.lifted_values) if self._normalized else values
+        if isinstance(stmt, (ast.UpdateStmt, ast.DeleteStmt)):
+            return self._timed(lambda: self.db._run_write(self._normalized, values))
         if isinstance(stmt, ast.InsertStmt):
+            full = values + list(self._normalized.lifted_values)
             return self._timed(lambda: self.db._run_insert(stmt, params=full))
-        if isinstance(stmt, ast.UpdateStmt):
-            return self._timed(lambda: self.db._run_update(stmt, params=full))
-        if isinstance(stmt, ast.DeleteStmt):
-            return self._timed(lambda: self.db._run_delete(stmt, params=full))
         if self.n_params:
             raise SQLError("this statement kind does not accept parameters")
         return self.db.execute_ast(stmt)

@@ -108,6 +108,11 @@ _FETCH_ROW_COST = 0.05
 _VEC_ROW_DISCOUNT = 0.3
 
 
+def _column(pos: int):
+    """Row closure reading the input column at *pos*."""
+    return lambda row, env: row[pos]
+
+
 @dataclass
 class CompiledPlan:
     """A runnable plan plus its output column names.
@@ -244,6 +249,54 @@ class Planner:
         plan = self.plan_box(box)
         plan.context = self.context
         return plan
+
+    def plan_write(
+        self,
+        table: Table,
+        where: Optional[ast.Expr],
+        assignments: Sequence[Tuple[str, ast.Expr]] = (),
+    ) -> CompiledPlan:
+        """Plan the row-finding half of an UPDATE or DELETE statement.
+
+        The plan is ``SELECT rid, <old row>, <new row> FROM table WHERE
+        where``: the single-table access path a SELECT would get (index
+        probe, index range or scan + filter) with the RID as column 0, then
+        the new row image with *assignments* (``(column, expr)`` pairs)
+        applied.  DELETE passes no assignments and gets ``(rid, <old
+        row>)``.  *where* and the assignment expressions are resolved over
+        the quantifier ``table.name``.  Like :meth:`plan_statement`, the
+        plan owns this planner's context, so one bind sets the parameters
+        of WHERE and SET together.
+        """
+        columns = table.column_names()
+        info = _QuantInfo(
+            Quantifier(table.name, BaseTableBox(table.name, columns)),
+            columns,
+            base_table=table,
+        )
+        preds = ast.conjuncts(where) if where is not None else []
+        partial = self._access_path(
+            info, [p for p in preds if not has_subquery(p)], emit_rid=True
+        )
+        op = partial.op
+        compiler = self.compiler(partial.layout)
+        residual = [p for p in preds if has_subquery(p)]
+        if residual:
+            predicate = compiler.compile_predicate(ast.conjoin(residual))
+            op = Filter(op, predicate, "residual")
+        names = ["rid"] + columns
+        if assignments:
+            new_values = {
+                table.position_of(col): compiler.compile(expr)
+                for col, expr in assignments
+            }
+            head = [_column(pos) for pos in range(len(names))] + [
+                new_values.get(pos) or _column(pos + 1)
+                for pos in range(len(columns))
+            ]
+            op = Project(op, head, "write")
+            names += columns
+        return CompiledPlan(op, names, self.context)
 
     def plan_box(self, box: Box) -> CompiledPlan:
         if isinstance(box, SelectBox):
@@ -383,17 +436,26 @@ class Planner:
     # -- access paths ---------------------------------------------------------------
 
     def _access_path(
-        self, info: _QuantInfo, preds: Sequence[ast.Expr]
+        self, info: _QuantInfo, preds: Sequence[ast.Expr], emit_rid: bool = False
     ) -> _Partial:
-        """Best single-quantifier plan with *preds* applied."""
-        layout = {(info.name, col): pos for pos, col in enumerate(info.columns)}
+        """Best single-quantifier plan with *preds* applied.
+
+        With *emit_rid* (base tables only) the chosen scan emits the RID as
+        column 0 and the layout shifts by one; such scans stay row-wise.
+        """
+        shift = 1 if emit_rid else 0
+        layout = {
+            (info.name, col): pos + shift for pos, col in enumerate(info.columns)
+        }
         if info.base_table is None:
             op: PlanOp = info.derived.op  # type: ignore[union-attr]
             est = self._estimate_box(info.quantifier.box)
             cost = est * _SEQ_ROW_COST * 2
             remaining = list(preds)
         else:
-            op, est, cost, remaining = self._base_access_path(info, list(preds))
+            op, est, cost, remaining = self._base_access_path(
+                info, list(preds), emit_rid
+            )
         for pred in preds:
             est *= predicate_selectivity(pred, info.base_table)
         est = max(est, 0.5)
@@ -444,7 +506,7 @@ class Planner:
         return " AND ".join(sorted(pred.to_sql() for pred in preds))
 
     def _base_access_path(
-        self, info: _QuantInfo, preds: List[ast.Expr]
+        self, info: _QuantInfo, preds: List[ast.Expr], emit_rid: bool = False
     ) -> Tuple[PlanOp, float, float, List[ast.Expr]]:
         table = info.base_table
         assert table is not None
@@ -459,29 +521,28 @@ class Planner:
             if index is None:
                 continue
             key_fn = self.compiler({}).compile(const_expr)
-            op = IndexEqScan(table, index, [key_fn])
+            op = IndexEqScan(table, index, [key_fn], emit_rid=emit_rid)
             remaining = [p for p in preds if p is not pred]
             est = rows * predicate_selectivity(pred, table)
             return op, rows, _INDEX_PROBE_COST + est, remaining
         # Try range predicates with a B+-tree index.
-        range_plan = self._range_access_path(info, preds)
+        range_plan = self._range_access_path(info, preds, emit_rid)
         if range_plan is not None:
             return range_plan
         cost = table.stats.page_count + rows * _SEQ_ROW_COST
-        return SeqScan(table), rows, cost, preds
+        return SeqScan(table, emit_rid=emit_rid), rows, cost, preds
 
     def _range_access_path(
-        self, info: _QuantInfo, preds: List[ast.Expr]
+        self, info: _QuantInfo, preds: List[ast.Expr], emit_rid: bool = False
     ) -> Optional[Tuple[PlanOp, float, float, List[ast.Expr]]]:
         table = info.base_table
         assert table is not None
         bounds: Dict[str, Dict[str, Tuple[ast.Expr, bool, ast.Expr]]] = {}
         for pred in preds:
-            bound = self._const_range_binding(pred, info.name)
-            if bound is None:
-                continue
-            column, side, const_expr, inclusive = bound
-            bounds.setdefault(column, {})[side] = (const_expr, inclusive, pred)
+            for column, side, const_expr, inclusive in self._const_range_bounds(
+                pred, info.name
+            ):
+                bounds.setdefault(column, {})[side] = (const_expr, inclusive, pred)
         for column, sides in bounds.items():
             index = table.index_on([column], require_range=True)
             if index is None:
@@ -497,11 +558,20 @@ class Planner:
                 high_fn,
                 low[1] if low else True,
                 high[1] if high else True,
+                emit_rid=emit_rid,
             )
-            used = {id(side[2]) for side in (low, high) if side is not None}
+            # A BETWEEN is consumed only when it supplied both bounds; one
+            # that lost a side to another predicate stays as a filter.
+            used = {
+                id(side[2])
+                for side in (low, high)
+                if side is not None and not isinstance(side[2], ast.Between)
+            }
+            if low and high and low[2] is high[2]:
+                used.add(id(low[2]))
             remaining = [p for p in preds if id(p) not in used]
             rows = max(table.stats.row_count, 1)
-            est = rows * (0.25 if len(used) == 2 else 1.0 / 3.0)
+            est = rows * (0.25 if low and high else 1.0 / 3.0)
             return op, rows, _INDEX_PROBE_COST + est, remaining
         return None
 
@@ -521,32 +591,41 @@ class Planner:
                 return side.column, other
         return None
 
-    def _const_range_binding(
+    def _const_range_bounds(
         self, pred: ast.Expr, qname: str
-    ) -> Optional[Tuple[str, str, ast.Expr, bool]]:
-        """Match ``q.col < const`` etc.; returns (col, 'low'/'high', expr, incl)."""
+    ) -> List[Tuple[str, str, ast.Expr, bool]]:
+        """Match ``q.col < const`` etc. (one bound) or ``q.col BETWEEN a AND
+        b`` (two); returns (col, 'low'/'high', expr, incl) per bound."""
+
+        def local(expr: ast.Expr) -> bool:
+            return isinstance(expr, QGMColumnRef) and expr.quantifier == qname
+
+        def const(expr: ast.Expr) -> bool:
+            return not referenced_quantifiers(expr) and not has_subquery(expr)
+
+        if isinstance(pred, ast.Between):
+            if pred.negated or not local(pred.operand):
+                return []
+            if not (const(pred.low) and const(pred.high)):
+                return []
+            column = pred.operand.column
+            return [
+                (column, "low", pred.low, True),
+                (column, "high", pred.high, True),
+            ]
         if not isinstance(pred, ast.BinaryOp):
-            return None
+            return []
         flip = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
         if pred.op not in flip:
-            return None
+            return []
         left, right, op = pred.left, pred.right, pred.op
-        if (
-            isinstance(right, QGMColumnRef)
-            and right.quantifier == qname
-            and not referenced_quantifiers(left)
-        ):
+        if local(right) and not referenced_quantifiers(left):
             left, right, op = right, left, flip[op]
-        if not (
-            isinstance(left, QGMColumnRef)
-            and left.quantifier == qname
-            and not referenced_quantifiers(right)
-            and not has_subquery(right)
-        ):
-            return None
+        if not (local(left) and const(right)):
+            return []
         if op in ("<", "<="):
-            return left.column, "high", right, op == "<="
-        return left.column, "low", right, op == ">="
+            return [(left.column, "high", right, op == "<=")]
+        return [(left.column, "low", right, op == ">=")]
 
     # -- join ordering -----------------------------------------------------------
 
@@ -1081,11 +1160,7 @@ class Planner:
                     "trim",
                 )
             else:
-                op = Project(
-                    op,
-                    [(lambda p: (lambda row, env: row[p]))(p) for p in keep],
-                    "trim",
-                )
+                op = Project(op, [_column(p) for p in keep], "trim")
             columns = columns[: box.visible]
         return CompiledPlan(op, columns)
 

@@ -6,10 +6,11 @@ fixpoint round, per navigation, per refresh.  This module supplies the
 engine-side machinery that makes the "once" real:
 
 * :func:`normalize_statement` canonicalizes a statement by lifting the
-  literal constants of its WHERE clauses (and JOIN conditions) into a
-  parameter vector, so ``WHERE pid = 17`` and ``WHERE pid = 99`` share one
-  cache key.  The row list of a relation-valued FROM item
-  (:class:`ast.RowsTable`) is lifted the same way, into one slot.
+  literal constants of its WHERE clauses (and JOIN conditions, and an
+  UPDATE's SET clause) into a parameter vector, so ``WHERE pid = 17`` and
+  ``WHERE pid = 99`` share one cache key.  The row list of a
+  relation-valued FROM item (:class:`ast.RowsTable`) is lifted the same
+  way, into one slot.
   Literals in SELECT lists, GROUP BY, HAVING and ORDER BY are
   left in place — those clauses carry positional/textual matching semantics
   (``ORDER BY 2`` is a column position) and their constants rarely vary
@@ -152,7 +153,7 @@ def count_explicit_parameters(stmt: ast.Statement) -> int:
 
 
 def normalize_statement(stmt: ast.Statement) -> NormalizedStatement:
-    """Lift WHERE/JOIN literals of a query or DML statement into parameters.
+    """Lift WHERE/JOIN/SET literals of a query or DML statement into parameters.
 
     The input is not mutated; unaffected sub-trees are shared with the copy.
     Statements that are neither queries nor DML are returned unchanged.
@@ -164,7 +165,7 @@ def normalize_statement(stmt: ast.Statement) -> NormalizedStatement:
     elif isinstance(stmt, ast.UpdateStmt):
         normalized = ast.UpdateStmt(
             stmt.table,
-            stmt.assignments,
+            [(col, _norm_pred(expr, lifter)) for col, expr in stmt.assignments],
             _norm_pred(stmt.where, lifter),
         )
     elif isinstance(stmt, ast.DeleteStmt):
@@ -394,6 +395,8 @@ def referenced_objects(stmt: ast.Statement, catalog: Catalog) -> List[str]:
     elif isinstance(stmt, (ast.UpdateStmt, ast.DeleteStmt)):
         add(stmt.table)
         visit_expr(stmt.where)
+        for _, expr in getattr(stmt, "assignments", ()):
+            visit_expr(expr)
     return names
 
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.errors import SchemaGraphError
 from repro.relational.sql import ast as sql_ast
 from repro.xnf.lang import xast
@@ -168,15 +166,6 @@ class COSchema:
 
     # -- structural classification ------------------------------------------------------
 
-    def graph(self) -> "nx.MultiDiGraph":
-        """The schema graph: nodes + one arc per relationship."""
-        g = nx.MultiDiGraph()
-        g.add_nodes_from(self.nodes)
-        for edge in self.edges.values():
-            for child in edge.child_names():
-                g.add_edge(edge.parent, child, key=f"{edge.name}:{child}")
-        return g
-
     def roots(self) -> List[str]:
         """Component tables with no incoming relationship (root tables)."""
         children = {
@@ -187,12 +176,25 @@ class COSchema:
         return [name for name in self.nodes if name not in children]
 
     def is_recursive(self) -> bool:
-        """True iff the schema graph contains a cycle (section 2)."""
-        try:
-            nx.find_cycle(self.graph())
-            return True
-        except nx.NetworkXNoCycle:
+        """True iff the schema graph contains a cycle (section 2).
+
+        Three-colour depth-first search: reaching a node that is still on
+        the current path (grey) closes a cycle.
+        """
+        white, grey, black = 0, 1, 2
+        colour = {name: white for name in self.nodes}
+
+        def visit(name: str) -> bool:
+            colour[name] = grey
+            for edge in self.edges_from(name):
+                for child in edge.child_names():
+                    state = colour.get(child, black)
+                    if state == grey or (state == white and visit(child)):
+                        return True
+            colour[name] = black
             return False
+
+        return any(colour[name] == white and visit(name) for name in self.nodes)
 
     def shared_nodes(self) -> List[str]:
         """Nodes with ≥2 incoming edges (schema sharing, section 2)."""

@@ -90,9 +90,10 @@ class TestClassification:
         schema = resolve_text(
             "OUT OF a AS T, b AS U, r AS (RELATE a, b WHERE a.x = b.y) TAKE *"
         )
-        graph = schema.graph()
-        assert set(graph.nodes) == {"a", "b"}
-        assert graph.has_edge("a", "b")
+        assert set(schema.nodes) == {"a", "b"}
+        assert [e.child_names() for e in schema.edges_from("a")] == [["b"]]
+        assert schema.edges_from("b") == []
+        assert not schema.is_recursive()
 
 
 class TestViewResolution:
