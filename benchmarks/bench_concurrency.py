@@ -1,19 +1,12 @@
-"""MVCC concurrency benchmarks: reader throughput, conflicts, vacuum (ISSUE 7).
+"""MVCC concurrency benchmarks: reader throughput, conflicts, vacuum.
 
-Three experiments, written to ``BENCH_concurrency.json``:
+Two experiments, written to ``BENCH_concurrency.json``:
 
 * ``reader_throughput`` — snapshot readers scanning the company database
   while 0 / 1 / 4 writer threads stream budget transfers.  Under MVCC
   readers take no locks, so reader throughput should degrade gracefully
   (GIL contention) rather than collapse behind writer locks; the ledger
   records queries/sec per writer count plus writer conflict/retry totals.
-* ``mvcc_overhead`` — the same single-threaded workloads (E1 company CO
-  extraction via the row executor, and the vectorized OO1 frontier scan)
-  on databases differing only in ``mvcc=``.  The version store is empty
-  in both cases, so this measures the pure read-path tax of snapshot
-  resolution.  ``benchmarks/check_regression.py`` enforces
-  ``MVCC_OVERHEAD_BUDGET`` (default 0.10, i.e. MVCC-on may be at most 10%
-  slower than MVCC-off).
 * ``vacuum_lag`` — a writer churns versions while vacuum passes run;
   records how many images accumulate between passes and that the final
   pass drains the store (monotonic counters, bounded lag).
@@ -28,10 +21,6 @@ import pytest
 
 from benchmarks.conftest import report
 from repro.workloads import company
-from repro.workloads.oo1 import build_parts_database, traverse_setwise_sql
-from repro.xnf.lang.parser import parse_xnf
-from repro.xnf.semantic_rewrite import XNFCompiler
-from repro.xnf.views import XNFViewCatalog, resolve
 
 LEDGER_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_concurrency.json"
 
@@ -42,34 +31,9 @@ READER_SECONDS = 1.2
 READER_THREADS = 2
 WRITER_COUNTS = (0, 1, 4)
 
-#: single-thread overhead experiment
-OVERHEAD_REPEATS = 9
-TRAVERSAL_PARTS = 1500
-TRAVERSAL_DEPTH = 5
-
 #: vacuum experiment
 VACUUM_CHURN_TXNS = 120
 VACUUM_EVERY = 30
-
-
-def _interleaved_best(fn_off, fn_on, repeats):
-    """Best-of-N for both variants with alternating rounds.
-
-    Interleaving makes the comparison robust against machine-load drift:
-    a slow stretch penalises both variants alike instead of whichever one
-    happened to run during it.
-    """
-    fn_off()
-    fn_on()  # warm-up: plan cache, buffer pool
-    best_off = best_on = float("inf")
-    for _ in range(repeats):
-        begin = time.perf_counter()
-        fn_off()
-        best_off = min(best_off, time.perf_counter() - begin)
-        begin = time.perf_counter()
-        fn_on()
-        best_on = min(best_on, time.perf_counter() - begin)
-    return best_off, best_on
 
 
 def test_reader_throughput_under_writers(benchmark):
@@ -144,53 +108,6 @@ def test_reader_throughput_under_writers(benchmark):
     benchmark(lambda: sess.execute("SELECT SUM(budget) FROM DEPT").scalar())
 
 
-def test_mvcc_read_overhead(benchmark):
-    """MVCC-on vs MVCC-off on identical single-threaded workloads."""
-    overhead = {}
-
-    # E1: company CO extraction through the row executor
-    dbs = {m: company.figure1_database(mvcc=m, executor="row") for m in (False, True)}
-    schema = resolve(parse_xnf(company.FIGURE1_CO), XNFViewCatalog())
-    off_s, on_s = _interleaved_best(
-        lambda: XNFCompiler(dbs[False]).instantiate(schema),
-        lambda: XNFCompiler(dbs[True]).instantiate(schema),
-        OVERHEAD_REPEATS,
-    )
-    overhead["e1_extraction_row"] = {
-        "off_s": round(off_s, 6),
-        "on_s": round(on_s, 6),
-        "overhead": round(on_s / off_s - 1.0, 4),
-    }
-
-    # OO1 frontier traversal through the vectorized executor
-    dbs = {
-        m: build_parts_database(TRAVERSAL_PARTS, mvcc=m, executor="batch")
-        for m in (False, True)
-    }
-    off_s, on_s = _interleaved_best(
-        lambda: traverse_setwise_sql(dbs[False], 17, TRAVERSAL_DEPTH),
-        lambda: traverse_setwise_sql(dbs[True], 17, TRAVERSAL_DEPTH),
-        OVERHEAD_REPEATS,
-    )
-    overhead["oo1_traversal_batch"] = {
-        "off_s": round(off_s, 6),
-        "on_s": round(on_s, 6),
-        "overhead": round(on_s / off_s - 1.0, 4),
-    }
-
-    for name, stats in overhead.items():
-        report(
-            "mvcc concurrency",
-            f"{name}: off {stats['off_s'] * 1e3:7.1f} ms | "
-            f"on {stats['on_s'] * 1e3:7.1f} ms | "
-            f"overhead {stats['overhead']:+.1%}",
-        )
-    _RESULTS["mvcc_overhead"] = overhead
-    db = company.figure1_database(mvcc=True, executor="row")
-    schema = resolve(parse_xnf(company.FIGURE1_CO), XNFViewCatalog())
-    benchmark(lambda: XNFCompiler(db).instantiate(schema))
-
-
 def test_vacuum_lag(benchmark):
     """Version churn vs. vacuum: lag stays bounded, counters monotonic."""
     db = company.figure1_database(mvcc=True)
@@ -237,10 +154,4 @@ def test_vacuum_lag(benchmark):
 def concurrency_ledger():
     yield
     if _RESULTS:
-        payload = dict(_RESULTS)
-        overhead = payload.get("mvcc_overhead", {})
-        if overhead:
-            payload["max_overhead"] = max(
-                stats["overhead"] for stats in overhead.values()
-            )
-        LEDGER_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+        LEDGER_PATH.write_text(json.dumps(dict(_RESULTS), indent=2) + "\n")

@@ -191,7 +191,6 @@ class WireClient:
             raise protocol.rehydrate_error(hello.get("error") or {})
         self.server_info = hello
         self.session_id: int = hello.get("session", -1)
-        self.mvcc: bool = bool(hello.get("mvcc"))
         self._closed = False
         if auth_token is not None:
             self.request(op="AUTH", token=auth_token)

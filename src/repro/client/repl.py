@@ -166,8 +166,8 @@ class Repl:
             info = self.client.server_info
             self.emit(
                 f"connected to {info.get('server')} protocol "
-                f"{info.get('protocol')} (session {self.client.session_id}, "
-                f"{'MVCC' if self.client.mvcc else '2PL'}) — \\q quits"
+                f"{info.get('protocol')} (session {self.client.session_id}) "
+                "— \\q quits"
             )
         while True:
             if interactive:

@@ -11,7 +11,7 @@ relationship defined by a foreign key is disconnected by nullifying the FK).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import threading
 
@@ -365,25 +365,20 @@ class Table:
 
     # -- read path ---------------------------------------------------------------
     #
-    # When the owning catalog runs in MVCC mode (``catalog.mvcc`` holds the
-    # database's MVCCController) and the calling thread has an ambient
-    # snapshot, reads resolve rows against the version store page by page:
-    # copy the page's slots first, *then* consult the store.  Writers create
-    # their version entry before touching the heap, so a table that checks
-    # clean after the copy proves the copied rows are unmodified baseline
-    # images — those pages skip RID construction and per-row resolution
-    # entirely and are only remembered at page granularity for the final
-    # candidates pass.  A scan-start-only cleanliness check would be
-    # unsound (a writer may start versioning the table mid-scan), which is
-    # why the verdict is re-taken per page, always after the slot copy.
+    # Reads resolve against the calling thread's ambient snapshot (the
+    # engine installs one per statement).  The heap is always read *first*
+    # and the version store consulted after: writers create their version
+    # entry before touching the heap, so a table that checks clean after
+    # the read proves the rows read are unmodified baseline images — they
+    # pass through with no RID construction or per-row resolution.  A
+    # check taken before the read would be unsound (a writer may start
+    # versioning the table mid-read), which is why scans re-take the
+    # verdict per page and index probes per probe, always after the read.
 
     def _mvcc_read_state(self):
-        """``(store, snapshot)`` when snapshot resolution applies to this
-        table right now, else None (use the plain heap path)."""
-        catalog = self._catalog
-        mv = catalog.mvcc if catalog is not None else None
-        if mv is None:
-            return None
+        """``(store, snapshot)`` inside a statement, else None (outside
+        any snapshot a read sees the latest heap state)."""
+        mv = self._catalog.mvcc
         snap = mv.current_snapshot()
         if snap is None:
             return None
@@ -422,8 +417,8 @@ class Table:
                     yield rid, image
 
     def scan_row_chunks(self) -> Iterator[List[Tuple[Any, ...]]]:
-        """Row chunks for the vectorized scan (page-at-a-time on the fast
-        path, snapshot-resolved batches under MVCC)."""
+        """Row chunks for the vectorized scan: page-at-a-time, resolved
+        against the snapshot only where the table is versioned."""
         state = self._mvcc_read_state()
         if state is None:
             return self.heap.scan_row_chunks()
@@ -437,7 +432,7 @@ class Table:
         for page_id, rows in self.heap.scan_page_rows():
             # Check after the page read, as in _scan_mvcc.  Clean page:
             # the rows pass through untouched — the same shape (and cost)
-            # as the non-MVCC heap chunk scan.
+            # as a plain heap chunk scan.
             if not entries_of(name):
                 seen_pages.add(page_id)
                 if rows:
@@ -464,20 +459,61 @@ class Table:
     def fetch(self, rid: RID) -> Tuple[Any, ...]:
         return self.heap.fetch_row(rid)
 
-    def fetch_visible(self, rid: RID) -> Optional[Tuple[Any, ...]]:
-        """MVCC-aware point fetch: the row image visible to the ambient
-        snapshot, or None when the row is invisible to it.  Index scans use
-        this so probes never observe uncommitted or too-new versions."""
-        state = self._mvcc_read_state()
-        if state is None:
-            return self.heap.fetch_row(rid)
-        store, snap = state
+    def probe(
+        self,
+        rids: Sequence[RID],
+        verify: Callable[[Tuple[Any, ...], Any], bool],
+        key: Any,
+        emit_rid: bool = False,
+    ) -> List[Tuple[Any, ...]]:
+        """The rows visible to the ambient snapshot for an index probe that
+        returned *rids* under *key* (each prefixed by its RID with
+        *emit_rid*).
+
+        The probed rows are read first, then the table's version entries
+        are checked, lock-free, exactly as a scan checks each page: clean,
+        the rows pass through as read.  Dirty, each row is resolved to its
+        snapshot image and ``verify(row, key)`` re-checks the probed key or
+        range on it (an index holds latest-state keys), and versioned rows
+        the index no longer files under *key* — deleted, or re-keyed after
+        the snapshot — are added from the store's candidates.
+        """
         try:
-            heap_row = self.heap.fetch_row(rid)
+            rows = self.heap.fetch_rows(rids)
         except (ExecutionError, PageNotFoundError):
-            # gone from the heap; an older committed image may still apply
-            heap_row = None
-        return store.resolve(self.mvcc_name, rid, heap_row, snap)
+            rows = None  # a row left the heap after the index search
+        mv = self._catalog.mvcc
+        name = self.mvcc_name
+        # lock-free clean check after the read (see VersionStore.dirty)
+        if rows is not None and not mv.store._tables.get(name):
+            if emit_rid:
+                return [(rid,) + row for rid, row in zip(rids, rows)]
+            return rows
+        if rows is None:
+            rows = [self._fetch_or_none(rid) for rid in rids]
+        pairs = list(zip(rids, rows))
+        snap = mv.current_snapshot()
+        if snap is None:
+            found = [(rid, row) for rid, row in pairs if row is not None]
+        else:
+            found = [
+                (rid, row)
+                for rid, row in mv.store.resolve_batch(name, pairs, snap)
+                if row is not None and verify(row, key)
+            ]
+            accept = self._mvcc_accept
+            for rid, row in mv.store.candidates(name, snap, set(rids)):
+                if verify(row, key) and (accept is None or accept(rid, row)):
+                    found.append((rid, row))
+        if emit_rid:
+            return [(rid,) + row for rid, row in found]
+        return [row for _rid, row in found]
+
+    def _fetch_or_none(self, rid: RID) -> Optional[Tuple[Any, ...]]:
+        try:
+            return self.heap.fetch_row(rid)
+        except (ExecutionError, PageNotFoundError):
+            return None
 
     def truncate(self) -> None:
         """Drop all rows but keep the schema and index definitions.
@@ -564,9 +600,9 @@ class ShardView(Table):
     Registered in the catalog as a real (non-virtual) table so per-shard
     generated queries stay plan-cacheable; constraints and indexes are
     stripped (all DML goes through the parent facade, which owns them).
-    Under MVCC the view resolves against the *parent's* version-store
-    entries — filtered to this shard by physical page ownership, falling
-    back to partition routing for images whose row left the heap.
+    Reads resolve against the *parent's* version-store entries — filtered
+    to this shard by physical page ownership, falling back to partition
+    routing for images whose row left the heap.
     """
 
     is_shard_view = True
@@ -775,7 +811,7 @@ class ViewDefinition:
 class Catalog:
     """Name space of tables, views and their indexes."""
 
-    def __init__(self, buffer_pool: BufferPool):
+    def __init__(self, buffer_pool: BufferPool, mvcc: Any):
         self.buffer_pool = buffer_pool
         self.tables: Dict[str, Table] = {}
         self.views: Dict[str, ViewDefinition] = {}
@@ -790,10 +826,9 @@ class Catalog:
         #: Table object and must not survive).
         self._object_versions: Dict[str, int] = {}
         self._version_clock = 0
-        #: the owning Database's MVCCController when MVCC mode is enabled;
-        #: Table read paths consult it (duck-typed — the catalog never
-        #: imports the txn layer)
-        self.mvcc: Optional[Any] = None
+        #: the owning Database's MVCCController; Table read paths consult
+        #: it (duck-typed — the catalog never imports the txn layer)
+        self.mvcc = mvcc
         # serializes name-space and version mutations across session
         # threads; lookups stay lock-free (single dict reads are atomic)
         self._mutex = threading.RLock()

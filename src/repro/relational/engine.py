@@ -57,13 +57,12 @@ from repro.relational.sql import ast
 from repro.relational.sql.parser import parse_statements
 from repro.relational.storage import BufferPool, DiskManager
 from repro.relational.systables import install_sys_tables
-from repro.relational.txn.locks import LockMode, StatementLocks
 from repro.relational.txn.manager import (
     IsolationLevel,
     Transaction,
     TransactionManager,
 )
-from repro.relational.txn.mvcc import MVCCController, set_ambient_snapshot
+from repro.relational.txn.mvcc import current_snapshot, set_ambient_snapshot
 from repro.relational.txn.wal import WriteAheadLog
 from repro.relational.types import type_from_name
 
@@ -126,8 +125,8 @@ class Session:
     the no-wait lock manager surfaces conflicts as immediate
     :class:`DeadlockError`\\ s — or run one-session-per-thread against a
     shared Database (the Database's transaction pointer is thread-local).
-    Under MVCC mode reads never block on writers; see the README cookbook
-    for the multi-threaded pattern.  Used to demonstrate the isolation
+    Reads never block on writers; see the README cookbook for the
+    multi-threaded pattern.  Used to demonstrate the isolation
     degrees of section 1 across "applications" sharing the database
     (Fig. 7).
     """
@@ -245,29 +244,31 @@ class Database:
         statement_stats: bool = True,
         optimizer_feedback: bool = False,
         executor: Optional[str] = None,
-        mvcc: Optional[bool] = None,
+        mvcc: bool = True,
         max_concurrent_txns: Optional[int] = None,
         shards: Optional[int] = None,
     ):
+        # Snapshot isolation is the only concurrency control; ``mvcc=``
+        # survives as a keyword whose one legal value is True.
+        if not mvcc:
+            raise ExecutionError(
+                "mvcc=False is not supported: snapshot isolation is the "
+                "only concurrency control"
+            )
         # An existing disk/WAL pair may be passed in: that is how a crashed
         # instance is reopened over its surviving stable storage (see
         # Database.recover and tests/relational/test_crash_recovery.py).
         self.disk = disk if disk is not None else DiskManager(page_size)
         self.buffer_pool = BufferPool(self.disk, buffer_capacity)
-        self.catalog = Catalog(self.buffer_pool)
-        self.builder = QGMBuilder(self.catalog)
         self.txn_manager = TransactionManager(
             wal=wal, max_concurrent_txns=max_concurrent_txns
         )
-        #: MVCC snapshot isolation: explicit ``mvcc=`` argument, then the
-        #: REPRO_MVCC environment variable, default off.  When on, reads are
-        #: served from snapshots (no S locks, writers never block readers)
-        #: and write-write conflicts raise the retryable SerializationError.
-        if mvcc is None:
-            mvcc = os.environ.get("REPRO_MVCC", "") not in ("", "0", "false")
-        self.mvcc: Optional[MVCCController] = MVCCController() if mvcc else None
-        self.catalog.mvcc = self.mvcc
-        self.txn_manager.mvcc = self.mvcc
+        #: snapshots and version store: reads are served from snapshots and
+        #: take no locks, writers take no-wait table X locks, and
+        #: write-write conflicts raise the retryable SerializationError
+        self.mvcc = self.txn_manager.mvcc
+        self.catalog = Catalog(self.buffer_pool, self.mvcc)
+        self.builder = QGMBuilder(self.catalog)
         self.buffer_pool.pre_write_hook = self._wal_ahead_of
         #: database-wide default; wire sessions may override it per-thread
         #: through the ``statement_timeout_s`` property (Session swaps the
@@ -630,18 +631,16 @@ class Database:
         The plan is compiled outside the cache so the shadowed (counting)
         ``rows`` methods can never leak into a cached, shared plan.
         """
-        with self._read_locks(self._tables_of(query)):
-            plan = self._analyze_compile(query)
-            op_stats = instrument_plan(plan.op)
-            start = time.perf_counter()
-            with self.tracer.span("execute") as span:
-                rows = self._execute_plan(plan, None)
-                span.annotate(rows=len(rows), executor=self.executor_mode)
-                batches = sum(stat.batches for stat in op_stats.values())
-                if batches:
-                    span.annotate(batches=batches)
-            self.last_timings["execute"] = time.perf_counter() - start
-            self._end_of_statement()
+        plan = self._analyze_compile(query)
+        op_stats = instrument_plan(plan.op)
+        start = time.perf_counter()
+        with self.tracer.span("execute") as span:
+            rows = self._execute_plan(plan, None)
+            span.annotate(rows=len(rows), executor=self.executor_mode)
+            batches = sum(stat.batches for stat in op_stats.values())
+            if batches:
+                span.annotate(batches=batches)
+        self.last_timings["execute"] = time.perf_counter() - start
         self._record_estimates(op_stats)
         lines = render_analyzed(plan.op, op_stats).splitlines()
         lines.append(f"actual rows: {len(rows)}")
@@ -820,75 +819,80 @@ class Database:
         return Rewriter().rewrite(box)
 
     def _run_query(self, query: ast.Query) -> Result:
-        with self._read_locks(self._tables_of(query)):
-            op_stats = None
-            values: Optional[List[Any]] = None
-            if self.analyze_statements:
-                # Analyze mode (XNF explain_analyze): bypass the cache so the
-                # instrumented operators stay private to this execution.
-                plan = self._analyze_compile(query)
-                op_stats = instrument_plan(plan.op)
-            elif self.plan_cache.capacity > 0:
-                normalized = normalize_statement(query)
-                if normalized.n_explicit:
-                    raise SQLError(
-                        "query contains ? parameters; use Database.prepare()"
-                    )
-                plan = self._cached_plan(normalized)
-                values = list(normalized.lifted_values)
-            else:
-                plan = self._compile_statement(query)
-            start = time.perf_counter()
-            with self.tracer.span("execute") as span:
-                rows = self._execute_plan(plan, values)
-                span.annotate(rows=len(rows), executor=self.executor_mode)
-                if op_stats is not None:
-                    batches = sum(stat.batches for stat in op_stats.values())
-                    if batches:
-                        span.annotate(batches=batches)
-                    span.annotate(detail=render_analyzed(plan.op, op_stats))
-            self.last_timings["execute"] = time.perf_counter() - start
-            self._end_of_statement()
+        op_stats = None
+        values: Optional[List[Any]] = None
+        if self.analyze_statements:
+            # Analyze mode (XNF explain_analyze): bypass the cache so the
+            # instrumented operators stay private to this execution.
+            plan = self._analyze_compile(query)
+            op_stats = instrument_plan(plan.op)
+        elif self.plan_cache.capacity > 0:
+            normalized = normalize_statement(query)
+            if normalized.n_explicit:
+                raise SQLError(
+                    "query contains ? parameters; use Database.prepare()"
+                )
+            plan = self._cached_plan(normalized)
+            values = list(normalized.lifted_values)
+        else:
+            plan = self._compile_statement(query)
+        start = time.perf_counter()
+        with self.tracer.span("execute") as span:
+            rows = self._execute_plan(plan, values)
+            span.annotate(rows=len(rows), executor=self.executor_mode)
             if op_stats is not None:
-                self._record_estimates(op_stats)
-            return Result(plan.columns, rows, len(rows))
+                batches = sum(stat.batches for stat in op_stats.values())
+                if batches:
+                    span.annotate(batches=batches)
+                span.annotate(detail=render_analyzed(plan.op, op_stats))
+        self.last_timings["execute"] = time.perf_counter() - start
+        if op_stats is not None:
+            self._record_estimates(op_stats)
+        return Result(plan.columns, rows, len(rows))
 
     def _execute_prepared_query(
         self, normalized: NormalizedStatement, values: List[Any]
     ) -> Result:
         """Run a prepared query: cached plan + (explicit ++ lifted) params."""
-        with self._read_locks(self._tables_of(normalized.statement)):
-            plan = self._cached_plan(normalized)
-            start = time.perf_counter()
-            with self.tracer.span("execute") as span:
-                rows = self._execute_plan(
-                    plan, values + list(normalized.lifted_values)
-                )
-                span.annotate(rows=len(rows), executor=self.executor_mode)
-            self.last_timings["execute"] = time.perf_counter() - start
-            self._end_of_statement()
+        plan = self._cached_plan(normalized)
+        start = time.perf_counter()
+        with self.tracer.span("execute") as span:
+            rows = self._execute_plan(plan, values + list(normalized.lifted_values))
+            span.annotate(rows=len(rows), executor=self.executor_mode)
+        self.last_timings["execute"] = time.perf_counter() - start
         return Result(plan.columns, rows, len(rows))
 
     @contextlib.contextmanager
-    def _snapshot_scope(self):
-        """Install this statement's MVCC snapshot as the thread's ambient
-        snapshot: the open transaction's, or a fresh ephemeral one for an
-        autocommit read.  No-op when MVCC mode is off."""
-        mv = self.mvcc
-        if mv is None:
-            yield None
-            return
+    def snapshot_scope(self):
+        """Install the calling statement's snapshot as this thread's
+        ambient snapshot, and yield it.
+
+        A scope already open for the same owner is reused, so everything
+        one statement runs — an XNF statement's generated queries, an
+        INSERT's SELECT, an UPDATE's row-finding plan — reads one database
+        state.  Otherwise the snapshot is the open transaction's (re-taken
+        first under cursor stability) or, outside a transaction, a fresh
+        ephemeral one retired when the scope closes.
+        """
         txn = self._txn
-        if txn is not None and txn.active and txn.snapshot is not None:
-            snap, ephemeral = txn.snapshot, False
+        active = txn is not None and txn.active
+        ambient = current_snapshot()
+        if ambient is not None and ambient.owner == (txn.txn_id if active else 0):
+            yield ambient
+            return
+        mv = self.mvcc
+        if not active:
+            snap = mv.snapshots.begin()
+        elif txn.isolation is IsolationLevel.CURSOR_STABILITY:
+            snap = self.txn_manager.refresh_snapshot(txn)
         else:
-            snap, ephemeral = mv.snapshots.begin(), True
+            snap = txn.snapshot
         prev = set_ambient_snapshot(snap)
         try:
             yield snap
         finally:
             set_ambient_snapshot(prev)
-            if ephemeral:
+            if not active:
                 mv.release(snap)
 
     def _execute_plan(
@@ -898,7 +902,7 @@ class Database:
         and collect rows under the plan's bind lock and this thread's
         snapshot.  Holding the bind lock across bind + execution keeps two
         threads from re-binding one shared compiled plan mid-run."""
-        with self._snapshot_scope():
+        with self.snapshot_scope():
             if values is None:
                 return self._collect_rows(plan)
             with plan.bind_lock:
@@ -991,7 +995,7 @@ class Database:
             for attempt in range(self.io_retries + 1):
                 mark = len(txn.undo)
                 try:
-                    with self._snapshot_scope():
+                    with self.snapshot_scope():
                         result = fn()
                     break
                 except SimulatedCrash:
@@ -1043,7 +1047,8 @@ class Database:
         self, stmt: ast.InsertStmt, params: Optional[List[Any]] = None
     ) -> Result:
         table = self.catalog.get_table(stmt.table)
-        self._lock(table.name, LockMode.EXCLUSIVE)
+        txn = self._txn
+        self.txn_manager.locks.acquire(txn.txn_id, table.name)
         if stmt.columns is not None:
             positions = [table.position_of(col) for col in stmt.columns]
         else:
@@ -1069,10 +1074,9 @@ class Database:
             row: List[Any] = [None] * len(table.columns)
             for pos, value in zip(positions, values):
                 row[pos] = value
-            rid = self._mvcc_insert(table, tuple(row))
+            rid = self.mvcc.store.insert_with_note(txn.txn_id, table, tuple(row))
             self._record_insert(table, rid)
             count += 1
-        self._end_of_statement()
         return Result(rowcount=count)
 
     def _do_write(self, normalized: NormalizedStatement, params: List[Any]) -> Result:
@@ -1085,12 +1089,15 @@ class Database:
         """
         stmt = normalized.statement
         table = self.catalog.get_table(stmt.table)
-        self._lock(table.name, LockMode.EXCLUSIVE)
+        txn = self._txn
+        self.txn_manager.locks.acquire(txn.txn_id, table.name)
         found = self._execute_plan(self._cached_plan(normalized), params)
         width = len(table.columns) + 1
         for tagged in found:
             rid, old_row, new_row = tagged[0], tagged[1:width], tagged[width:]
-            self._mvcc_write_check(table, rid)
+            # first-committer-wins: the row's current version must not be
+            # newer than this transaction's snapshot
+            self.mvcc.store.check_write(table.name, rid, txn.snapshot)
             if isinstance(stmt, ast.DeleteStmt):
                 self._mvcc_apply(table, rid, old_row, None, lambda: table.delete(rid))
                 self._record_delete(table, rid, old_row)
@@ -1099,7 +1106,6 @@ class Database:
                     table, rid, old_row, new_row, lambda: table.update(rid, new_row)
                 )
                 self._record_update(table, rid, old_row, new_row)
-        self._end_of_statement()
         return Result(rowcount=len(found))
 
     # -- DDL -------------------------------------------------------------------
@@ -1252,10 +1258,7 @@ class Database:
 
     def vacuum(self) -> Dict[str, int]:
         """Run one MVCC garbage-collection pass: drop row versions older
-        than the oldest active snapshot.  No-op (zero counters) when MVCC
-        mode is off."""
-        if self.mvcc is None:
-            return {"horizon": 0, "pruned": 0, "dropped": 0}
+        than the oldest active snapshot."""
         return self.mvcc.store.vacuum()
 
     # -- sharding ------------------------------------------------------------------
@@ -1288,7 +1291,7 @@ class Database:
             raise CatalogError(
                 f"{name} is a shard view; repartition its parent table"
             )
-        if self.mvcc is not None and self.mvcc.store.dirty(table.name):
+        if self.mvcc.store.dirty(table.name):
             raise TransactionError(
                 f"cannot repartition {name} while row versions are in flight"
             )
@@ -1333,81 +1336,19 @@ class Database:
             new_table.analyze()
         return new_table
 
-    def _mvcc_write_check(self, table: Table, rid) -> None:
-        """First-committer-wins: before physically touching a row, verify
-        its current version is not newer than this transaction's snapshot
-        (raises the retryable SerializationError otherwise)."""
-        mv = self.mvcc
-        if mv is None:
-            return
-        txn = self._txn
-        if txn is None or txn.snapshot is None:
-            return
-        mv.store.check_write(table.name, rid, txn.snapshot)
-
-    def _mvcc_insert(self, table: Table, row: Tuple[Any, ...]):
-        """Heap insert with the version note taken in the same store
-        critical section, so snapshot scans that observe the new heap row
-        always find the entry that hides it until commit."""
-        mv = self.mvcc
-        txn = self._txn
-        if mv is None or txn is None or txn.snapshot is None:
-            return table.insert(row)
-        return mv.store.insert_with_note(txn.txn_id, table, row)
-
     def _mvcc_apply(self, table: Table, rid, before, after, apply_fn) -> None:
         """Run a physical update/delete with its version note registered
         *first*: lock-free readers read the heap row before the store, so
         a missing entry must mean the heap row was untouched at read time.
         If the physical change fails the note is retracted."""
-        mv = self.mvcc
-        txn = self._txn
-        if mv is None or txn is None or txn.snapshot is None:
-            apply_fn()
-            return
-        mv.store.note_write(txn.txn_id, table.name, rid, before, after)
+        store = self.mvcc.store
+        txn_id = self._txn.txn_id
+        store.note_write(txn_id, table.name, rid, before, after)
         try:
             apply_fn()
         except BaseException:
-            mv.store.pop_note(txn.txn_id)
+            store.pop_note(txn_id)
             raise
-
-    def _lock(self, table: str, mode: LockMode) -> None:
-        txn = self._txn
-        if txn is None or not txn.active:
-            return
-        # MVCC mode: reads are served from snapshots and take no locks at
-        # all (writers never block readers and vice versa).  Writers —
-        # implicit per-statement transactions included, in both modes —
-        # take no-wait X locks, so an autocommit write never lands on a
-        # row another transaction may still roll back.
-        if self.mvcc is not None and mode is LockMode.SHARED:
-            return
-        self.txn_manager.locks.acquire(txn.txn_id, table, mode)
-
-    def _read_locks(self, tables: Sequence[str]):
-        """S-lock *tables* for one query; returns the context to run it in.
-
-        Inside a transaction the locks are the transaction's (released per
-        its isolation level).  An autocommit query under 2PL holds no-wait
-        S locks for the statement only, so it never reads another
-        transaction's uncommitted writes.
-        """
-        txn = self._txn
-        if self.mvcc is None and (txn is None or not txn.active):
-            return StatementLocks(self.txn_manager.locks, tables)
-        for table in tables:
-            self._lock(table, LockMode.SHARED)
-        return contextlib.nullcontext()
-
-    def _end_of_statement(self) -> None:
-        """Cursor stability releases read locks at statement end."""
-        if (
-            self._txn is not None
-            and self._txn.active
-            and self._txn.isolation is IsolationLevel.CURSOR_STABILITY
-        ):
-            self.txn_manager.locks.release_shared(self._txn.txn_id)
 
     def _record_insert(self, table: Table, rid) -> None:
         # DML always runs inside a transaction now: explicit, or the
@@ -1459,30 +1400,6 @@ class Database:
 
     # -- helpers ---------------------------------------------------------------------
 
-    def _tables_of(self, query: ast.Query) -> List[str]:
-        names: List[str] = []
-
-        def visit_table_ref(ref: ast.TableRef) -> None:
-            if isinstance(ref, ast.NamedTable):
-                if self.catalog.has_table(ref.name):
-                    names.append(ref.name.upper())
-            elif isinstance(ref, ast.DerivedTable):
-                visit_query(ref.subquery)
-            elif isinstance(ref, ast.Join):
-                visit_table_ref(ref.left)
-                visit_table_ref(ref.right)
-
-        def visit_query(q: ast.Query) -> None:
-            if isinstance(q, ast.SetOpStmt):
-                visit_query(q.left)
-                visit_query(q.right)
-                return
-            for ref in q.from_tables:
-                visit_table_ref(ref)
-
-        visit_query(query)
-        return names
-
     def io_stats(self) -> Dict[str, int]:
         """Storage counters used by the clustering/extraction benchmarks."""
         return {
@@ -1526,11 +1443,7 @@ class Database:
                 ).value,
                 "retries": self.metrics.counter("txn.retries").value,
             },
-            "mvcc": (
-                {"enabled": True, **self.mvcc.metrics()}
-                if self.mvcc is not None
-                else {"enabled": False}
-            ),
+            "mvcc": self.mvcc.metrics(),
             "fixpoint": fixpoint,
             "plan_cache": self.plan_cache.stats(),
             "statements": {

@@ -36,21 +36,13 @@ class PlanOp:
         return "\n".join(lines)
 
 
-def _mvcc_state(table):
-    """``(store, snapshot)`` when MVCC snapshot resolution applies to
-    *table* right now, else None.  Virtual tables (no ``_mvcc_read_state``)
-    and the fast path (MVCC off / no ambient snapshot / no versioned rows)
-    all return None, keeping the common case allocation-free.
+def _key_matches(positions: Sequence[int]) -> Callable[[Row, Row], bool]:
+    """Re-verify an equality probe's key on a snapshot-resolved image."""
 
-    Index scans need MVCC care beyond Table.scan(): index entries reflect
-    the *latest* row versions, so a probe must (a) resolve each RID through
-    ``fetch_visible`` and re-verify the key on the resolved image (the
-    visible version may predate a key change), and (b) supplement with
-    versioned rows the index no longer points at under this key (deleted
-    rows, or rows whose indexed key changed after the snapshot).
-    """
-    probe = getattr(table, "_mvcc_read_state", None)
-    return probe() if probe is not None else None
+    def verify(row: Row, key: Row) -> bool:
+        return tuple(row[p] for p in positions) == key
+
+    return verify
 
 
 class SeqScan(PlanOp):
@@ -78,30 +70,16 @@ class IndexEqScan(PlanOp):
         self.index = index
         self.key_fns = list(key_fns)
         self.emit_rid = emit_rid
+        self._verify = _key_matches(index.column_positions)
         self.label = f"IndexEqScan({table.name}.{index.name})"
 
     def rows(self, env: Env) -> Iterator[Row]:
         key = tuple(fn((), env) for fn in self.key_fns)
         if any(component is None for component in key):
             return
-        state = _mvcc_state(self.table)
-        if state is None:
-            for rid in self.index.search(key):
-                row = self.table.fetch(rid)
-                yield ((rid,) + row) if self.emit_rid else row
-            return
-        store, snap = state
-        positions = self.index.column_positions
-        seen = set()
-        for rid in self.index.search(key):
-            seen.add(rid)
-            row = self.table.fetch_visible(rid)
-            if row is None or tuple(row[p] for p in positions) != key:
-                continue
-            yield ((rid,) + row) if self.emit_rid else row
-        for rid, row in store.candidates(self.table.name, snap, seen):
-            if tuple(row[p] for p in positions) == key:
-                yield ((rid,) + row) if self.emit_rid else row
+        yield from self.table.probe(
+            self.index.search(key), self._verify, key, self.emit_rid
+        )
 
 
 class IndexRangeScan(PlanOp):
@@ -138,31 +116,18 @@ class IndexRangeScan(PlanOp):
             if value is None:
                 return
             high = (value,)
-        state = _mvcc_state(self.table)
-        if state is None:
+        rids = [
+            rid
             for _, rid in self.index.range_scan(
                 low, high, self.low_inclusive, self.high_inclusive
-            ):
-                row = self.table.fetch(rid)
-                yield ((rid,) + row) if self.emit_rid else row
-            return
-        store, snap = state
-        pos = self.index.column_positions[0]
-        seen = set()
-        for _, rid in self.index.range_scan(
-            low, high, self.low_inclusive, self.high_inclusive
-        ):
-            seen.add(rid)
-            row = self.table.fetch_visible(rid)
-            if row is None or not self._in_bounds(row[pos], low, high):
-                continue
-            yield ((rid,) + row) if self.emit_rid else row
-        for rid, row in store.candidates(self.table.name, snap, seen):
-            if self._in_bounds(row[pos], low, high):
-                yield ((rid,) + row) if self.emit_rid else row
+            )
+        ]
+        yield from self.table.probe(rids, self._in_bounds, (low, high), self.emit_rid)
 
-    def _in_bounds(self, value, low, high) -> bool:
+    def _in_bounds(self, row: Row, bounds) -> bool:
         """Re-verify the range predicate on a snapshot-resolved image."""
+        low, high = bounds
+        value = row[self.index.column_positions[0]]
         if value is None:
             return False
         key = sort_key(value)
@@ -327,45 +292,18 @@ class IndexNLJoin(PlanOp):
         self.residual = residual
         self.kind = kind
         self.right_width = right_width
+        self._verify = _key_matches(index.column_positions)
         self.label = f"IndexNLJoin[{kind}]({table.name}.{index.name})"
 
     def rows(self, env: Env) -> Iterator[Row]:
         residual = self.residual
         pad = (None,) * self.right_width
-        state = _mvcc_state(self.table)
-        if state is None:
-            for left_row in self.left.rows(env):
-                key = tuple(fn(left_row, env) for fn in self.key_fns)
-                matched = False
-                if not any(component is None for component in key):
-                    for rid in self.index.search(key):
-                        combined = left_row + self.table.fetch(rid)
-                        if residual is None or residual(combined, env) is True:
-                            matched = True
-                            yield combined
-                if not matched and self.kind == "LEFT":
-                    yield left_row + pad
-            return
-        store, snap = state
-        positions = self.index.column_positions
-        name = self.table.name
+        probe, search, verify = self.table.probe, self.index.search, self._verify
         for left_row in self.left.rows(env):
             key = tuple(fn(left_row, env) for fn in self.key_fns)
             matched = False
             if not any(component is None for component in key):
-                seen = set()
-                for rid in self.index.search(key):
-                    seen.add(rid)
-                    row = self.table.fetch_visible(rid)
-                    if row is None or tuple(row[p] for p in positions) != key:
-                        continue
-                    combined = left_row + row
-                    if residual is None or residual(combined, env) is True:
-                        matched = True
-                        yield combined
-                for rid, row in store.candidates(name, snap, seen):
-                    if tuple(row[p] for p in positions) != key:
-                        continue
+                for row in probe(search(key), verify, key):
                     combined = left_row + row
                     if residual is None or residual(combined, env) is True:
                         matched = True

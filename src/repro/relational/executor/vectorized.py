@@ -121,9 +121,9 @@ class VecSeqScan(VecOp):
     def batches(self, env: Env) -> Iterator[Batch]:
         width = len(self.table.columns)
         buffer: List[Row] = []
-        # Table.scan_row_chunks dispatches to the heap directly on the fast
-        # path and to snapshot-resolved chunks under MVCC, so vectorized
-        # scans see exactly the row images the row executor would.
+        # Table.scan_row_chunks passes clean pages through as read and
+        # snapshot-resolves the rest, so vectorized scans see exactly the
+        # row images the row executor would.
         for chunk in self.table.scan_row_chunks():
             buffer.extend(chunk)
             if len(buffer) >= BATCH_SIZE:

@@ -125,6 +125,29 @@ class HeapFile:
         finally:
             self.buffer_pool.unpin(rid.page_id)
 
+    def fetch_rows(self, rids: Sequence[RID]) -> List[Tuple[Any, ...]]:
+        """:meth:`fetch_row` for each of *rids*, pinning a run of RIDs on
+        one page once — an index probe's matches usually share a page."""
+        pool, table = self.buffer_pool, self.table
+        rows: List[Tuple[Any, ...]] = []
+        page_id, page = -1, None
+        try:
+            for rid in rids:
+                if rid.page_id != page_id:
+                    if page is not None:
+                        pool.unpin(page_id)
+                        page = None
+                    page_id = rid.page_id
+                    page = pool.fetch(page_id)
+                content = page.read(rid.slot)
+                if content is None or content[0] != table:
+                    raise ExecutionError(f"fetch of missing row {rid} in {table}")
+                rows.append(content[1])
+        finally:
+            if page is not None:
+                pool.unpin(page_id)
+        return rows
+
     def scan(self) -> Iterator[Tuple[RID, Tuple[Any, ...]]]:
         """Yield (rid, row) for every live row of this table."""
         # Snapshot the page list: concurrent inserts may extend it.

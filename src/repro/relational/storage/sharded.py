@@ -281,6 +281,15 @@ class ShardedHeap:
     def fetch_row(self, rid: RID) -> Tuple[Any, ...]:
         return self._shard_for_rid(rid).fetch_row(rid)
 
+    def fetch_rows(self, rids: Sequence[RID]) -> List[Tuple[Any, ...]]:
+        owner = self._page_owner
+        for rid in rids:
+            if rid.page_id not in owner:
+                raise ExecutionError(f"fetch of missing row {rid} in {self.table}")
+        # every child tags its slots with the facade name, so any one child
+        # reads the rows of every owned page
+        return self.shards[0].fetch_rows(rids)
+
     def scan(self) -> Iterator[Tuple[RID, Tuple[Any, ...]]]:
         for shard in self.shards:
             yield from shard.scan()

@@ -17,8 +17,8 @@ The catalog of tables:
 ``SYS_STAT_INDEXES``     index kind / uniqueness / key columns
 ``SYS_STAT_BUFFER``      buffer-pool counters (one wide row)
 ``SYS_STAT_WAL``         WAL counters incl. torn-flush repairs (one row)
-``SYS_STAT_LOCKS``       lock-manager counters incl. per-mode held (one row)
-``SYS_LOCK_HOLDERS``     point-in-time (table, txn, mode) lock grants
+``SYS_STAT_LOCKS``       write-lock counters (one row)
+``SYS_LOCK_HOLDERS``     point-in-time (table, txn) write-lock grants
 ``SYS_SNAPSHOTS``        active MVCC snapshots + version-store / conflict /
                          vacuum counters (one counter-only row when idle)
 ``SYS_TRACE_SPANS``      flattened recent span trees with parent_span_id
@@ -146,9 +146,7 @@ _WAL_KEYS = (
     "records_flushed", "bytes_flushed", "stable_lsn", "stable_records",
     "tail_records",
 )
-_LOCK_KEYS = (
-    "acquisitions", "conflicts", "held", "s_held", "x_held", "tables_locked",
-)
+_LOCK_KEYS = ("acquisitions", "conflicts", "held", "tables_locked")
 
 #: MVCC counter columns shared by every SYS_SNAPSHOTS row
 _SNAPSHOT_COUNTER_KEYS = (
@@ -165,21 +163,13 @@ def _lock_holders_provider(db) -> Callable[[], Iterable[Tuple]]:
 
 
 def _snapshots_provider(db) -> Callable[[], Iterable[Tuple]]:
-    """One row per active snapshot; a single NULL-txn row when idle (or
-    when MVCC is off) so the shared counters are always queryable."""
+    """One row per active snapshot; a single NULL-txn row when idle so
+    the shared counters are always queryable."""
     def provider() -> List[Tuple]:
         mv = db.mvcc
-        manager = db.txn_manager
-        if mv is None:
-            counters = tuple(0 for _ in _SNAPSHOT_COUNTER_KEYS)
-            return [
-                (None, None)
-                + counters
-                + (manager.admission_rejects, _retry_count(db))
-            ]
         stats = mv.metrics()
         counters = tuple(stats.get(key) for key in _SNAPSHOT_COUNTER_KEYS)
-        tail = (manager.admission_rejects, _retry_count(db))
+        tail = (db.txn_manager.admission_rejects, _retry_count(db))
         active = sorted(
             mv.snapshots.active_snapshots(), key=lambda s: s.snap_id
         )
@@ -330,8 +320,6 @@ def build_sys_tables(db) -> List[VirtualTable]:
                 ("acquisitions", INTEGER),
                 ("conflicts", INTEGER),
                 ("held", INTEGER),
-                ("s_held", INTEGER),
-                ("x_held", INTEGER),
                 ("tables_locked", INTEGER),
             ),
             _wide_row_provider(lambda: db.txn_manager.locks.metrics(), _LOCK_KEYS),
@@ -341,7 +329,6 @@ def build_sys_tables(db) -> List[VirtualTable]:
             _columns(
                 ("table_name", VARCHAR()),
                 ("txn_id", INTEGER),
-                ("mode", VARCHAR()),
             ),
             _lock_holders_provider(db),
         ),

@@ -36,11 +36,16 @@ from repro.relational.catalog import Table
 from repro.relational.storage.heap import RID
 from repro.relational.txn import wal as wal_kinds
 from repro.relational.txn.locks import LockManager
+from repro.relational.txn.mvcc import MVCCController, Snapshot
 from repro.relational.txn.wal import LogRecord, WriteAheadLog
 
 
 class IsolationLevel(enum.Enum):
-    """The two degrees of isolation the paper names (section 1)."""
+    """The two degrees of isolation the paper names (section 1), as
+    snapshot policies: a repeatable-read transaction reads one snapshot
+    taken at BEGIN; a cursor-stability transaction re-takes its snapshot
+    at the start of every top-level statement (it still sees its own
+    writes, and a statement never sees a commit that lands mid-way)."""
 
     REPEATABLE_READ = "repeatable read"
     CURSOR_STABILITY = "cursor stability"
@@ -65,12 +70,12 @@ class Transaction:
     active: bool = True
     #: LSN of this transaction's most recent log record
     last_lsn: int = 0
-    #: MVCC read snapshot (None when MVCC mode is off)
-    snapshot: Optional[Any] = None
+    #: MVCC read snapshot (None once the transaction has ended)
+    snapshot: Optional[Snapshot] = None
 
 
 class TransactionManager:
-    """Coordinates transactions, the lock manager, and the WAL."""
+    """Coordinates transactions, snapshots, the lock manager, and the WAL."""
 
     #: bounded retries for commit-critical WAL flushes (dropped-flush faults)
     FLUSH_ATTEMPTS = 5
@@ -86,8 +91,8 @@ class TransactionManager:
         self._active: Dict[int, Transaction] = {}
         # guards _active / the id clock / admission across session threads
         self._mutex = threading.RLock()
-        #: MVCCController when the owning Database runs in MVCC mode
-        self.mvcc: Optional[Any] = None
+        #: snapshots and the version store behind every read
+        self.mvcc = MVCCController()
         #: admission-control ceiling on concurrently active transactions
         #: (None = unlimited); rejections raise the retryable AdmissionError
         self.max_concurrent_txns = max_concurrent_txns
@@ -121,9 +126,17 @@ class TransactionManager:
             self.begun += 1
         record = self.wal.append(txn.txn_id, wal_kinds.BEGIN)
         txn.last_lsn = record.lsn
-        if self.mvcc is not None:
-            txn.snapshot = self.mvcc.snapshots.begin(txn.txn_id)
+        txn.snapshot = self.mvcc.snapshots.begin(txn.txn_id)
         return txn
+
+    def refresh_snapshot(self, txn: Transaction) -> Snapshot:
+        """Move *txn* to a snapshot at the current commit clock (the
+        cursor-stability rule); it keeps its owner, so the transaction
+        still sees its own uncommitted writes."""
+        old = txn.snapshot
+        txn.snapshot = self.mvcc.snapshots.begin(txn.txn_id)
+        self.mvcc.release(old)
+        return txn.snapshot
 
     def commit(self, txn: Transaction) -> None:
         """Force-commit *txn*; raises (leaving it active) if the WAL cannot
@@ -150,17 +163,15 @@ class TransactionManager:
         self.commits += 1
         txn.active = False
         txn.undo.clear()
-        if self.mvcc is not None:
-            # The commit point is durable; stamp the displaced versions
-            # with one commit timestamp and retire the snapshot.
-            self.mvcc.store.commit_txn(txn.txn_id)
-            self.mvcc.release(txn.snapshot)
-            txn.snapshot = None
+        # The commit point is durable; stamp the displaced versions with
+        # one commit timestamp and retire the snapshot.
+        self.mvcc.store.commit_txn(txn.txn_id)
+        self.mvcc.release(txn.snapshot)
+        txn.snapshot = None
         with self._mutex:
             self._active.pop(txn.txn_id, None)
         self.locks.release_all(txn.txn_id)
-        if self.mvcc is not None:
-            self.mvcc.maybe_autovacuum()
+        self.mvcc.maybe_autovacuum()
 
     def rollback(self, txn: Transaction) -> None:
         self._check_active(txn)
@@ -169,12 +180,11 @@ class TransactionManager:
         self.aborts += 1
         txn.active = False
         txn.undo.clear()
-        if self.mvcc is not None:
-            # the undo pass popped the version notes in lockstep; this is
-            # defensive cleanup plus snapshot retirement
-            self.mvcc.store.abort_txn(txn.txn_id)
-            self.mvcc.release(txn.snapshot)
-            txn.snapshot = None
+        # the undo pass popped the version notes in lockstep; this is
+        # defensive cleanup plus snapshot retirement
+        self.mvcc.store.abort_txn(txn.txn_id)
+        self.mvcc.release(txn.snapshot)
+        txn.snapshot = None
         with self._mutex:
             self._active.pop(txn.txn_id, None)
         self.locks.release_all(txn.txn_id)
@@ -232,9 +242,8 @@ class TransactionManager:
                 )
                 entry.table.stamp_lsn(entry.rid, clr.lsn)  # type: ignore[arg-type]
             txn.last_lsn = clr.lsn
-            if self.mvcc is not None:
-                # version notes are 1:1 with undo entries; unwind in lockstep
-                self.mvcc.store.pop_note(txn.txn_id)
+            # version notes are 1:1 with undo entries; unwind in lockstep
+            self.mvcc.store.pop_note(txn.txn_id)
             undone += 1
         return undone
 
@@ -350,8 +359,7 @@ class TransactionManager:
             self._ids = itertools.count(max_txn_id + 1)
             self._active.clear()
             self.locks = LockManager()
-        if self.mvcc is not None:
-            self.mvcc.reset()
+        self.mvcc.reset()
 
     def recover(self, database) -> "RecoveryStats":  # noqa: F821
         """Run ARIES-style crash recovery over *database* (see

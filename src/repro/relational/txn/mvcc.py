@@ -38,7 +38,7 @@ Conflict policy is first-committer-wins: a write to a row whose current
 version committed after the writer's snapshot raises the retryable
 :class:`~repro.errors.SerializationError`.  Writer-writer ordering is
 still provided by the no-wait table X-locks; readers take no locks at
-all in MVCC mode.
+all.
 
 Vacuum prunes history images whose end timestamp is at or below the
 oldest active snapshot's ``read_ts`` and drops entries that have become
@@ -68,6 +68,10 @@ FROZEN_TS = 0
 
 # Row images are tuples; ``None`` means "absent" (deleted / never present).
 Row = Optional[Tuple[Any, ...]]
+
+#: placeholder key an insert holds in its table's entries while the heap
+#: row exists without its note; only lock-free readers ever observe it
+_INSERTING = object()
 
 
 class Snapshot:
@@ -262,14 +266,24 @@ class VersionStore:
 
         An insert's RID is unknown until the heap assigns it, so the note
         cannot precede the physical write the way update/delete notes do.
-        Holding the store lock across both closes the gap: a snapshot scan
-        that observed the new heap row cannot look the RID up in the store
-        until this section ends, by which time the entry that hides the
-        uncommitted row is in place.  Returns the new RID; if the insert
-        itself fails (integrity error) no note is taken."""
+        Holding the store lock across both closes the gap for readers that
+        look the RID up: they cannot reach the store until this section
+        ends, by which time the entry that hides the uncommitted row is in
+        place.  Lock-free clean checks would still see the table empty
+        between the heap write and the note, so a placeholder entry keeps
+        the table dirty for the whole section and sends them down the
+        locked path.  Returns the new RID; if the insert itself fails
+        (integrity error) no note is taken."""
         with self._lock:
-            rid = table.insert(row)
-            self.note_write(txn_id, table.name, rid, None, row)
+            entries = self._tables.setdefault(table.name, {})
+            entries[_INSERTING] = None
+            try:
+                rid = table.insert(row)
+                self.note_write(txn_id, table.name, rid, None, row)
+            finally:
+                del entries[_INSERTING]
+                if not entries:
+                    del self._tables[table.name]
             return rid
 
     def pop_note(self, txn_id: int) -> None:
@@ -513,7 +527,8 @@ def set_ambient_snapshot(snap: Optional[Snapshot]) -> Optional[Snapshot]:
 
 
 class MVCCController:
-    """Facade owned by :class:`Database` when MVCC mode is enabled.
+    """Facade owned by the transaction manager (and shared with the
+    catalog's read path): every :class:`Database` reads through it.
 
     Bundles the snapshot manager and version store, plus an autovacuum
     trigger: after a commit pushes the number of versioned rows past

@@ -31,8 +31,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--statement-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="default per-session statement timeout")
-    parser.add_argument("--no-mvcc", action="store_true",
-                        help="run with two-phase locking instead of MVCC")
     parser.add_argument("--empty", action="store_true",
                         help="start with a blank database (no demo tables)")
     parser.add_argument("--max-concurrent-txns", type=int, default=None,
@@ -41,10 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 async def serve(args: argparse.Namespace) -> None:
-    db_kwargs = {
-        "mvcc": not args.no_mvcc,
-        "max_concurrent_txns": args.max_concurrent_txns,
-    }
+    db_kwargs = {"max_concurrent_txns": args.max_concurrent_txns}
     db = Database(**db_kwargs) if args.empty else demo_database(**db_kwargs)
     server = XNFServer(
         db,
@@ -55,9 +50,8 @@ async def serve(args: argparse.Namespace) -> None:
         statement_timeout_s=args.statement_timeout,
     )
     await server.start()
-    mode = "2PL" if args.no_mvcc else "MVCC"
     print(f"repro-xnf server listening on {server.address} "
-          f"({mode}, max {args.max_connections} connections)", flush=True)
+          f"(max {args.max_connections} connections)", flush=True)
 
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()

@@ -162,13 +162,12 @@ def rehydrate_error(payload: Dict[str, Any]) -> ReproError:
     return err
 
 
-def hello_payload(session_id: int, mvcc: bool) -> Dict[str, Any]:
+def hello_payload(session_id: int) -> Dict[str, Any]:
     return {
         "ok": True,
         "server": "repro-xnf",
         "protocol": PROTOCOL_VERSION,
         "session": session_id,
-        "mvcc": mvcc,
     }
 
 

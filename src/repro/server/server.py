@@ -13,8 +13,8 @@ database call runs on a bounded thread pool, and the engine's thread-local
 session state is made connection-local by running each call inside the
 connection's ``Session._activate()`` swap (one frame at a time per
 connection, so a session's statements never run concurrently with each
-other).  Under MVCC mode each statement picks up its ambient snapshot
-exactly as in-process callers do.
+other).  Each statement picks up its ambient snapshot exactly as
+in-process callers do.
 
 Failure surface: every error a statement raises crosses the wire as a
 typed error frame (see :mod:`repro.server.protocol`) and the connection
@@ -632,9 +632,7 @@ class XNFServer:
         network.inc("connections_opened")
         network.inc("connections_active")
         try:
-            await self._write(writer, protocol.hello_payload(
-                stats.session_id, self.db.mvcc is not None
-            ))
+            await self._write(writer, protocol.hello_payload(stats.session_id))
             await self._serve_connection(conn)
         except (ConnectionError, OSError, asyncio.CancelledError):
             pass  # client went away (or shutdown cancelled us) mid-write

@@ -318,16 +318,7 @@ class XNFSession:
         if stored is None:
             raise XNFError(f"unknown XNF view {view_name!r}")
         schema = resolve(stored, self.views, view_name)
-        compiler = XNFCompiler(
-            self.db,
-            reuse_common=self.reuse_common,
-            semi_naive=self.semi_naive,
-            max_rounds=self.max_rounds,
-            max_rows=self.max_rows,
-            timeout_s=self.timeout_s,
-        )
-        instance = compiler.instantiate(schema)
-        self.last_stats = compiler.stats
+        instance = self._extract(schema)
         name = (snapshot_name or f"SNAP_{view_name}").upper().replace("-", "_")
         if name in self._snapshots:
             raise XNFError(f"snapshot {name} already exists")
@@ -374,8 +365,11 @@ class XNFSession:
 
     # -- internals -------------------------------------------------------------------
 
-    def _instantiate(self, query: xast.XNFQuery) -> COCache:
-        schema = resolve(query, self.views)
+    def _extract(self, schema):
+        """Instantiate *schema* from one database state: every generated
+        query of the extraction reads the same snapshot (the open
+        transaction's, else one taken for this statement), so a commit
+        landing between fixpoint rounds cannot tear the CO."""
         compiler = XNFCompiler(
             self.db,
             reuse_common=self.reuse_common,
@@ -384,9 +378,14 @@ class XNFSession:
             max_rows=self.max_rows,
             timeout_s=self.timeout_s,
         )
-        instance = compiler.instantiate(schema)
+        with self.db.snapshot_scope():
+            instance = compiler.instantiate(schema)
         self.last_stats = compiler.stats
-        cache = COCache.load(instance)
+        return instance
+
+    def _instantiate(self, query: xast.XNFQuery) -> COCache:
+        schema = resolve(query, self.views)
+        cache = COCache.load(self._extract(schema))
         if schema.instance_restrictions:
             apply_instance_restrictions(cache, schema.instance_restrictions)
         pending_take = getattr(schema, "pending_take", None)

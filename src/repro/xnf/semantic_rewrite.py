@@ -120,8 +120,8 @@ class XNFCompiler:
         started = time.perf_counter()
         # A pure read: extractions on one Database may interleave freely.
         # Base-table reads inside the fixpoint resolve through the caller's
-        # ambient MVCC snapshot, so a CO extraction inside a transaction is
-        # snapshot-consistent while writers proceed concurrently.
+        # ambient snapshot (XNFSession opens one per XNF statement), so the
+        # CO is snapshot-consistent while writers proceed concurrently.
         with self.db.tracer.span(
             "xnf.instantiate", co=schema.name or "<anonymous>"
         ) as span:

@@ -191,6 +191,73 @@ class TestSnapshotConflicts:
         assert info.value.retryable
         t1.rollback()
 
+    #: one query per index operator, each reading the rows filed under k = 3
+    PROBES = {
+        "IndexEqScan(T.ik)": "SELECT id FROM T WHERE k = 3",
+        "IndexRangeScan(T.ik)": "SELECT id FROM T WHERE k BETWEEN 3 AND 9",
+        "IndexNLJoin[INNER](T.ik)": "SELECT S.x, T.id FROM S, T WHERE S.x = T.k",
+    }
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            "UPDATE T SET k = 40 WHERE id = 1",
+            "UPDATE T SET k = 3 WHERE id = 20",
+            "DELETE FROM T WHERE id = 1",
+            "INSERT INTO T VALUES (5000, 3, 0)",
+        ],
+        ids=["rekey-out", "rekey-in", "delete", "insert"],
+    )
+    def test_old_snapshot_probes_after_concurrent_commit(self, make_db, change):
+        db = make_db()
+        load(db, n=1000)
+        for operator, sql in self.PROBES.items():
+            assert operator in db.explain(sql), sql
+        t1, t2 = db.connect(), db.connect()
+        t1.begin()
+        before = {sql: sorted(t1.execute(sql).rows) for sql in self.PROBES.values()}
+        t2.execute(change)
+        for sql, rows in before.items():
+            assert sorted(db.execute(sql).rows) != rows, sql
+            assert sorted(t1.execute(sql).rows) == rows, sql
+        t1.commit()
+
+
+def count_store_reads(db):
+    """Count the version-store read calls made from here on."""
+    store = db.mvcc.store
+    calls = dict.fromkeys(("resolve", "resolve_batch", "candidates"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _method=getattr(store, name)):
+            calls[_name] += 1
+            return _method(*args)
+
+        setattr(store, name, counted)
+    return calls
+
+
+class TestProbeFastPath:
+    """An index probe of an unwritten table reads its heap rows and passes
+    them through: the version store is never asked to resolve anything."""
+
+    def test_probes_resolve_only_while_the_table_is_versioned(self, make_db):
+        db = make_db()
+        load(db, n=1000)
+        join = "SELECT S.x, T.id FROM S, T WHERE S.x = T.k"
+        assert "IndexNLJoin[INNER](T.ik)" in db.explain(join)
+        calls = count_store_reads(db)
+        for i in range(1, 21):
+            assert len(db.execute(f"SELECT c FROM T WHERE id = {i}")) == 1
+        assert len(db.execute(join)) > 0
+        assert calls == {"resolve": 0, "resolve_batch": 0, "candidates": 0}
+        writer = db.connect()
+        writer.begin()
+        writer.execute("UPDATE T SET c = 7 WHERE id = 1")  # a note stays open
+        assert db.execute("SELECT c FROM T WHERE id = 1").rows == [(1,)]
+        assert len(db.execute(join)) > 0
+        assert calls["resolve_batch"] > 0 and calls["candidates"] > 0
+        writer.rollback()
+
 
 class TestCounts:
     def test_pk_update_and_delete_probe_a_few_pages(self, make_db):

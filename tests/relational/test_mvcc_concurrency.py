@@ -113,6 +113,32 @@ class TestSnapshotVisibility:
         a.commit()
         assert a.execute("SELECT COUNT(*) FROM EMP").scalar() == 5
 
+    @pytest.mark.parametrize(
+        "read, committed",
+        [("SELECT COUNT(*) FROM T", 1), ("SELECT COUNT(*) FROM T WHERE id = 2", 0)],
+        ids=["scan", "probe"],
+    )
+    def test_insert_is_invisible_between_heap_write_and_note(self, read, committed):
+        """A reader on another thread that runs after an insert's heap and
+        index writes but before its version note must not see the row."""
+        db = Database()
+        db.execute("CREATE TABLE T (id INTEGER PRIMARY KEY)")
+        db.execute("INSERT INTO T VALUES (1)")
+        index = db.catalog.get_table("T").indexes["pk_T"]
+        index_insert = index.insert_row
+        counts = []
+        reader = threading.Thread(target=lambda: counts.append(db.execute(read).scalar()))
+
+        def insert_row(row, rid):
+            index_insert(row, rid)
+            reader.start()
+            reader.join(0.2)  # blocks on the store lock unless the row leaks
+
+        index.insert_row = insert_row
+        db.execute("INSERT INTO T VALUES (2)")
+        reader.join()
+        assert counts == [committed]
+
 
 class TestFirstCommitterWins:
     def test_second_writer_gets_serialization_error(self):

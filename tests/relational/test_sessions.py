@@ -1,9 +1,12 @@
-"""Multiple sessions over one database: lock conflicts and isolation."""
+"""Multiple sessions over one database: write-lock conflicts and
+snapshot isolation."""
 
 import pytest
 
-from repro.errors import DeadlockError
+from repro.errors import DeadlockError, ExecutionError
+from repro.relational.engine import Database
 from repro.relational.txn.manager import IsolationLevel
+from repro.xnf.api import XNFSession
 
 
 @pytest.fixture
@@ -43,25 +46,18 @@ class TestSessionIndependence:
 
 class TestLockConflicts:
     def test_writer_blocks_reader(self, shared):
-        db, a, b = shared
+        _, a, b = shared
         a.begin()
         a.execute("DELETE FROM PEOPLE WHERE id = 1")
         b.begin()
-        if db.mvcc is not None:
-            # Snapshot isolation: the reader never blocks and sees the
-            # pre-delete state until the writer commits.
-            assert b.execute("SELECT COUNT(*) FROM PEOPLE").scalar() == 5
-            a.commit()
-            # b's snapshot predates a's commit: still 5 rows.
-            assert b.execute("SELECT COUNT(*) FROM PEOPLE").scalar() == 5
-            b.commit()
-            assert b.execute("SELECT COUNT(*) FROM PEOPLE").scalar() == 4
-            return
-        with pytest.raises(DeadlockError):
-            b.execute("SELECT * FROM PEOPLE")
+        # Snapshot isolation: the reader never blocks and sees the
+        # pre-delete state until the writer commits.
+        assert b.execute("SELECT COUNT(*) FROM PEOPLE").scalar() == 5
         a.commit()
-        b.execute("SELECT * FROM PEOPLE")  # now fine
+        # b's snapshot predates a's commit: still 5 rows.
+        assert b.execute("SELECT COUNT(*) FROM PEOPLE").scalar() == 5
         b.commit()
+        assert b.execute("SELECT COUNT(*) FROM PEOPLE").scalar() == 4
 
     def test_writer_blocks_writer(self, shared):
         _, a, b = shared
@@ -84,27 +80,20 @@ class TestLockConflicts:
         b.commit()
 
     def test_repeatable_read_blocks_writer_until_commit(self, shared):
-        db, a, b = shared
+        _, a, b = shared
         a.begin(IsolationLevel.REPEATABLE_READ)
         a.execute("SELECT * FROM PEOPLE")
         b.begin()
-        if db.mvcc is not None:
-            # MVCC readers hold no S locks: the writer proceeds, and a's
-            # snapshot still shows the deleted row (repeatable reads come
-            # from versioning, not locks).
-            b.execute("DELETE FROM PEOPLE WHERE id = 1")
-            b.commit()
-            assert a.execute("SELECT COUNT(*) FROM PEOPLE").scalar() == 5
-            a.commit()
-            return
-        with pytest.raises(DeadlockError):
-            b.execute("DELETE FROM PEOPLE WHERE id = 1")
-        a.commit()
+        # Readers hold no S locks: the writer proceeds, and a's snapshot
+        # still shows the deleted row (repeatable reads come from
+        # versioning, not locks).
         b.execute("DELETE FROM PEOPLE WHERE id = 1")
         b.commit()
+        assert a.execute("SELECT COUNT(*) FROM PEOPLE").scalar() == 5
+        a.commit()
 
     def test_cursor_stability_releases_after_statement(self, shared):
-        """Section 1's 'cursor stability': read locks end with the
+        """Section 1's 'cursor stability': a reader holds nothing past its
         statement, so a writer can proceed before the reader commits."""
         _, a, b = shared
         a.begin(IsolationLevel.CURSOR_STABILITY)
@@ -125,14 +114,9 @@ class TestLockConflicts:
         a.begin()
         a.execute("DELETE FROM KV WHERE k = 1")
         a.execute("UPDATE KV SET v = 99 WHERE k = 2")
-        if db.mvcc is not None:
-            # the autocommit read's snapshot is the committed state
-            assert b.execute("SELECT COUNT(*) FROM KV").scalar() == 2
-            assert b.execute("SELECT v FROM KV WHERE k = 2").scalar() == 20
-        else:
-            # 2PL: the statement's no-wait S lock meets a's X lock
-            with pytest.raises(DeadlockError):
-                b.execute("SELECT COUNT(*) FROM KV")
+        # the autocommit read's snapshot is the committed state
+        assert b.execute("SELECT COUNT(*) FROM KV").scalar() == 2
+        assert b.execute("SELECT v FROM KV WHERE k = 2").scalar() == 20
         a.rollback()
         assert b.execute("SELECT COUNT(*) FROM KV").scalar() == 2
         assert b.execute("SELECT v FROM KV WHERE k = 2").scalar() == 20
@@ -155,3 +139,42 @@ class TestLockConflicts:
         b.begin()
         b.execute("DELETE FROM PEOPLE WHERE id = 1")
         b.commit()
+
+
+class TestSnapshotReads:
+    def test_reads_take_no_locks(self, shared):
+        db, a, _ = shared
+        session = XNFSession(db)
+        prepared = db.prepare("SELECT name FROM PEOPLE WHERE id = ?")
+        acquisitions = db.txn_manager.locks.metrics()["acquisitions"]
+        assert len(db.execute("SELECT * FROM PEOPLE WHERE age > 20")) == 4
+        assert prepared.execute([2]).rows == [("bob",)]
+        a.begin()
+        assert a.execute("SELECT COUNT(*) FROM PEOPLE").scalar() == 5
+        a.commit()
+        assert len(session.query("OUT OF Xp AS PEOPLE TAKE *").node("Xp")) == 5
+        assert db.txn_manager.locks.metrics()["acquisitions"] == acquisitions
+
+    @pytest.mark.parametrize(
+        "isolation, count",
+        [(IsolationLevel.CURSOR_STABILITY, 4), (IsolationLevel.REPEATABLE_READ, 5)],
+        ids=["cursor_stability", "repeatable_read"],
+    )
+    def test_cursor_stability_retakes_the_snapshot_per_statement(
+        self, shared, isolation, count
+    ):
+        db, a, b = shared
+        TestLockConflicts._two_rows(db)
+        a.begin(isolation)
+        assert a.execute("SELECT COUNT(*) FROM PEOPLE").scalar() == 5
+        a.execute("UPDATE KV SET v = 99 WHERE k = 2")
+        b.execute("DELETE FROM PEOPLE WHERE id = 1")
+        assert a.execute("SELECT COUNT(*) FROM PEOPLE").scalar() == count
+        # a re-taken snapshot still sees the transaction's own write
+        assert a.execute("SELECT v FROM KV WHERE k = 2").scalar() == 99
+        a.commit()
+
+
+def test_mvcc_false_is_refused():
+    with pytest.raises(ExecutionError):
+        Database(mvcc=False)

@@ -43,7 +43,7 @@ class TestInstallation:
 
     def test_write_paths_rejected(self, db):
         with pytest.raises(CatalogError, match="read-only"):
-            db.execute("INSERT INTO SYS_STAT_LOCKS VALUES (1, 2, 3, 4, 5, 6)")
+            db.execute("INSERT INTO SYS_STAT_LOCKS VALUES (1, 2, 3, 4)")
         with pytest.raises(CatalogError, match="read-only"):
             db.execute("DELETE FROM SYS_TRACE_SPANS")
         with pytest.raises(CatalogError, match="read-only"):

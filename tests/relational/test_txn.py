@@ -5,7 +5,7 @@ import pytest
 from repro.errors import DeadlockError, IOFaultError, IntegrityError, TransactionError
 from repro.relational.engine import Database
 from repro.relational.storage import FaultInjector
-from repro.relational.txn.locks import LockManager, LockMode
+from repro.relational.txn.locks import LockManager
 from repro.relational.txn.manager import IsolationLevel
 from repro.relational.txn.wal import WriteAheadLog
 
@@ -63,45 +63,21 @@ class TestRollback:
 
 
 class TestLockManager:
-    def test_shared_locks_compatible(self):
-        locks = LockManager()
-        locks.acquire(1, "T", LockMode.SHARED)
-        locks.acquire(2, "T", LockMode.SHARED)
-
     def test_exclusive_conflicts(self):
         locks = LockManager()
-        locks.acquire(1, "T", LockMode.EXCLUSIVE)
+        locks.acquire(1, "T")
+        locks.acquire(1, "T")  # re-grant to the holder
         with pytest.raises(DeadlockError):
-            locks.acquire(2, "T", LockMode.SHARED)
-        with pytest.raises(DeadlockError):
-            locks.acquire(2, "T", LockMode.EXCLUSIVE)
-
-    def test_shared_blocks_exclusive(self):
-        locks = LockManager()
-        locks.acquire(1, "T", LockMode.SHARED)
-        with pytest.raises(DeadlockError):
-            locks.acquire(2, "T", LockMode.EXCLUSIVE)
-
-    def test_upgrade_own_lock(self):
-        locks = LockManager()
-        locks.acquire(1, "T", LockMode.SHARED)
-        locks.acquire(1, "T", LockMode.EXCLUSIVE)
-        assert ("T", LockMode.EXCLUSIVE) in locks.held(1)
+            locks.acquire(2, "T")
+        assert locks.metrics()["acquisitions"] == 1
 
     def test_release_all(self):
         locks = LockManager()
-        locks.acquire(1, "A", LockMode.SHARED)
-        locks.acquire(1, "B", LockMode.EXCLUSIVE)
+        locks.acquire(1, "A")
+        locks.acquire(1, "B")
         locks.release_all(1)
         assert locks.held(1) == set()
-        locks.acquire(2, "B", LockMode.EXCLUSIVE)
-
-    def test_release_shared_keeps_exclusive(self):
-        locks = LockManager()
-        locks.acquire(1, "A", LockMode.SHARED)
-        locks.acquire(1, "B", LockMode.EXCLUSIVE)
-        locks.release_shared(1)
-        assert locks.held(1) == {("B", LockMode.EXCLUSIVE)}
+        locks.acquire(2, "B")
 
 
 class TestIsolationLevels:
@@ -110,12 +86,8 @@ class TestIsolationLevels:
         people_db.execute("BEGIN")
         people_db.execute("SELECT * FROM PEOPLE")
         txn_id = people_db._txn.txn_id
-        held = people_db.txn_manager.locks.held(txn_id)
-        if people_db.mvcc is not None:
-            # Snapshot isolation replaces read locks with versioned reads.
-            assert held == set()
-        else:
-            assert ("PEOPLE", LockMode.SHARED) in held
+        # Snapshot isolation replaces read locks with versioned reads.
+        assert people_db.txn_manager.locks.held(txn_id) == set()
         people_db.execute("COMMIT")
 
     def test_cursor_stability_releases_read_locks(self, people_db):
@@ -131,8 +103,7 @@ class TestIsolationLevels:
         people_db._txn.isolation = IsolationLevel.CURSOR_STABILITY
         people_db.execute("DELETE FROM PEOPLE WHERE id = 1")
         txn_id = people_db._txn.txn_id
-        held = people_db.txn_manager.locks.held(txn_id)
-        assert ("PEOPLE", LockMode.EXCLUSIVE) in held
+        assert people_db.txn_manager.locks.held(txn_id) == {"PEOPLE"}
         people_db.execute("COMMIT")
         assert people_db.txn_manager.locks.held(txn_id) == set()
 

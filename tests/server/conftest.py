@@ -1,6 +1,5 @@
 """Fixtures for wire server/client tests: one server per test over a
-fresh Fig. 1 company database (MVCC mode, so snapshot-conflict paths are
-exercisable)."""
+fresh Fig. 1 company database."""
 
 import pytest
 

@@ -26,10 +26,11 @@ from repro.workloads.company import FIGURE1_CO, figure1_database
 
 
 class TestQueries:
-    def test_hello_announces_session_and_mvcc(self, client):
+    def test_hello_announces_session(self, client):
         assert client.server_info["server"] == "repro-xnf"
         assert client.session_id >= 1
-        assert client.mvcc is True
+        # one concurrency control, so no mode to announce
+        assert "mvcc" not in client.server_info
 
     def test_select_roundtrip(self, client):
         result = client.execute(

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.errors import XNFError
+from repro.relational.engine import Database
 from repro.workloads import company
-from repro.xnf.api import CompositeObject
+from repro.xnf.api import CompositeObject, XNFSession
 from repro.xnf.closure import QueryClass, classify, materialize_node
 
 
@@ -140,3 +141,57 @@ class TestSharedDatabase:
             "WHERE d.dno = e.edno GROUP BY d.dname ORDER BY 1"
         )
         assert result.rows == [("dNY", 2), ("dSF", 2)]
+
+
+class TestOneStatementOneSnapshot:
+    """A CO is the set of tuples reachable from its roots in *one* database
+    state, however many generated queries its extraction runs."""
+
+    CO = """
+    OUT OF
+     Xroot AS (SELECT * FROM PART WHERE pid = 1),
+     Xpart AS PART,
+     start AS (RELATE Xroot, Xpart WHERE Xroot.pid = Xpart.pid),
+     connects AS (RELATE Xpart source, Xpart target USING CONN c
+                  WHERE source.pid = c.cfrom AND target.pid = c.cto)
+    TAKE *
+    """
+
+    @staticmethod
+    def _chain():
+        db = Database()
+        db.execute("CREATE TABLE PART (pid INTEGER PRIMARY KEY)")
+        db.execute("CREATE TABLE CONN (cfrom INTEGER, cto INTEGER)")
+        db.execute("INSERT INTO PART VALUES (1), (2), (3), (4), (5)")
+        db.execute("INSERT INTO CONN VALUES (1, 2), (2, 3), (3, 4)")
+        return db
+
+    def _take_with_commit_after(self, k):
+        """Extract the CO; another session commits a re-wiring of the chain
+        right after the extraction's k-th generated query."""
+        db = self._chain()
+        writer = db.connect()
+        issued = [0]
+        run_query = db.execute_ast
+
+        def execute_ast(stmt):
+            result = run_query(stmt)
+            issued[0] += 1
+            if issued[0] == k:
+                writer.begin()
+                writer.execute("DELETE FROM CONN WHERE cfrom = 3")
+                writer.execute("INSERT INTO CONN VALUES (1, 5)")
+                writer.commit()
+            return result
+
+        db.execute_ast = execute_ast
+        co = XNFSession(db).query(self.CO)
+        return {t["pid"] for t in co.node("Xpart")}, issued[0]
+
+    def test_a_commit_between_generated_queries_never_tears_the_co(self):
+        _, queries = self._take_with_commit_after(0)
+        assert queries > 4
+        before, after = {1, 2, 3, 4}, {1, 2, 3, 5}
+        for k in range(queries + 1):
+            parts, _ = self._take_with_commit_after(k)
+            assert parts in (before, after), (k, parts)
