@@ -4,9 +4,9 @@ Two databases built from the same OO1 generator seed — one plain, one with
 PART range-partitioned on ``x`` into 4 shards and CONN hash-partitioned on
 ``cfrom`` — and two workloads:
 
-* ``co_extraction`` (**gated**) — the working-set CO of the vectorized
-  benchmark at 10x its data: the compound restriction ``x < 10000`` keeps
-  only the first range shard's key space, so the scatter stage proves the
+* ``co_extraction`` (**gated**) — a working-set CO over 200 000 parts:
+  the compound restriction ``x < 10000`` keeps only the first range
+  shard's key space, so the scatter stage proves the
   other shards empty from their partition bounds + zone maps and skips
   scanning them entirely.  On one GIL-bound core that work *reduction* —
   not thread parallelism — is what the ``SHARD_SPEEDUP_FLOOR`` (default
@@ -37,7 +37,6 @@ LEDGER_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_sharding.j
 _RESULTS = {}
 _FLAGS = {"equivalent": False}
 
-#: 10x the vectorized benchmark's extraction scale.
 PARTS = 200000
 BUFFER_PAGES = 65536
 SHARDS = 4
@@ -45,8 +44,7 @@ SHARDS = 4
 TRAVERSAL_DEPTH = 6
 TRAVERSAL_STARTS = (17, PARTS // 2, PARTS - 9)
 
-#: The working-set CO of bench_vectorized with a tighter ``y`` bound:
-#: ~0.1% of PART survives the compound restriction, the regime partition
+#: ~0.1% of PART survives this CO's compound restriction, the regime partition
 #: pruning targets — the candidate scan (data-size-bound, prunable to one
 #: range shard) dominates, while the fixpoint's per-row index probes
 #: (working-set-bound, identical either way) stay small.  The recursive

@@ -32,14 +32,6 @@ It additionally gates the observability cost ledger
   accidentally quadratic snapshot providers, not µs-level drift);
 * a missing observability ledger fails the gate.
 
-And the vectorized-executor ledger (``BENCH_vectorized.json``, written by
-``bench_vectorized.py``):
-
-* **batch speedup** — every gated workload (setwise OO1 traversal, XNF
-  semantic-rewrite extraction) must show the batch executor at least
-  ``VEC_SPEEDUP_FLOOR`` (default 3.0) times faster than the row executor;
-* a missing vectorized ledger fails the gate.
-
 And the MVCC concurrency ledger (``BENCH_concurrency.json``, written by
 ``bench_concurrency.py``):
 
@@ -88,7 +80,6 @@ import sys
 HERE = pathlib.Path(__file__).resolve().parent
 LEDGER_PATH = HERE.parent / "BENCH_plan_cache.json"
 OBSERVABILITY_LEDGER_PATH = HERE.parent / "BENCH_observability.json"
-VECTORIZED_LEDGER_PATH = HERE.parent / "BENCH_vectorized.json"
 CONCURRENCY_LEDGER_PATH = HERE.parent / "BENCH_concurrency.json"
 SERVER_LEDGER_PATH = HERE.parent / "BENCH_server.json"
 SHARDING_LEDGER_PATH = HERE.parent / "BENCH_sharding.json"
@@ -104,7 +95,6 @@ REMOTE_TRACING_OVERHEAD_BUDGET = float(
     os.environ.get("REMOTE_TRACING_OVERHEAD_BUDGET", "0.10")
 )
 SYS_SCAN_BUDGET_MS = float(os.environ.get("SYS_SCAN_BUDGET_MS", "50.0"))
-VEC_SPEEDUP_FLOOR = float(os.environ.get("VEC_SPEEDUP_FLOOR", "3.0"))
 SERVER_CLIENTS_FLOOR = int(os.environ.get("SERVER_CLIENTS_FLOOR", "32"))
 SERVER_P99_BUDGET_MS = float(os.environ.get("SERVER_P99_BUDGET_MS", "5000.0"))
 SERVER_THROUGHPUT_FLOOR = float(
@@ -112,11 +102,8 @@ SERVER_THROUGHPUT_FLOOR = float(
 )
 SHARD_SPEEDUP_FLOOR = float(os.environ.get("SHARD_SPEEDUP_FLOOR", "2.0"))
 
-#: Workloads the vectorized ledger must contain — a silently-dropped
+#: Workloads the sharding ledger must contain — a silently-dropped
 #: workload would otherwise pass the floor vacuously.
-VEC_REQUIRED_WORKLOADS = ("oo1_setwise_traversal", "xnf_semantic_rewrite")
-
-#: Workloads the sharding ledger must contain, same rationale.
 SHARD_REQUIRED_WORKLOADS = ("co_extraction", "oo1_setwise_traversal")
 
 
@@ -258,39 +245,6 @@ def check_observability(obs: dict) -> int:
     return 0
 
 
-def check_vectorized(ledger: dict) -> int:
-    """Gate the vectorized-executor ledger (minimum batch speedup)."""
-    failures = []
-    workloads = ledger.get("workloads", {})
-    for name in VEC_REQUIRED_WORKLOADS:
-        if name not in workloads:
-            failures.append(f"vectorized: workload {name} missing from ledger")
-    for name, stats in sorted(workloads.items()):
-        speedup = stats.get("speedup")
-        if speedup is None:
-            failures.append(f"vectorized: workload {name} lacks a speedup")
-            continue
-        verdict = "FAIL" if speedup < VEC_SPEEDUP_FLOOR else "ok"
-        print(
-            f"vectorized: {name} {speedup:.2f}x "
-            f"(row {stats.get('row_s', float('nan')):.3f}s, "
-            f"batch {stats.get('batch_s', float('nan')):.3f}s; "
-            f"floor {VEC_SPEEDUP_FLOOR:.1f}x) {verdict}"
-        )
-        if speedup < VEC_SPEEDUP_FLOOR:
-            failures.append(
-                f"vectorized: {name} speedup {speedup:.2f}x below the "
-                f"{VEC_SPEEDUP_FLOOR:.1f}x floor"
-            )
-    if failures:
-        print("\nvectorized gate FAILED:", file=sys.stderr)
-        for failure in failures:
-            print(f"  - {failure}", file=sys.stderr)
-        return 1
-    print("vectorized gate passed")
-    return 0
-
-
 def check_concurrency(ledger: dict) -> int:
     """Gate the MVCC concurrency ledger (reader progress)."""
     failures = []
@@ -424,14 +378,12 @@ def main(argv) -> int:
         return 0
     status = check(ledger, load(BASELINE_PATH))
     obs_status = check_observability(load(OBSERVABILITY_LEDGER_PATH))
-    vec_status = check_vectorized(load(VECTORIZED_LEDGER_PATH))
     conc_status = check_concurrency(load(CONCURRENCY_LEDGER_PATH))
     server_status = check_server(load(SERVER_LEDGER_PATH))
     shard_status = check_sharding(load(SHARDING_LEDGER_PATH))
     return (
         status
         or obs_status
-        or vec_status
         or conc_status
         or server_status
         or shard_status

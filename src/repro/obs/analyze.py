@@ -1,25 +1,21 @@
 """Operator-level instrumentation behind EXPLAIN ANALYZE.
 
 :func:`instrument_plan` walks a compiled plan's operator tree and shadows
-each operator instance's ``rows`` method with a counting/timing wrapper.
+each operator instance's ``batches`` method with a counting/timing wrapper.
 Because the engine compiles EXPLAIN ANALYZE plans *outside* the plan cache
 (instrumented operators must never leak into cached, shared plans), the
 instance-level shadowing is safe: the instrumented tree is executed once,
-rendered, and discarded.
+rendered, and discarded.  ``rows`` is defined over ``batches``, so
+consumption through the row interface is counted too — exactly once.
 
 Recorded per operator:
 
-* ``rows_out`` — rows the operator produced (over all invocations; a
+* ``rows_out`` — live rows the operator produced (over all invocations; a
   correlated subplan runs once per outer row and the counts accumulate);
 * ``loops``   — number of times the operator was (re-)opened;
 * ``time_s``  — cumulative wall time spent *inside* the operator and its
   subtree (inclusive, like PostgreSQL's ``actual time``);
-* ``batches`` — for vectorized (``Vec*``) operators, the number of column
-  batches produced; ``rows_out`` then counts the batches' active rows.
-
-Vectorized operators are instrumented at their ``batches`` method rather
-than ``rows`` — wrapping both would double-count, since ``VecOp.rows`` is
-defined over ``batches``.
+* ``batches`` — the number of column batches produced.
 
 ``rows in`` for the renderer is simply the children's ``rows_out``.
 """
@@ -30,7 +26,6 @@ import time
 from typing import Dict
 
 from repro.relational.executor.operators import PlanOp
-from repro.relational.executor.vectorized import VecOp
 
 
 class OpStats:
@@ -47,7 +42,7 @@ class OpStats:
 
 
 def instrument_plan(root: PlanOp) -> Dict[int, OpStats]:
-    """Shadow every operator's ``rows`` with a counting wrapper.
+    """Shadow every operator's ``batches`` with a counting wrapper.
 
     Returns ``{id(op): OpStats}`` for the renderer.  The wrapper times
     each ``next()`` of the underlying iterator, so an operator's time is
@@ -60,50 +55,25 @@ def instrument_plan(root: PlanOp) -> Dict[int, OpStats]:
         if id(op) in stats:
             return
         st = stats[id(op)] = OpStats(op)
-        if isinstance(op, VecOp):
-            # Vectorized operators produce batches; `VecOp.rows` iterates
-            # `self.batches`, so shadowing the instance's `batches` also
-            # counts consumption through the row interface — exactly once.
-            inner_batches = op.batches  # bound method, captured first
-
-            def counted_batches(env, _inner=inner_batches, _st=st):
-                _st.loops += 1
+        # the default binds the original method before it is shadowed
+        def counted_batches(env, _inner=op.batches, _st=st):
+            _st.loops += 1
+            begin = time.perf_counter()
+            iterator = iter(_inner(env))
+            _st.time_s += time.perf_counter() - begin
+            while True:
                 begin = time.perf_counter()
-                iterator = iter(_inner(env))
-                _st.time_s += time.perf_counter() - begin
-                while True:
-                    begin = time.perf_counter()
-                    try:
-                        batch = next(iterator)
-                    except StopIteration:
-                        _st.time_s += time.perf_counter() - begin
-                        return
+                try:
+                    batch = next(iterator)
+                except StopIteration:
                     _st.time_s += time.perf_counter() - begin
-                    _st.batches += 1
-                    _st.rows_out += batch.num_active
-                    yield batch
-
-            op.batches = counted_batches  # type: ignore[method-assign]
-        else:
-            inner = op.rows  # bound method, captured before shadowing
-
-            def counted_rows(env, _inner=inner, _st=st):
-                _st.loops += 1
-                begin = time.perf_counter()
-                iterator = iter(_inner(env))
+                    return
                 _st.time_s += time.perf_counter() - begin
-                while True:
-                    begin = time.perf_counter()
-                    try:
-                        row = next(iterator)
-                    except StopIteration:
-                        _st.time_s += time.perf_counter() - begin
-                        return
-                    _st.time_s += time.perf_counter() - begin
-                    _st.rows_out += 1
-                    yield row
+                _st.batches += 1
+                _st.rows_out += batch.num_active
+                yield batch
 
-            op.rows = counted_rows  # type: ignore[method-assign]
+        op.batches = counted_batches  # type: ignore[method-assign]
         for child in op.children():
             wrap(child)
 

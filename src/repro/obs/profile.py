@@ -5,8 +5,8 @@ server's ``wire.<op>`` span, or the engine's ``statement`` span) and
 aggregates it into a small JSON-ready dict:
 
 * ``stages`` — the statement pipeline (parse, build_qgm, rewrite,
-  optimize, execute) in milliseconds, plus the batch count when the
-  vectorized executor ran;
+  optimize, execute) in milliseconds, plus the batch count when an
+  instrumented (EXPLAIN ANALYZE) execution recorded one;
 * ``scatter`` — per-shard durations of the XNF scatter/gather stage,
   keyed by shard id, with a ``skew`` ratio (slowest shard over mean)
   exposing stragglers;

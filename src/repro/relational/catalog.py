@@ -417,7 +417,7 @@ class Table:
                     yield rid, image
 
     def scan_row_chunks(self) -> Iterator[List[Tuple[Any, ...]]]:
-        """Row chunks for the vectorized scan: page-at-a-time, resolved
+        """Row chunks for the batch scan: page-at-a-time, resolved
         against the snapshot only where the table is versioned."""
         state = self._mvcc_read_state()
         if state is None:
@@ -677,9 +677,10 @@ class VirtualTable:
     the *live* registry state even when the plan that drives it was served
     from the plan cache (the cache stores plans, not results; see
     ``CacheEntry.volatile``).  Virtual tables duck-type the read path of
-    :class:`Table` — columns, positions, stats, ``scan()``/``fetch()`` —
-    which is all the planner and executor need; every write-path entry
-    point raises :class:`CatalogError`.
+    :class:`Table` — columns, positions, stats, ``scan()``,
+    ``scan_row_chunks()`` and ``fetch()`` — which is all the planner and
+    executor need; every write-path entry point raises
+    :class:`CatalogError`.
     """
 
     is_virtual = True
@@ -731,6 +732,11 @@ class VirtualTable:
                     f"values, expected {width}"
                 )
             yield rid, values
+
+    def scan_row_chunks(self) -> Iterator[List[Tuple[Any, ...]]]:
+        """The batch scan's view of :meth:`scan`: one chunk per provider
+        pull."""
+        yield [row for _, row in self.scan()]
 
     def fetch(self, rid: int) -> Tuple[Any, ...]:
         for current, row in self.scan():

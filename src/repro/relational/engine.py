@@ -41,7 +41,6 @@ from repro.obs.trace import TraceContext, Tracer
 from repro.relational.catalog import Catalog, Column, ShardedTable, Table
 from repro.relational.storage.sharded import PartitionSpec
 from repro.relational.executor.exprs import PlanContext
-from repro.relational.executor.vectorized import VecOp
 from repro.relational.optimizer.planner import CompiledPlan, Planner
 from repro.relational.plancache import (
     CacheEntry,
@@ -243,7 +242,6 @@ class Database:
         slow_query_threshold_s: Optional[float] = None,
         statement_stats: bool = True,
         optimizer_feedback: bool = False,
-        executor: Optional[str] = None,
         mvcc: bool = True,
         max_concurrent_txns: Optional[int] = None,
         shards: Optional[int] = None,
@@ -277,17 +275,6 @@ class Database:
         self.io_retries = io_retries
         self.io_retry_backoff_s = io_retry_backoff_s
         self.enable_rewrite = enable_rewrite
-        #: physical executor mode: "row" (tuple-at-a-time), "batch"
-        #: (vectorized wherever possible), or "auto" (vectorize scans of
-        #: tables past a small-row threshold).  Resolution order: explicit
-        #: ``executor=`` argument, then the REPRO_EXECUTOR environment
-        #: variable, then "auto".
-        mode = executor or os.environ.get("REPRO_EXECUTOR") or "auto"
-        if mode not in ("row", "auto", "batch"):
-            raise ExecutionError(
-                f"unknown executor mode {mode!r} (expected row, auto or batch)"
-            )
-        self.executor_mode = mode
         #: default shard count for CREATE TABLE: explicit ``shards=``
         #: argument, then the REPRO_SHARDS environment variable, else 0
         #: (unsharded).  Values < 2 mean unsharded.  Sharded heaps are
@@ -636,7 +623,7 @@ class Database:
         start = time.perf_counter()
         with self.tracer.span("execute") as span:
             rows = self._execute_plan(plan, None)
-            span.annotate(rows=len(rows), executor=self.executor_mode)
+            span.annotate(rows=len(rows))
             batches = sum(stat.batches for stat in op_stats.values())
             if batches:
                 span.annotate(batches=batches)
@@ -804,9 +791,7 @@ class Database:
 
     def _planner(self) -> Planner:
         return Planner(
-            self.catalog,
-            feedback=self.feedback if self.optimizer_feedback else None,
-            mode=self.executor_mode,
+            self.catalog, feedback=self.feedback if self.optimizer_feedback else None
         )
 
     def compile_box(self, box: Box) -> CompiledPlan:
@@ -839,7 +824,7 @@ class Database:
         start = time.perf_counter()
         with self.tracer.span("execute") as span:
             rows = self._execute_plan(plan, values)
-            span.annotate(rows=len(rows), executor=self.executor_mode)
+            span.annotate(rows=len(rows))
             if op_stats is not None:
                 batches = sum(stat.batches for stat in op_stats.values())
                 if batches:
@@ -858,7 +843,7 @@ class Database:
         start = time.perf_counter()
         with self.tracer.span("execute") as span:
             rows = self._execute_plan(plan, values + list(normalized.lifted_values))
-            span.annotate(rows=len(rows), executor=self.executor_mode)
+            span.annotate(rows=len(rows))
         self.last_timings["execute"] = time.perf_counter() - start
         return Result(plan.columns, rows, len(rows))
 
@@ -912,9 +897,9 @@ class Database:
     def _collect_rows(self, plan: CompiledPlan) -> List[Tuple[Any, ...]]:
         """Materialize a plan's rows under the execution guards.
 
-        * the statement timeout is checked per produced row (per batch for
-          vectorized plans), so a runaway query aborts with
-          :class:`ResourceExhaustedError` instead of spinning;
+        * the statement timeout is checked per produced batch, so a runaway
+          query aborts with :class:`ResourceExhaustedError` instead of
+          spinning;
         * a transient :class:`IOFaultError` (injected read error) restarts
           the whole collection after a short backoff, up to ``io_retries``
           times — queries have no side effects, so re-running the plan's
@@ -929,34 +914,13 @@ class Database:
             )
             try:
                 rows: List[Tuple[Any, ...]] = []
-                if isinstance(plan.op, VecOp):
-                    # Drain a vectorized root batch-at-a-time: one transpose
-                    # per batch instead of one generator hop per row.
-                    for batch in plan.batches():
-                        if deadline is not None and time.perf_counter() > deadline:
-                            raise ResourceExhaustedError(
-                                "query exceeded statement timeout of "
-                                f"{self.statement_timeout_s}s"
-                            )
-                        rows.extend(batch.to_rows())
+                # one transpose per batch instead of one generator hop per row
+                for batch in plan.batches():
                     if deadline is not None and time.perf_counter() > deadline:
-                        raise ResourceExhaustedError(
-                            "query exceeded statement timeout of "
-                            f"{self.statement_timeout_s}s"
-                        )
-                    return rows
-                for row in plan.rows():
-                    if deadline is not None and time.perf_counter() > deadline:
-                        raise ResourceExhaustedError(
-                            "query exceeded statement timeout of "
-                            f"{self.statement_timeout_s}s"
-                        )
-                    rows.append(row)
+                        self._timed_out()
+                    rows.extend(batch.to_rows())
                 if deadline is not None and time.perf_counter() > deadline:
-                    raise ResourceExhaustedError(
-                        "query exceeded statement timeout of "
-                        f"{self.statement_timeout_s}s"
-                    )
+                    self._timed_out()
                 return rows
             except IOFaultError as err:
                 if err.transient and attempt < self.io_retries:
@@ -968,6 +932,11 @@ class Database:
                     continue
                 raise
         raise AssertionError("unreachable")  # pragma: no cover
+
+    def _timed_out(self) -> None:
+        raise ResourceExhaustedError(
+            f"query exceeded statement timeout of {self.statement_timeout_s}s"
+        )
 
     # -- DML ------------------------------------------------------------------
 

@@ -1,28 +1,21 @@
-"""Query executor: row-at-a-time and vectorized batch pipelines.
+"""Query executor: one batch-at-a-time operator family.
 
-Physical operators come in two interchangeable families producing
-identical results:
+Physical operators (:mod:`~repro.relational.executor.operators`) exchange
+:class:`~repro.relational.executor.batch.Batch` column vectors (~1024 rows)
+with selection vectors; ``rows()`` flattens any operator's batches for
+consumers that want tuples.  Expressions are compiled once per plan
+(:mod:`~repro.relational.executor.exprs`): filters and values to
+whole-column kernels (:mod:`~repro.relational.executor.batch`), everything
+without a kernel — subqueries, CASE — to a row closure applied per live
+row.  Correlated subqueries run as parameterised subplans against an
+environment stack, memoised when uncorrelated.
 
-* Row pipeline (:mod:`~repro.relational.executor.operators`): operators
-  consume and produce plain Python tuples; expressions are compiled to
-  closures over tuple positions (:mod:`~repro.relational.executor.exprs`).
-  Correlated subqueries run as parameterised subplans against an
-  environment stack, memoised when uncorrelated.
-* Batch pipeline (:mod:`~repro.relational.executor.vectorized`):
-  operators exchange :class:`~repro.relational.executor.batch.Batch`
-  column vectors (~1024 rows) with selection vectors; filter and value
-  expressions are compiled once per plan to whole-column kernels
-  (:mod:`~repro.relational.executor.batch`).  The planner picks the
-  pipeline per subtree (cost-based under ``auto`` mode) and bridges the
-  two with ``RowSource`` / ``VecOp.rows()``.
-
-All column resolution happens at plan-compile time in both pipelines.
+All column resolution happens at plan-compile time.
 """
 
 from repro.relational.executor.exprs import ExprCompiler, Layout
 from repro.relational.executor import operators
 from repro.relational.executor.batch import BATCH_SIZE, Batch
-from repro.relational.executor import vectorized
 
 __all__ = [
     "ExprCompiler",
@@ -30,5 +23,4 @@ __all__ = [
     "operators",
     "BATCH_SIZE",
     "Batch",
-    "vectorized",
 ]

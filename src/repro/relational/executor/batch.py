@@ -1,4 +1,4 @@
-"""Column-vector batches: the unit of work of the vectorized executor.
+"""Column-vector batches: the unit of work of the executor.
 
 A :class:`Batch` is a fixed-capacity chunk of rows stored column-wise:
 ``columns[pos][i]`` is the value of column *pos* in row *i*.  An optional
@@ -17,9 +17,10 @@ instead of several closure calls per row.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import TypeCheckError
+from repro.relational.types import sql_in
 
 #: Rows per batch.  Big enough to amortise per-batch dispatch, small enough
 #: that a batch's columns stay cache-friendly and LIMIT does not overshoot
@@ -91,27 +92,23 @@ class Batch:
         return list(zip(*[[col[i] for i in sel] for col in cols]))
 
 
-def batch_from_rows(rows: Sequence[Tuple[Any, ...]], width: int) -> Batch:
+def batch_from_rows(rows: Sequence[Tuple[Any, ...]]) -> Batch:
     """Transpose row tuples into a dense batch (C-speed via ``zip``)."""
-    if not rows:
-        return Batch([[] for _ in range(width)], 0)
     return Batch(list(zip(*rows)), len(rows))
 
 
-def batches_from_rows(
-    rows: Iterator[Tuple[Any, ...]], width: int, batch_size: int = BATCH_SIZE
-) -> Iterator[Batch]:
+def batches_from_rows(rows: Iterable[Tuple[Any, ...]]) -> Iterator[Batch]:
     """Chunk a row iterator into dense batches."""
     buffer: List[Tuple[Any, ...]] = []
     append = buffer.append
     for row in rows:
         append(row)
-        if len(buffer) >= batch_size:
-            yield batch_from_rows(buffer, width)
+        if len(buffer) >= BATCH_SIZE:
+            yield batch_from_rows(buffer)
             buffer = []
             append = buffer.append
     if buffer:
-        yield batch_from_rows(buffer, width)
+        yield batch_from_rows(buffer)
 
 
 def gather(column: Sequence[Any], idx: Sequence[int]) -> Sequence[Any]:
@@ -215,25 +212,35 @@ def _same_domain(a: Any, b: Any) -> bool:
 
 
 def sel_in_set(
-    column: Sequence[Any],
-    idx: Sequence[int],
-    values: frozenset,
-    has_null_item: bool,
-    negated: bool,
+    column: Sequence[Any], idx: Sequence[int], items: Sequence[Any], negated: bool
 ) -> List[int]:
-    """Keep indices satisfying ``column[i] [NOT] IN values``.
+    """Keep indices satisfying ``column[i] [NOT] IN items``.
 
-    3VL as in the row engine's fold: a NULL probe is unknown (dropped); for
-    NOT IN, a NULL *item* makes every non-match unknown (dropped).  Set
-    membership hashes once per row instead of comparing once per item —
-    the algorithmic half of the vectorized IN speedup.
+    Answers and raises exactly as the row evaluator's left-to-right fold of
+    ``sql_compare("=", value, item)``: a NULL probe is unknown (dropped);
+    for NOT IN, a NULL *item* makes every non-match unknown (dropped); a
+    probe whose domain no non-NULL item shares raises TypeCheckError.  When
+    the non-NULL items share one domain, set membership hashes once per row
+    instead of comparing once per item.
     """
+    values = frozenset(v for v in items if v is not None)
+    if not values:
+        return []  # every item NULL: unknown for every row, nothing compared
+    if all(isinstance(v, NUMERIC) for v in values):
+        ok = NUMERIC
+    elif all(isinstance(v, str) for v in values):
+        ok = str  # type: ignore[assignment]
+    else:  # mixed domains: whether a row raises depends on the item order
+        want = not negated
+        return [i for i in idx if sql_in(column[i], items) is want]
+    first = next(v for v in items if v is not None)
     if negated:
-        if has_null_item:
-            return []
-        return [i for i in idx
-                if (v := column[i]) is not None and v not in values]
-    return [i for i in idx if (v := column[i]) is not None and v in values]
+        keep = all(v is not None for v in items)
+        return [i for i in idx if (v := column[i]) is not None
+                and ((keep and v not in values) if isinstance(v, ok)
+                     else _domain_error(v, first))]
+    return [i for i in idx if (v := column[i]) is not None
+            and (v in values if isinstance(v, ok) else _domain_error(v, first))]
 
 
 def sel_is_null(

@@ -5,9 +5,11 @@ current operator's tuple and *env* is the environment stack — a list of
 ``{(quantifier, column): value}`` dicts pushed by enclosing queries (for
 correlated subqueries) and by the XNF path-expression evaluator.
 
-Compiling once and evaluating many times is what makes tuple-at-a-time
-execution tolerable in Python; it also mirrors Starburst's "query refinement"
-stage, which emits an executable plan rather than re-interpreting QGM.
+:class:`VecExprCompiler` compiles the same expressions to closures over a
+whole column batch, falling back to the row closure per live row where no
+batch kernel exists.  Compiling once and evaluating many times mirrors
+Starburst's "query refinement" stage, which emits an executable plan
+rather than re-interpreting QGM.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from repro.relational.sql import ast
 from repro.relational.types import (
     sql_arith,
     sql_compare,
+    sql_in,
     sql_like,
     tv_and,
     tv_not,
@@ -425,7 +428,7 @@ _SCALAR_IMPLS = {
 
 
 # ---------------------------------------------------------------------------
-# Vectorized expression compilation (the batch executor's inner loops)
+# Batch expression compilation (the executor's inner loops)
 # ---------------------------------------------------------------------------
 
 #: Computes one value per live row: ``vfn(columns, idx, env) -> list``.
@@ -437,44 +440,34 @@ SelFn = Callable[[Sequence[Sequence[Any]], Sequence[int], List[Dict]], List[int]
 _VEC_COMPARISONS = ("=", "<>", "<", "<=", ">", ">=")
 
 
-class VecExprCompiler:
+class VecExprCompiler(ExprCompiler):
     """Compiles resolved expressions into *vector* closures over a batch.
 
     ``compile_value`` returns a closure producing one value per live row;
     ``compile_filter`` returns a closure shrinking a selection vector to the
-    rows on which the predicate is True.  Both return ``None`` when the
-    expression is not vectorizable (subqueries, CASE, …) — the planner then
-    falls back to the row pipeline for that operator.  Compilation happens
-    once per plan; the closures run once per *batch*, which is the whole
-    point: per-row closure dispatch is replaced by per-batch loops over
-    column lists (see :mod:`repro.relational.executor.batch`).
+    rows on which the predicate is True.  Column references, constants,
+    comparisons, arithmetic, IN lists, LIKE and scalar functions have batch
+    kernels (see :mod:`repro.relational.executor.batch`) that run one loop
+    per batch; an expression with none (a subquery, CASE, …) compiles to
+    the row closure of :meth:`ExprCompiler.compile`, applied to each live
+    row.  The inherited row closures serve join residuals, sort keys and
+    aggregate finalisers.
     """
-
-    def __init__(self, layout: Layout, context: Optional[PlanContext] = None):
-        self.layout = layout
-        self.context = context
 
     # -- filters ---------------------------------------------------------------
 
-    def compile_filter(self, expr: ast.Expr) -> Optional[SelFn]:
+    def compile_filter(self, expr: ast.Expr) -> SelFn:
         from repro.relational.executor import batch as B
 
         if isinstance(expr, ast.BinaryOp):
             if expr.op == "AND":
                 left = self.compile_filter(expr.left)
                 right = self.compile_filter(expr.right)
-                if left is not None and right is not None:
-                    # Sequential selection is exact 3VL filtering:
-                    # (a AND b) is True  ⇔  a is True and b is True.
-                    return lambda cols, idx, env: right(
-                        cols, left(cols, idx, env), env
-                    )
-                return self._truth_filter(expr)
+                # Sequential selection is exact 3VL filtering:
+                # (a AND b) is True  ⇔  a is True and b is True.
+                return lambda cols, idx, env: right(cols, left(cols, idx, env), env)
             if expr.op in _VEC_COMPARISONS:
-                sel = self._filter_comparison(expr)
-                if sel is not None:
-                    return sel
-                return self._truth_filter(expr)
+                return self._filter_comparison(expr) or self._truth_filter(expr)
             if expr.op == "LIKE":
                 pos = self._column_position(expr.left)
                 pattern = expr.right
@@ -485,7 +478,6 @@ class VecExprCompiler:
                     return lambda cols, idx, env: B.sel_like_const(
                         cols[pos], idx, pat, False
                     )
-                return self._truth_filter(expr)
             return self._truth_filter(expr)
         if isinstance(expr, ast.IsNull):
             pos = self._column_position(expr.operand)
@@ -496,10 +488,7 @@ class VecExprCompiler:
                 )
             return self._truth_filter(expr)
         if isinstance(expr, ast.InList):
-            sel = self._filter_in_list(expr)
-            if sel is not None:
-                return sel
-            return self._truth_filter(expr)
+            return self._filter_in_list(expr) or self._truth_filter(expr)
         if isinstance(expr, ast.Between) and not expr.negated:
             pos = self._column_position(expr.operand)
             low = self._const_fetch(expr.low)
@@ -511,16 +500,13 @@ class VecExprCompiler:
                     return B.sel_cmp_const(col, idx, "<=", high(env))
 
                 return sel_between
-            return self._truth_filter(expr)
         return self._truth_filter(expr)
 
-    def _truth_filter(self, expr: ast.Expr) -> Optional[SelFn]:
-        """Fallback: compute the 3VL truth vector, keep the True rows."""
+    def _truth_filter(self, expr: ast.Expr) -> SelFn:
+        """Compute the 3VL truth vector, keep the True rows."""
         from repro.relational.executor.batch import sel_from_truth
 
         vfn = self.compile_value(expr)
-        if vfn is None:
-            return None
         return lambda cols, idx, env: sel_from_truth(idx, vfn(cols, idx, env))
 
     def _filter_comparison(self, expr: ast.BinaryOp) -> Optional[SelFn]:
@@ -553,75 +539,51 @@ class VecExprCompiler:
         return None
 
     def _filter_in_list(self, expr: ast.InList) -> Optional[SelFn]:
+        """``column [NOT] IN (constants)``: the hashed kernel, whose answers
+        and errors are those of the row fold in ``_compile_in_list``."""
         from repro.relational.executor import batch as B
 
         pos = self._column_position(expr.operand)
-        if pos is None:
-            return None
         fetchers = [self._const_fetch(item) for item in expr.items]
-        if any(fetch is None for fetch in fetchers):
+        if pos is None or any(fetch is None for fetch in fetchers):
             return None
         negated = expr.negated
-        if all(isinstance(item, ast.Literal) for item in expr.items):
-            literals = [item.value for item in expr.items]  # type: ignore[union-attr]
-            values = frozenset(v for v in literals if v is not None)
-            has_null = len(values) != len(literals)
-            return lambda cols, idx, env: B.sel_in_set(
-                cols[pos], idx, values, has_null, negated
-            )
-
-        def sel_in(cols, idx, env):
-            items = [fetch(env) for fetch in fetchers]  # type: ignore[misc]
-            values = frozenset(v for v in items if v is not None)
-            return B.sel_in_set(
-                cols[pos], idx, values, len(values) != len(items), negated
-            )
-
-        return sel_in
+        return lambda cols, idx, env: B.sel_in_set(
+            cols[pos], idx, [fetch(env) for fetch in fetchers], negated  # type: ignore[misc]
+        )
 
     # -- values ----------------------------------------------------------------
 
-    def compile_value(self, expr: ast.Expr) -> Optional[VecValueFn]:
+    def compile_value(self, expr: ast.Expr) -> VecValueFn:
         from repro.relational.executor.batch import gather
 
         if isinstance(expr, ast.Literal):
             value = expr.value
             return lambda cols, idx, env: [value] * len(idx)
-        if isinstance(expr, ast.Parameter):
+        if isinstance(expr, ast.Parameter) and self.context is not None:
             ctx = self.context
-            if ctx is None:
-                return None
             slot = expr.index
             return lambda cols, idx, env: [ctx.params[slot]] * len(idx)
         if isinstance(expr, QGMColumnRef):
-            key = (expr.quantifier, expr.column)
-            if key not in self.layout:
-                return None
-            pos = self.layout[key]
-            return lambda cols, idx, env: gather(cols[pos], idx)
+            pos = self.layout.get((expr.quantifier, expr.column))
+            if pos is not None:
+                return lambda cols, idx, env: gather(cols[pos], idx)
         if isinstance(expr, OuterRef):
-            key = (expr.quantifier, expr.column)
-            lookup = _compile_outer_ref(key)
+            lookup = _compile_outer_ref((expr.quantifier, expr.column))
             return lambda cols, idx, env: [lookup((), env)] * len(idx)
         if isinstance(expr, ast.BinaryOp):
             return self._value_binary(expr)
-        if isinstance(expr, ast.UnaryOp):
+        if isinstance(expr, ast.UnaryOp) and expr.op in ("NOT", "-"):
             operand = self.compile_value(expr.operand)
-            if operand is None:
-                return None
             if expr.op == "NOT":
                 return lambda cols, idx, env: [
                     tv_not(v) for v in operand(cols, idx, env)
                 ]
-            if expr.op == "-":
-                return lambda cols, idx, env: [
-                    None if v is None else -v for v in operand(cols, idx, env)
-                ]
-            return None
+            return lambda cols, idx, env: [
+                None if v is None else -v for v in operand(cols, idx, env)
+            ]
         if isinstance(expr, ast.IsNull):
             operand = self.compile_value(expr.operand)
-            if operand is None:
-                return None
             if expr.negated:
                 return lambda cols, idx, env: [
                     v is not None for v in operand(cols, idx, env)
@@ -633,17 +595,32 @@ class VecExprCompiler:
             return self._value_between(expr)
         if isinstance(expr, ast.InList):
             return self._value_in_list(expr)
-        if isinstance(expr, ast.FuncCall):
+        if isinstance(expr, ast.FuncCall) and not expr.is_aggregate:
             return self._value_func(expr)
-        # SubqueryExpr, Case and anything unknown: not vectorizable.
-        return None
+        return self._per_row(expr)
 
-    def _value_binary(self, expr: ast.BinaryOp) -> Optional[VecValueFn]:
+    def _per_row(self, expr: ast.Expr) -> VecValueFn:
+        """No batch kernel: the row closure, applied to each live row.
+
+        Compiling through :meth:`ExprCompiler.compile` also raises the row
+        compiler's errors (unknown column, unbound parameter, aggregate
+        outside GROUP BY) at plan time.
+        """
+        from repro.relational.executor.batch import gather
+
+        fn = self.compile(expr)
+
+        def run(cols, idx, env):
+            if not cols:
+                return [fn((), env) for _ in idx]
+            return [fn(row, env) for row in zip(*[gather(col, idx) for col in cols])]
+
+        return run
+
+    def _value_binary(self, expr: ast.BinaryOp) -> VecValueFn:
         op = expr.op
         left = self.compile_value(expr.left)
         right = self.compile_value(expr.right)
-        if left is None or right is None:
-            return None
         if op == "AND":
             return lambda cols, idx, env: [
                 tv_and(a, b)
@@ -689,14 +666,12 @@ class VecExprCompiler:
                 sql_like(a, b)
                 for a, b in zip(left(cols, idx, env), right(cols, idx, env))
             ]
-        return None
+        return self._per_row(expr)
 
-    def _value_between(self, expr: ast.Between) -> Optional[VecValueFn]:
+    def _value_between(self, expr: ast.Between) -> VecValueFn:
         operand = self.compile_value(expr.operand)
         low = self.compile_value(expr.low)
         high = self.compile_value(expr.high)
-        if operand is None or low is None or high is None:
-            return None
         negated = expr.negated
 
         def run(cols, idx, env):
@@ -712,49 +687,36 @@ class VecExprCompiler:
 
         return run
 
-    def _value_in_list(self, expr: ast.InList) -> Optional[VecValueFn]:
+    def _value_in_list(self, expr: ast.InList) -> VecValueFn:
         operand = self.compile_value(expr.operand)
         items = [self.compile_value(item) for item in expr.items]
-        if operand is None or any(item is None for item in items):
-            return None
         negated = expr.negated
 
         def run(cols, idx, env):
-            value_vec = operand(cols, idx, env)
-            item_vecs = [item(cols, idx, env) for item in items]  # type: ignore[misc]
+            item_vecs = [item(cols, idx, env) for item in items]
             out = []
-            for row_pos, value in enumerate(value_vec):
-                result: Optional[bool] = False
-                for item_vec in item_vecs:
-                    result = tv_or(
-                        result, sql_compare("=", value, item_vec[row_pos])
-                    )
-                    if result is True:
-                        break
+            for value, row_items in zip(operand(cols, idx, env), zip(*item_vecs)):
+                result = sql_in(value, row_items)
                 out.append(tv_not(result) if negated else result)
             return out
 
         return run
 
-    def _value_func(self, expr: ast.FuncCall) -> Optional[VecValueFn]:
-        if expr.is_aggregate:
-            return None
+    def _value_func(self, expr: ast.FuncCall) -> VecValueFn:
         args = [self.compile_value(arg) for arg in expr.args]
-        if any(arg is None for arg in args):
-            return None
         name = expr.name
         if name.startswith("CAST_"):
             type_name = name[5:]
             arg0 = args[0]
             return lambda cols, idx, env: [
-                cast_value(type_name, v) for v in arg0(cols, idx, env)  # type: ignore[misc]
+                cast_value(type_name, v) for v in arg0(cols, idx, env)
             ]
         impl = _SCALAR_IMPLS.get(name)
         if impl is None:
-            return None
+            return self._per_row(expr)
 
         def run(cols, idx, env):
-            arg_vecs = [arg(cols, idx, env) for arg in args]  # type: ignore[misc]
+            arg_vecs = [arg(cols, idx, env) for arg in args]
             return [impl(list(row_args)) for row_args in zip(*arg_vecs)] if arg_vecs else [
                 impl([]) for _ in idx
             ]

@@ -1,16 +1,34 @@
-"""Physical plan operators.
+"""Physical plan operators: one batch-at-a-time family.
 
-Every operator is *re-iterable*: ``rows(env)`` starts a fresh scan, so the
-same plan object can serve as a correlated subplan executed once per outer
-row (with a different environment each time).  Operators hold only compiled
-closures and child operators — never per-run state.
+Every operator produces :class:`~repro.relational.executor.batch.Batch`
+objects — column vectors with an optional selection vector — from
+``batches(env)``; ``rows(env)`` flattens them for the consumers that want
+tuples (correlated subplans, nested-loop inner sides, set operations).
+
+Every operator is *re-iterable*: ``batches(env)`` starts a fresh run, so
+the same plan object can serve as a correlated subplan executed once per
+outer row (with a different environment each time).  Operators hold only
+compiled closures and child operators — never per-run state.
+
+Filters evaluate a compiled *selection function* once per batch and only
+shrink the selection vector — column data is never copied; projections
+and joins compact to dense batches on output.  Join residuals, sort keys
+and aggregate finalisers are row closures over the combined tuple.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, TypeCheckError
+from repro.relational.executor.batch import (
+    BATCH_SIZE,
+    NUMERIC,
+    Batch,
+    batch_from_rows,
+    batches_from_rows,
+)
+from repro.relational.executor.exprs import SelFn, VecValueFn
 from repro.relational.types import sort_key
 
 Row = Tuple[Any, ...]
@@ -19,12 +37,16 @@ RowFn = Callable[[Row, Env], Any]
 
 
 class PlanOp:
-    """Base class: re-iterable row source with an explain tree."""
+    """Base class: re-iterable batch source with an explain tree."""
 
     label = "plan"
 
-    def rows(self, env: Env) -> Iterator[Row]:
+    def batches(self, env: Env) -> Iterable[Batch]:
         raise NotImplementedError
+
+    def rows(self, env: Env) -> Iterator[Row]:
+        for batch in self.batches(env):
+            yield from batch.iter_rows()
 
     def children(self) -> List["PlanOp"]:
         return []
@@ -34,6 +56,22 @@ class PlanOp:
         for child in self.children():
             lines.append(child.explain(indent + 1))
         return "\n".join(lines)
+
+
+def _rebatch(rows: Sequence[Row]) -> Iterator[Batch]:
+    """Chunk a materialised row list into dense batches."""
+    for start in range(0, len(rows), BATCH_SIZE):
+        yield batch_from_rows(rows[start : start + BATCH_SIZE])
+
+
+def _join_keys(key_fns: Sequence[VecValueFn], batch: Batch, env: Env) -> Sequence[Any]:
+    """One hash key per live row of *batch*; None where a component is NULL
+    (NULL never equi-joins)."""
+    cols, idx = batch.columns, batch.active_indices()
+    vecs = [fn(cols, idx, env) for fn in key_fns]
+    if len(vecs) == 1:
+        return vecs[0]
+    return [None if None in key else key for key in zip(*vecs)]
 
 
 def _key_matches(positions: Sequence[int]) -> Callable[[Row, Row], bool]:
@@ -46,24 +84,37 @@ def _key_matches(positions: Sequence[int]) -> Callable[[Row, Row], bool]:
 
 
 class SeqScan(PlanOp):
-    """Full scan of a base table; optionally emits the RID as column 0."""
+    """Full scan emitting column batches straight from heap pages.
+
+    Pages yield plain row lists (``Table.scan_row_chunks`` passes clean
+    pages through as read and snapshot-resolves the rest), transposed
+    batch-at-a-time.  With *emit_rid* the RID is column 0 — DML's
+    row-finding plans.  A SYS_* virtual table's provider is re-pulled on
+    every ``batches()`` call, so a cached plan reads the live registry.
+    """
 
     def __init__(self, table, emit_rid: bool = False):
         self.table = table
         self.emit_rid = emit_rid
         self.label = f"SeqScan({table.name})"
 
-    def rows(self, env: Env) -> Iterator[Row]:
+    def batches(self, env: Env) -> Iterator[Batch]:
         if self.emit_rid:
-            for rid, row in self.table.scan():
-                yield (rid,) + row
-        else:
-            for _, row in self.table.scan():
-                yield row
+            yield from batches_from_rows((rid,) + row for rid, row in self.table.scan())
+            return
+        buffer: List[Row] = []
+        for chunk in self.table.scan_row_chunks():
+            buffer.extend(chunk)
+            if len(buffer) >= BATCH_SIZE:
+                yield batch_from_rows(buffer)
+                buffer = []
+        if buffer:
+            yield batch_from_rows(buffer)
 
 
 class IndexEqScan(PlanOp):
-    """Equality lookup via an index; key values may depend only on env."""
+    """Equality lookup via an index, one batch per probe; key values may
+    depend only on env."""
 
     def __init__(self, table, index, key_fns: Sequence[RowFn], emit_rid: bool = False):
         self.table = table
@@ -73,17 +124,17 @@ class IndexEqScan(PlanOp):
         self._verify = _key_matches(index.column_positions)
         self.label = f"IndexEqScan({table.name}.{index.name})"
 
-    def rows(self, env: Env) -> Iterator[Row]:
-        key = tuple(fn((), env) for fn in self.key_fns)
-        if any(component is None for component in key):
-            return
-        yield from self.table.probe(
-            self.index.search(key), self._verify, key, self.emit_rid
-        )
+    def batches(self, env: Env) -> Iterable[Batch]:
+        key = tuple([fn((), env) for fn in self.key_fns])
+        if None in key:
+            return ()
+        rows = self.table.probe(self.index.search(key), self._verify, key, self.emit_rid)
+        return (batch_from_rows(rows),) if rows else ()
 
 
 class IndexRangeScan(PlanOp):
-    """Range scan over a B+-tree index (single-column bounds)."""
+    """Range scan over a B+-tree index (single-column bounds), one batch
+    per probe."""
 
     def __init__(
         self,
@@ -104,17 +155,17 @@ class IndexRangeScan(PlanOp):
         self.emit_rid = emit_rid
         self.label = f"IndexRangeScan({table.name}.{index.name})"
 
-    def rows(self, env: Env) -> Iterator[Row]:
+    def batches(self, env: Env) -> Iterable[Batch]:
         low = high = None
         if self.low_fn is not None:
             value = self.low_fn((), env)
             if value is None:
-                return
+                return ()
             low = (value,)
         if self.high_fn is not None:
             value = self.high_fn((), env)
             if value is None:
-                return
+                return ()
             high = (value,)
         rids = [
             rid
@@ -122,7 +173,8 @@ class IndexRangeScan(PlanOp):
                 low, high, self.low_inclusive, self.high_inclusive
             )
         ]
-        yield from self.table.probe(rids, self._in_bounds, (low, high), self.emit_rid)
+        rows = self.table.probe(rids, self._in_bounds, (low, high), self.emit_rid)
+        return (batch_from_rows(rows),) if rows else ()
 
     def _in_bounds(self, row: Row, bounds) -> bool:
         """Re-verify the range predicate on a snapshot-resolved image."""
@@ -152,38 +204,48 @@ class ValuesOp(PlanOp):
         self.context = context
         self.label = f"Values({len(rows_)} rows)" if param is None else f"Values(?{param})"
 
-    def rows(self, env: Env) -> Iterator[Row]:
+    def batches(self, env: Env) -> Iterator[Batch]:
         if self.param is None:
-            return iter(self._rows)
-        return iter(self.context.params[self.param])
+            return _rebatch(self._rows)
+        return _rebatch(self.context.params[self.param])
 
 
 class Filter(PlanOp):
-    def __init__(self, child: PlanOp, predicate: RowFn, label: str = ""):
+    """Filter by shrinking the selection vector; columns are shared."""
+
+    def __init__(self, child: PlanOp, sel_fn: SelFn, label: str = ""):
         self.child = child
-        self.predicate = predicate
+        self.sel_fn = sel_fn
         self.label = f"Filter({label})" if label else "Filter"
 
-    def rows(self, env: Env) -> Iterator[Row]:
-        predicate = self.predicate
-        for row in self.child.rows(env):
-            if predicate(row, env) is True:
-                yield row
+    def batches(self, env: Env) -> Iterator[Batch]:
+        sel_fn = self.sel_fn
+        for batch in self.child.batches(env):
+            sel = sel_fn(batch.columns, batch.active_indices(), env)
+            if sel:
+                yield Batch(batch.columns, batch.length, sel)
 
     def children(self) -> List[PlanOp]:
         return [self.child]
 
 
 class Project(PlanOp):
-    def __init__(self, child: PlanOp, exprs: Sequence[RowFn], label: str = ""):
+    """Compute output columns per batch; output batches are dense."""
+
+    def __init__(self, child: PlanOp, vfns: Sequence[VecValueFn], label: str = ""):
         self.child = child
-        self.exprs = list(exprs)
+        self.vfns = list(vfns)
         self.label = f"Project({label})" if label else "Project"
 
-    def rows(self, env: Env) -> Iterator[Row]:
-        exprs = self.exprs
-        for row in self.child.rows(env):
-            yield tuple(fn(row, env) for fn in exprs)
+    def batches(self, env: Env) -> Iterator[Batch]:
+        vfns = self.vfns
+        for batch in self.child.batches(env):
+            idx = batch.active_indices()
+            count = len(idx)
+            if count == 0:
+                continue
+            cols = batch.columns
+            yield Batch([vfn(cols, idx, env) for vfn in vfns], count)
 
     def children(self) -> List[PlanOp]:
         return [self.child]
@@ -207,33 +269,47 @@ class NestedLoopJoin(PlanOp):
         self.right_width = right_width
         self.label = f"NestedLoopJoin[{kind}]"
 
-    def rows(self, env: Env) -> Iterator[Row]:
+    def batches(self, env: Env) -> Iterator[Batch]:
         inner = list(self.right.rows(env))
         predicate = self.predicate
         pad = (None,) * self.right_width
-        for left_row in self.left.rows(env):
-            matched = False
-            for right_row in inner:
-                combined = left_row + right_row
-                if predicate is None or predicate(combined, env) is True:
-                    matched = True
-                    yield combined
-            if not matched and self.kind == "LEFT":
-                yield left_row + pad
+        left_join = self.kind == "LEFT"
+        out: List[Row] = []
+        for batch in self.left.batches(env):
+            for left_row in batch.to_rows():
+                matched = False
+                for right_row in inner:
+                    combined = left_row + right_row
+                    if predicate is None or predicate(combined, env) is True:
+                        matched = True
+                        out.append(combined)
+                if not matched and left_join:
+                    out.append(left_row + pad)
+                if len(out) >= BATCH_SIZE:
+                    yield batch_from_rows(out)
+                    out = []
+        if out:
+            yield batch_from_rows(out)
 
     def children(self) -> List[PlanOp]:
         return [self.left, self.right]
 
 
 class HashJoin(PlanOp):
-    """Equi-join; builds a hash table on the right input per run."""
+    """Equi-join; builds a hash table on the right input per run.
+
+    Keys are extracted as whole vectors per batch.  NULL key components
+    never join.  The optional *residual* is a row predicate over each
+    combined row; a LEFT join pads a left row none of whose key matches
+    pass it.
+    """
 
     def __init__(
         self,
         left: PlanOp,
         right: PlanOp,
-        left_keys: Sequence[RowFn],
-        right_keys: Sequence[RowFn],
+        left_keys: Sequence[VecValueFn],
+        right_keys: Sequence[VecValueFn],
         residual: Optional[RowFn] = None,
         kind: str = "INNER",
         right_width: int = 0,
@@ -247,26 +323,37 @@ class HashJoin(PlanOp):
         self.right_width = right_width
         self.label = f"HashJoin[{kind}]"
 
-    def rows(self, env: Env) -> Iterator[Row]:
-        table: Dict[Tuple, List[Row]] = {}
-        for right_row in self.right.rows(env):
-            key = tuple(fn(right_row, env) for fn in self.right_keys)
-            if any(component is None for component in key):
-                continue  # NULL never equi-joins
-            table.setdefault(key, []).append(right_row)
+    def batches(self, env: Env) -> Iterator[Batch]:
+        table: Dict[Any, List[Row]] = {}
+        setdefault = table.setdefault
+        for batch in self.right.batches(env):
+            for key, row in zip(_join_keys(self.right_keys, batch, env), batch.to_rows()):
+                if key is not None:
+                    setdefault(key, []).append(row)
+        get = table.get
         residual = self.residual
         pad = (None,) * self.right_width
-        for left_row in self.left.rows(env):
-            key = tuple(fn(left_row, env) for fn in self.left_keys)
-            matched = False
-            if not any(component is None for component in key):
-                for right_row in table.get(key, ()):  # type: ignore[arg-type]
-                    combined = left_row + right_row
-                    if residual is None or residual(combined, env) is True:
-                        matched = True
-                        yield combined
-            if not matched and self.kind == "LEFT":
-                yield left_row + pad
+        left_join = self.kind == "LEFT"
+        out: List[Row] = []
+        append = out.append
+        for batch in self.left.batches(env):
+            for key, lrow in zip(_join_keys(self.left_keys, batch, env), batch.to_rows()):
+                matches = get(key) if key is not None else None
+                if matches and residual is not None:
+                    matches = [
+                        rrow for rrow in matches if residual(lrow + rrow, env) is True
+                    ]
+                if matches:
+                    for rrow in matches:
+                        append(lrow + rrow)
+                elif left_join:
+                    append(lrow + pad)
+            if len(out) >= BATCH_SIZE:
+                yield batch_from_rows(out)
+                out = []
+                append = out.append
+        if out:
+            yield batch_from_rows(out)
 
     def children(self) -> List[PlanOp]:
         return [self.left, self.right]
@@ -280,7 +367,7 @@ class IndexNLJoin(PlanOp):
         left: PlanOp,
         table,
         index,
-        key_fns: Sequence[RowFn],
+        key_fn: VecValueFn,
         residual: Optional[RowFn] = None,
         kind: str = "INNER",
         right_width: int = 0,
@@ -288,28 +375,38 @@ class IndexNLJoin(PlanOp):
         self.left = left
         self.table = table
         self.index = index
-        self.key_fns = list(key_fns)
+        self.key_fn = key_fn
         self.residual = residual
         self.kind = kind
         self.right_width = right_width
         self._verify = _key_matches(index.column_positions)
         self.label = f"IndexNLJoin[{kind}]({table.name}.{index.name})"
 
-    def rows(self, env: Env) -> Iterator[Row]:
+    def batches(self, env: Env) -> Iterator[Batch]:
         residual = self.residual
         pad = (None,) * self.right_width
+        left_join = self.kind == "LEFT"
         probe, search, verify = self.table.probe, self.index.search, self._verify
-        for left_row in self.left.rows(env):
-            key = tuple(fn(left_row, env) for fn in self.key_fns)
-            matched = False
-            if not any(component is None for component in key):
-                for row in probe(search(key), verify, key):
-                    combined = left_row + row
-                    if residual is None or residual(combined, env) is True:
-                        matched = True
-                        yield combined
-            if not matched and self.kind == "LEFT":
-                yield left_row + pad
+        out: List[Row] = []
+        append = out.append
+        for batch in self.left.batches(env):
+            for value, left_row in zip(_join_keys([self.key_fn], batch, env), batch.to_rows()):
+                matched = False
+                if value is not None:
+                    key = (value,)
+                    for row in probe(search(key), verify, key):
+                        combined = left_row + row
+                        if residual is None or residual(combined, env) is True:
+                            matched = True
+                            append(combined)
+                if not matched and left_join:
+                    append(left_row + pad)
+            if len(out) >= BATCH_SIZE:
+                yield batch_from_rows(out)
+                out = []
+                append = out.append
+        if out:
+            yield batch_from_rows(out)
 
     def children(self) -> List[PlanOp]:
         return [self.left]
@@ -321,11 +418,11 @@ class IndexNLJoin(PlanOp):
 
 
 class AggSpec:
-    """One aggregate to compute: kind, argument, DISTINCT flag."""
+    """One aggregate to compute: kind, argument vector, DISTINCT flag."""
 
-    def __init__(self, kind: str, arg_fn: Optional[RowFn], distinct: bool = False):
+    def __init__(self, kind: str, arg: Optional[VecValueFn], distinct: bool = False):
         self.kind = kind
-        self.arg_fn = arg_fn  # None for COUNT(*)
+        self.arg = arg  # None for COUNT(*)
         self.distinct = distinct
 
 
@@ -340,32 +437,8 @@ class _Accumulator:
         self.maximum: Any = None
         self.seen: Optional[set] = set() if spec.distinct else None
 
-    def add(self, row: Row, env: Env) -> None:
-        spec = self.spec
-        if spec.arg_fn is None:  # COUNT(*)
-            self.count += 1
-            return
-        value = spec.arg_fn(row, env)
-        if value is None:
-            return
-        if self.seen is not None:
-            if value in self.seen:
-                return
-            self.seen.add(value)
-        self.count += 1
-        if spec.kind in ("SUM", "AVG"):
-            self.total = value if self.total is None else self.total + value
-        elif spec.kind == "MIN":
-            if self.minimum is None or sort_key(value) < sort_key(self.minimum):
-                self.minimum = value
-        elif spec.kind == "MAX":
-            if self.maximum is None or sort_key(value) > sort_key(self.maximum):
-                self.maximum = value
-
     def add_value(self, value: Any) -> None:
-        """Accumulate an already-evaluated argument (the vectorized path:
-        the batch aggregate extracts argument vectors and feeds values
-        directly, skipping the per-row closure call)."""
+        """Accumulate one evaluated argument (COUNT(*) bumps ``count``)."""
         if value is None:
             return
         if self.seen is not None:
@@ -375,6 +448,7 @@ class _Accumulator:
         self.count += 1
         kind = self.spec.kind
         if kind in ("SUM", "AVG"):
+            # ``+`` concatenates strings, as the engine's ``+`` does
             self.total = value if self.total is None else self.total + value
         elif kind == "MIN":
             if self.minimum is None or sort_key(value) < sort_key(self.minimum):
@@ -392,6 +466,10 @@ class _Accumulator:
         if kind == "AVG":
             if self.count == 0:
                 return None
+            if not isinstance(self.total, NUMERIC):
+                raise TypeCheckError(
+                    f"AVG requires numeric values, got {type(self.total).__name__}"
+                )
             return self.total / self.count
         if kind == "MIN":
             return self.minimum
@@ -401,17 +479,20 @@ class _Accumulator:
 
 
 class HashAggregate(PlanOp):
-    """Hash grouping.
+    """Hash grouping over batches.
 
-    Internal rows have layout ``group_keys + aggregate_results``; the final
-    ``head_fns`` and ``having_fns`` are compiled against that layout by the
-    planner (via the expression compiler's *precomputed* map).
+    Group keys and aggregate arguments are extracted as whole vectors per
+    batch; the accumulation itself stays per row (the dict lookup
+    dominates).  Internal rows have layout ``group_keys +
+    aggregate_results``; the final ``head_fns`` and ``having_fns`` are row
+    closures the planner compiles against that layout (via the expression
+    compiler's *precomputed* map).
     """
 
     def __init__(
         self,
         child: PlanOp,
-        key_fns: Sequence[RowFn],
+        key_fns: Sequence[VecValueFn],
         agg_specs: Sequence[AggSpec],
         head_fns: Sequence[RowFn],
         having_fns: Sequence[RowFn] = (),
@@ -425,27 +506,38 @@ class HashAggregate(PlanOp):
         self.global_group = global_group
         self.label = f"HashAggregate(keys={len(key_fns)}, aggs={len(agg_specs)})"
 
-    def rows(self, env: Env) -> Iterator[Row]:
-        groups: Dict[Tuple, List[_Accumulator]] = {}
-        order: List[Tuple] = []
-        for row in self.child.rows(env):
-            key = tuple(fn(row, env) for fn in self.key_fns)
-            accs = groups.get(key)
-            if accs is None:
-                accs = [_Accumulator(spec) for spec in self.agg_specs]
-                groups[key] = accs
-                order.append(key)
-            for acc in accs:
-                acc.add(row, env)
+    def batches(self, env: Env) -> Iterator[Batch]:
+        groups: Dict[tuple, List[_Accumulator]] = {}
+        specs = self.agg_specs
+        for batch in self.child.batches(env):
+            idx = batch.active_indices()
+            count = len(idx)
+            if count == 0:
+                continue
+            cols = batch.columns
+            keys = list(zip(*[fn(cols, idx, env) for fn in self.key_fns])) or [()] * count
+            arg_vecs = [
+                spec.arg(cols, idx, env) if spec.arg is not None else None
+                for spec in specs
+            ]
+            for pos, key in enumerate(keys):
+                accs = groups.get(key)
+                if accs is None:
+                    accs = groups[key] = [_Accumulator(spec) for spec in specs]
+                for acc, vec in zip(accs, arg_vecs):
+                    if vec is None:
+                        acc.count += 1  # COUNT(*)
+                    else:
+                        acc.add_value(vec[pos])
         if not groups and self.global_group:
-            key = ()
-            groups[key] = [_Accumulator(spec) for spec in self.agg_specs]
-            order.append(key)
-        for key in order:
-            internal = key + tuple(acc.result() for acc in groups[key])
+            groups[()] = [_Accumulator(spec) for spec in specs]
+        out: List[Row] = []
+        for key, accs in groups.items():
+            internal = key + tuple(acc.result() for acc in accs)
             if any(fn(internal, env) is not True for fn in self.having_fns):
                 continue
-            yield tuple(fn(internal, env) for fn in self.head_fns)
+            out.append(tuple(fn(internal, env) for fn in self.head_fns))
+        return _rebatch(out)
 
     def children(self) -> List[PlanOp]:
         return [self.child]
@@ -457,57 +549,84 @@ class HashAggregate(PlanOp):
 
 
 class Sort(PlanOp):
+    """Materialise, sort with the shared ``sort_key`` order, re-batch.
+
+    Key functions are row closures: sorting is a pipeline breaker, so they
+    run once per row either way.
+    """
+
     def __init__(self, child: PlanOp, key_fns: Sequence[RowFn], ascending: Sequence[bool]):
         self.child = child
         self.key_fns = list(key_fns)
         self.ascending = list(ascending)
         self.label = "Sort"
 
-    def rows(self, env: Env) -> Iterator[Row]:
-        data = list(self.child.rows(env))
+    def batches(self, env: Env) -> Iterator[Batch]:
+        data: List[Row] = []
+        for batch in self.child.batches(env):
+            data.extend(batch.to_rows())
         # Stable multi-key sort: apply keys right-to-left.
         for key_fn, asc in reversed(list(zip(self.key_fns, self.ascending))):
             data.sort(key=lambda row: sort_key(key_fn(row, env)), reverse=not asc)
-        return iter(data)
+        return _rebatch(data)
 
     def children(self) -> List[PlanOp]:
         return [self.child]
 
 
 class Limit(PlanOp):
+    """OFFSET/LIMIT by slicing selection vectors — no data movement."""
+
     def __init__(self, child: PlanOp, limit: Optional[int], offset: Optional[int]):
         self.child = child
         self.limit = limit
         self.offset = offset or 0
         self.label = f"Limit({limit}, offset={offset or 0})"
 
-    def rows(self, env: Env) -> Iterator[Row]:
-        produced = 0
-        skipped = 0
-        for row in self.child.rows(env):
-            if skipped < self.offset:
-                skipped += 1
-                continue
-            if self.limit is not None and produced >= self.limit:
+    def batches(self, env: Env) -> Iterator[Batch]:
+        to_skip = self.offset
+        remaining = self.limit
+        if remaining is not None and remaining <= 0:
+            return
+        for batch in self.child.batches(env):
+            idx = batch.active_indices()
+            count = len(idx)
+            start = min(to_skip, count)
+            to_skip -= start
+            stop = count if remaining is None else min(count, start + remaining)
+            if remaining is not None:
+                remaining -= stop - start
+            if stop == count and start == 0:
+                yield batch
+            elif stop > start:
+                yield Batch(batch.columns, batch.length, list(idx[start:stop]))
+            if remaining == 0:
                 return
-            produced += 1
-            yield row
 
     def children(self) -> List[PlanOp]:
         return [self.child]
 
 
 class Distinct(PlanOp):
+    """First-occurrence de-duplication, selecting survivors per batch."""
+
     def __init__(self, child: PlanOp):
         self.child = child
         self.label = "Distinct"
 
-    def rows(self, env: Env) -> Iterator[Row]:
-        seen = set()
-        for row in self.child.rows(env):
-            if row not in seen:
-                seen.add(row)
-                yield row
+    def batches(self, env: Env) -> Iterator[Batch]:
+        seen: set = set()
+        add = seen.add
+        for batch in self.child.batches(env):
+            # to_rows() transposes at C speed; the zip keeps row tuples
+            # aligned with their live indices for the surviving selection.
+            sel = [
+                i
+                for i, row in zip(batch.active_indices(), batch.to_rows())
+                if row not in seen and add(row) is None
+            ]
+            if sel:
+                yield Batch(batch.columns, batch.length, sel)
 
     def children(self) -> List[PlanOp]:
         return [self.child]
@@ -523,12 +642,15 @@ class SetOp(PlanOp):
         self.right = right
         self.label = f"{op}{' ALL' if all else ''}"
 
-    def rows(self, env: Env) -> Iterator[Row]:
+    def batches(self, env: Env) -> Iterator[Batch]:
+        if self.op == "UNION" and self.all:
+            yield from self.left.batches(env)
+            yield from self.right.batches(env)
+            return
+        yield from batches_from_rows(self._combined_rows(env))
+
+    def _combined_rows(self, env: Env) -> Iterator[Row]:
         if self.op == "UNION":
-            if self.all:
-                yield from self.left.rows(env)
-                yield from self.right.rows(env)
-                return
             seen = set()
             for source in (self.left, self.right):
                 for row in source.rows(env):
@@ -574,25 +696,3 @@ class SetOp(PlanOp):
 
     def children(self) -> List[PlanOp]:
         return [self.left, self.right]
-
-
-class Materialize(PlanOp):
-    """Caches child rows — keyed by nothing, so only safe for env-independent
-    children (the planner inserts it under uncorrelated reuse points, e.g.
-    the XNF common-subexpression node)."""
-
-    def __init__(self, child: PlanOp):
-        self.child = child
-        self._cache: Optional[List[Row]] = None
-        self.label = "Materialize"
-
-    def rows(self, env: Env) -> Iterator[Row]:
-        if self._cache is None:
-            self._cache = list(self.child.rows(env))
-        return iter(self._cache)
-
-    def invalidate(self) -> None:
-        self._cache = None
-
-    def children(self) -> List[PlanOp]:
-        return [self.child]

@@ -25,7 +25,6 @@ from repro.errors import ExecutionError
 from repro.relational.catalog import Catalog, Table
 from repro.relational.executor.batch import gather
 from repro.relational.executor.exprs import (
-    ExprCompiler,
     Layout,
     PlanContext,
     VecExprCompiler,
@@ -49,19 +48,6 @@ from repro.relational.executor.operators import (
     Sort,
     ValuesOp,
 )
-from repro.relational.executor.vectorized import (
-    VecDistinct,
-    VecFilter,
-    VecHashAggregate,
-    VecHashJoin,
-    VecLimit,
-    VecOp,
-    VecProject,
-    VecSeqScan,
-    VecSort,
-    VecValues,
-    as_batch_source,
-)
 from repro.relational.optimizer.stats import (
     join_selectivity,
     predicate_selectivity,
@@ -70,15 +56,12 @@ from repro.relational.qgm.model import (
     BaseTableBox,
     Box,
     GroupByBox,
-    OuterRef,
     QGMColumnRef,
     Quantifier,
     SelectBox,
     SetOpBox,
-    SubqueryExpr,
     TopBox,
     ValuesBox,
-    collect_outer_refs,
     has_subquery,
     referenced_quantifiers,
     walk_resolved,
@@ -87,11 +70,6 @@ from repro.relational.sql import ast
 
 #: Max quantifiers for exhaustive left-deep DP; greedy beyond this.
 DP_THRESHOLD = 8
-
-#: In executor mode "auto", sequential scans switch to the vectorized path
-#: only when the table is at least this large — below it, per-batch setup
-#: outweighs the per-row savings.  Mode "batch" vectorizes unconditionally.
-VEC_MIN_ROWS = 64
 
 #: Per-row CPU cost factors (arbitrary units; only ratios matter).
 _SEQ_ROW_COST = 0.01
@@ -102,15 +80,19 @@ _INDEX_PROBE_COST = 1.5
 #: probes — keeps IndexNLJoin from looking free on low-selectivity joins
 #: where each probe fans out into many fetched rows.
 _FETCH_ROW_COST = 0.05
-#: CPU discount for join inputs that run through the vectorized pipeline:
-#: batch loops amortise interpreter dispatch, so a VecHashJoin's per-row
-#: cost is a fraction of the tuple-at-a-time estimate.
+#: CPU discount on a hash join's per-row cost when batch loops amortise
+#: interpreter dispatch: an input fills batches (see VEC_MIN_ROWS) and no
+#: residual predicate runs as a row closure per candidate.
 _VEC_ROW_DISCOUNT = 0.3
+#: Estimated input rows from which a hash join earns _VEC_ROW_DISCOUNT;
+#: below it, per-batch setup outweighs the per-row savings.  A cost input
+#: only: every plan runs the same batch operators.
+VEC_MIN_ROWS = 64
 
 
-def _column(pos: int):
-    """Row closure reading the input column at *pos*."""
-    return lambda row, env: row[pos]
+def _column(pos: int) -> VecValueFn:
+    """Vector closure reading the input column at *pos*."""
+    return lambda cols, idx, env: gather(cols[pos], idx)
 
 
 @dataclass
@@ -137,7 +119,7 @@ class CompiledPlan:
         return self.op.rows(env if env is not None else [])
 
     def batches(self, env: Optional[list] = None):
-        """Batch-at-a-time root iterator; only valid when ``op`` is a VecOp."""
+        """Batch-at-a-time root iterator (``rows`` flattens the same run)."""
         if self.context is not None:
             self.context.bump()
         return self.op.batches(env if env is not None else [])
@@ -180,7 +162,6 @@ class Planner:
         catalog: Catalog,
         context: Optional[PlanContext] = None,
         feedback=None,
-        mode: str = "row",
     ):
         self.catalog = catalog
         self.context = context if context is not None else PlanContext()
@@ -190,56 +171,6 @@ class Planner:
         #: cardinality previously *observed* for the same normalized
         #: predicate on the same table (``Database(optimizer_feedback=True)``).
         self.feedback = feedback
-        #: executor mode: "row" never vectorizes, "batch" always does (where
-        #: semantically possible), "auto" applies the :data:`VEC_MIN_ROWS`
-        #: cost threshold per scan.  Physical *join/order* choices are made
-        #: by the same cost model in every mode — vectorization only swaps
-        #: the implementation of the operator the cost model picked, so row
-        #: and batch plans always have the same shape.
-        if mode not in ("row", "auto", "batch"):
-            raise ExecutionError(f"unknown executor mode {mode!r}")
-        self.mode = mode
-        #: per-SELECT-box vectorization flag, maintained by _plan_select
-        #: (False inside boxes that are correlated or touch SYS_* tables).
-        self._vec_active = mode != "row"
-
-    # -- vectorization gates ------------------------------------------------------
-
-    def _vec_allowed(self, box: SelectBox) -> bool:
-        """Whether *box* may compile to batch operators.
-
-        Correlated boxes (any outer reference, including inside nested
-        subqueries) and boxes reading virtual SYS_* tables stay on the row
-        pipeline: the former run once per outer row where batch setup is
-        pure overhead, the latter must re-pull their snapshot provider on
-        every scan.
-        """
-        if self.mode == "row":
-            return False
-        if collect_outer_refs(box):
-            return False
-        for quant in box.quantifiers:
-            if isinstance(quant.box, BaseTableBox) and self.catalog.is_virtual(
-                quant.box.table_name
-            ):
-                return False
-        return True
-
-    def _table_vectorizable(self, table) -> bool:
-        """Table-level gate: virtual tables never, others by row count."""
-        if table is None or getattr(table, "is_virtual", False):
-            return False
-        return self._rows_vectorizable(table.stats.row_count)
-
-    def _rows_vectorizable(self, row_count: int) -> bool:
-        """Never in mode "row", always in mode "batch"; mode "auto" applies
-        the VEC_MIN_ROWS threshold."""
-        if self.mode == "auto":
-            return max(row_count, 1) >= VEC_MIN_ROWS
-        return self.mode == "batch"
-
-    def _vec_scan_ok(self, table) -> bool:
-        return self._vec_active and self._table_vectorizable(table)
 
     # -- public API -----------------------------------------------------------
 
@@ -282,12 +213,11 @@ class Planner:
         compiler = self.compiler(partial.layout)
         residual = [p for p in preds if has_subquery(p)]
         if residual:
-            predicate = compiler.compile_predicate(ast.conjoin(residual))
-            op = Filter(op, predicate, "residual")
+            op = Filter(op, compiler.compile_filter(ast.conjoin(residual)), "residual")
         names = ["rid"] + columns
         if assignments:
             new_values = {
-                table.position_of(col): compiler.compile(expr)
+                table.position_of(col): compiler.compile_value(expr)
                 for col, expr in assignments
             }
             head = [_column(pos) for pos in range(len(names))] + [
@@ -313,15 +243,10 @@ class Planner:
             return self._plan_top(box)
         if isinstance(box, BaseTableBox):
             table = self.catalog.get_table(box.table_name)
-            if self._table_vectorizable(table):
-                return CompiledPlan(VecSeqScan(table), list(box.columns))
             return CompiledPlan(SeqScan(table), list(box.columns))
         if isinstance(box, ValuesBox):
-            columns = box.output_columns()
             op = ValuesOp(box.rows, box.param, self.context)
-            if self._vec_active and self._rows_vectorizable(len(box.rows)):
-                op = VecValues(op, len(columns))
-            return CompiledPlan(op, columns)
+            return CompiledPlan(op, box.output_columns())
         raise ExecutionError(f"cannot plan box {box!r}")
 
     def subplan_factory(self, box: Box) -> PlanOp:
@@ -332,23 +257,16 @@ class Planner:
             self._subplan_cache[box.id] = cached
         return cached
 
-    def compiler(self, layout: Layout, precomputed: Optional[Dict[str, int]] = None) -> ExprCompiler:
-        return ExprCompiler(layout, self.subplan_factory, precomputed, self.context)
-
-    def vec_compiler(self, layout: Layout) -> VecExprCompiler:
-        return VecExprCompiler(layout, self.context)
+    def compiler(
+        self, layout: Layout, precomputed: Optional[Dict[str, int]] = None
+    ) -> VecExprCompiler:
+        """Batch (``compile_value``/``compile_filter``) and row
+        (``compile``/``compile_predicate``) closures over *layout*."""
+        return VecExprCompiler(layout, self.subplan_factory, precomputed, self.context)
 
     # -- SELECT boxes -------------------------------------------------------------
 
     def _plan_select(self, box: SelectBox) -> CompiledPlan:
-        prev_vec = self._vec_active
-        self._vec_active = self._vec_allowed(box)
-        try:
-            return self._plan_select_inner(box)
-        finally:
-            self._vec_active = prev_vec
-
-    def _plan_select_inner(self, box: SelectBox) -> CompiledPlan:
         infos = [self._quant_info(quant) for quant in box.quantifiers]
         by_name = {info.name: info for info in infos}
         outer_names = [name for name, _ in box.outer_joins]
@@ -387,43 +305,16 @@ class Planner:
             )
 
         # Residual predicates (subqueries, post-outer-join filters).
+        compiler = self.compiler(partial.layout)
+        op = partial.op
         if residual_preds:
             conj = ast.conjoin(residual_preds)  # type: ignore[arg-type]
-            filter_op: Optional[PlanOp] = None
-            if isinstance(partial.op, VecOp):
-                sel_fn = self.vec_compiler(partial.layout).compile_filter(conj)
-                if sel_fn is not None:
-                    filter_op = VecFilter(partial.op, sel_fn, "residual")
-            if filter_op is None:
-                compiler = self.compiler(partial.layout)
-                predicate = compiler.compile_predicate(conj)
-                filter_op = Filter(partial.op, predicate, "residual")
-            partial = _Partial(
-                partial.names,
-                filter_op,
-                partial.layout,
-                partial.width,
-                partial.est_rows * 0.5,
-                partial.cost,
-            )
+            op = Filter(op, compiler.compile_filter(conj), "residual")
 
-        # Head projection: vectorized when the child produces batches and
-        # every head expression compiles to a vector closure.
         names = ", ".join(col.name for col in box.head)
-        op: Optional[PlanOp] = None
-        if isinstance(partial.op, VecOp):
-            vec_head = [
-                self.vec_compiler(partial.layout).compile_value(col.expr)
-                for col in box.head
-            ]
-            if all(vfn is not None for vfn in vec_head):
-                op = VecProject(partial.op, vec_head, names)  # type: ignore[arg-type]
-        if op is None:
-            compiler = self.compiler(partial.layout)
-            head_fns = [compiler.compile(col.expr) for col in box.head]
-            op = Project(partial.op, head_fns, names)
+        op = Project(op, [compiler.compile_value(col.expr) for col in box.head], names)
         if box.distinct:
-            op = VecDistinct(op) if isinstance(op, VecOp) else Distinct(op)
+            op = Distinct(op)
         return CompiledPlan(op, box.output_columns())
 
     def _quant_info(self, quant: Quantifier) -> _QuantInfo:
@@ -441,7 +332,7 @@ class Planner:
         """Best single-quantifier plan with *preds* applied.
 
         With *emit_rid* (base tables only) the chosen scan emits the RID as
-        column 0 and the layout shifts by one; such scans stay row-wise.
+        column 0 and the layout shifts by one.
         """
         shift = 1 if emit_rid else 0
         layout = {
@@ -468,25 +359,9 @@ class Planner:
                 )
                 if observed is not None:
                     est = max(float(observed), 0.5)
-        vec_scan = (
-            isinstance(op, SeqScan)
-            and not op.emit_rid
-            and self._vec_scan_ok(info.base_table)
-        )
         if remaining:
             conj = ast.conjoin(remaining)  # type: ignore[arg-type]
-            sel_fn = None
-            if vec_scan or isinstance(op, VecOp):
-                sel_fn = self.vec_compiler(layout).compile_filter(conj)
-            if sel_fn is not None:
-                source = VecSeqScan(info.base_table) if vec_scan else op
-                op = VecFilter(source, sel_fn, info.name)  # type: ignore[arg-type]
-            else:
-                compiler = self.compiler(layout)
-                predicate = compiler.compile_predicate(conj)
-                op = Filter(op, predicate, info.name)
-        elif vec_scan:
-            op = VecSeqScan(info.base_table)
+            op = Filter(op, self.compiler(layout).compile_filter(conj), info.name)
         # Estimate annotations for EXPLAIN ANALYZE's estimate-vs-actual
         # feedback (SYS_STAT_ESTIMATES): which table/predicate this access
         # path's cardinality guess belongs to.
@@ -759,54 +634,29 @@ class Planner:
 
         candidates: List[Tuple[float, Callable[[], PlanOp]]] = []
         if equi:
-            left_compiler = self.compiler(left.layout)
-            right_layout = {
-                (name, col): pos for pos, col in enumerate(right_info.columns)
-            }
-            right_compiler = self.compiler(right_layout)
-            left_keys = [left_compiler.compile(lk) for lk, _ in equi]
-            right_keys = [right_compiler.compile(rk) for _, rk in equi]
-            vec_keys = self._vec_join_keys(
-                equi, left, right_single, right_layout, residual_fn
-            )
-            per_row = _SEQ_ROW_COST * (
-                _VEC_ROW_DISCOUNT if vec_keys is not None else 1.0
-            )
+            left_keys, right_keys = self._key_vectors(equi, left, right_info)
+            per_row = _SEQ_ROW_COST
+            if not residual and max(left.est_rows, right_single.est_rows) >= VEC_MIN_ROWS:
+                per_row *= _VEC_ROW_DISCOUNT
             hash_cost = (
                 left.cost
                 + right_single.cost
                 + (left.est_rows + right_single.est_rows) * per_row
             )
-            if vec_keys is not None:
-                vec_left_keys, vec_right_keys = vec_keys
-                candidates.append(
-                    (
-                        hash_cost,
-                        lambda: VecHashJoin(
-                            as_batch_source(left.op, left.width),
-                            as_batch_source(right_single.op, right_info.width),
-                            vec_left_keys,
-                            vec_right_keys,
-                            "INNER",
-                            right_info.width,
-                        ),
-                    )
+            candidates.append(
+                (
+                    hash_cost,
+                    lambda: HashJoin(
+                        left.op,
+                        right_single.op,
+                        left_keys,
+                        right_keys,
+                        residual_fn,
+                        "INNER",
+                        right_info.width,
+                    ),
                 )
-            else:
-                candidates.append(
-                    (
-                        hash_cost,
-                        lambda: HashJoin(
-                            left.op,
-                            right_single.op,
-                            left_keys,
-                            right_keys,
-                            residual_fn,
-                            "INNER",
-                            right_info.width,
-                        ),
-                    )
-                )
+            )
             # Index nested loop: single-column equi key with an index.
             if right_table is not None and len(equi) >= 1:
                 first_rk = equi[0][1]
@@ -836,7 +686,7 @@ class Planner:
                                     left.op,
                                     right_table,
                                     index,
-                                    [probe_key],
+                                    probe_key,
                                     inl_residual,
                                     "INNER",
                                     right_info.width,
@@ -872,35 +722,23 @@ class Planner:
             combined_names, join_op, new_layout, new_width, est_rows, cost, applied
         )
 
-    def _vec_join_keys(
+    def _key_vectors(
         self,
         equi: List[Tuple[ast.Expr, ast.Expr]],
         left: _Partial,
-        right_single: _Partial,
-        right_layout: Layout,
-        residual_fn,
-    ) -> Optional[Tuple[List[VecValueFn], List[VecValueFn]]]:
-        """Vector key closures for a hash join, or None to keep the row join.
-
-        A VecHashJoin is built only for pure equi-joins (no residual — its
-        per-left-row match bookkeeping does not columnarise cleanly) where
-        at least one input already produces batches and every key expression
-        vectorizes; otherwise the row HashJoin runs (it consumes either
-        input through ``rows()`` unchanged).
-        """
-        if not self._vec_active or residual_fn is not None:
-            return None
-        if not (isinstance(left.op, VecOp) or isinstance(right_single.op, VecOp)):
-            return None
-        left_vc = self.vec_compiler(left.layout)
-        right_vc = self.vec_compiler(right_layout)
-        left_keys = [left_vc.compile_value(lk) for lk, _ in equi]
-        right_keys = [right_vc.compile_value(rk) for _, rk in equi]
-        if any(fn is None for fn in left_keys) or any(
-            fn is None for fn in right_keys
-        ):
-            return None
-        return left_keys, right_keys  # type: ignore[return-value]
+        right_info: _QuantInfo,
+    ) -> Tuple[List[VecValueFn], List[VecValueFn]]:
+        """Key vectors of an equi-join: left keys over the partial's layout,
+        right keys over the right quantifier's own columns."""
+        right_layout = {
+            (right_info.name, col): pos for pos, col in enumerate(right_info.columns)
+        }
+        left_compiler = self.compiler(left.layout)
+        right_compiler = self.compiler(right_layout)
+        return (
+            [left_compiler.compile_value(lk) for lk, _ in equi],
+            [right_compiler.compile_value(rk) for _, rk in equi],
+        )
 
     def _equi_split(
         self, pred: ast.Expr, left_names: frozenset, right_name: str
@@ -926,13 +764,12 @@ class Planner:
         ]
         if not leftover:
             return partial
-        compiler = self.compiler(partial.layout)
-        predicate = compiler.compile_predicate(
+        sel_fn = self.compiler(partial.layout).compile_filter(
             ast.conjoin(leftover)  # type: ignore[arg-type]
         )
         return _Partial(
             partial.names,
-            Filter(partial.op, predicate, "leftover"),
+            Filter(partial.op, sel_fn, "leftover"),
             partial.layout,
             partial.width,
             partial.est_rows * 0.5,
@@ -976,40 +813,23 @@ class Planner:
                 equi.append(pair)
             else:
                 residual.append(pred)
+        op: PlanOp
         if equi:
-            left_keys = [self.compiler(left.layout).compile(lk) for lk, _ in equi]
-            right_layout = {
-                (name, col): pos for pos, col in enumerate(right_info.columns)
-            }
-            right_keys = [self.compiler(right_layout).compile(rk) for _, rk in equi]
+            left_keys, right_keys = self._key_vectors(equi, left, right_info)
             residual_fn = (
                 combined_compiler.compile_predicate(ast.conjoin(residual))
                 if residual
                 else None
             )
-            vec_keys = self._vec_join_keys(
-                equi, left, right_single, right_layout, residual_fn
+            op = HashJoin(
+                left.op,
+                right_single.op,
+                left_keys,
+                right_keys,
+                residual_fn,
+                "LEFT",
+                right_info.width,
             )
-            op: PlanOp
-            if vec_keys is not None:
-                op = VecHashJoin(
-                    as_batch_source(left.op, left.width),
-                    as_batch_source(right_single.op, right_info.width),
-                    vec_keys[0],
-                    vec_keys[1],
-                    "LEFT",
-                    right_info.width,
-                )
-            else:
-                op = HashJoin(
-                    left.op,
-                    right_single.op,
-                    left_keys,
-                    right_keys,
-                    residual_fn,
-                    "LEFT",
-                    right_info.width,
-                )
         else:
             pred_fn = (
                 combined_compiler.compile_predicate(ast.conjoin(join_conds))
@@ -1025,12 +845,12 @@ class Planner:
             left.names | {name}, op, new_layout, new_width, est, cost, left.applied
         )
         if where_preds:
-            predicate = combined_compiler.compile_predicate(
+            sel_fn = combined_compiler.compile_filter(
                 ast.conjoin(where_preds)  # type: ignore[arg-type]
             )
             partial = _Partial(
                 partial.names,
-                Filter(partial.op, predicate, f"post-outer({name})"),
+                Filter(partial.op, sel_fn, f"post-outer({name})"),
                 partial.layout,
                 partial.width,
                 partial.est_rows * 0.5,
@@ -1049,7 +869,7 @@ class Planner:
             (qname, col): pos for pos, col in enumerate(child.columns)
         }
         child_compiler = self.compiler(child_layout)
-        key_fns = [child_compiler.compile(key) for key in box.group_keys]
+        key_fns = [child_compiler.compile_value(key) for key in box.group_keys]
 
         # Collect unique aggregate calls across head and having.
         agg_exprs: List[ast.FuncCall] = []
@@ -1061,13 +881,12 @@ class Planner:
                     if sql not in seen_sql:
                         seen_sql.add(sql)
                         agg_exprs.append(node)
-        agg_specs = []
-        for agg in agg_exprs:
-            if agg.star:
-                agg_specs.append(AggSpec("COUNT", None))
-            else:
-                arg_fn = child_compiler.compile(agg.args[0])
-                agg_specs.append(AggSpec(agg.name, arg_fn, agg.distinct))
+        agg_specs = [
+            AggSpec("COUNT", None)
+            if agg.star
+            else AggSpec(agg.name, child_compiler.compile_value(agg.args[0]), agg.distinct)
+            for agg in agg_exprs
+        ]
 
         precomputed: Dict[str, int] = {}
         for pos, key in enumerate(box.group_keys):
@@ -1078,53 +897,15 @@ class Planner:
         final_compiler = self.compiler({}, precomputed)
         head_fns = [final_compiler.compile(col.expr) for col in box.head]
         having_fns = [final_compiler.compile_predicate(p) for p in box.having]
-        op: Optional[PlanOp] = None
-        if isinstance(child.op, VecOp):
-            vec = self._vec_agg_inputs(child_layout, box.group_keys, agg_exprs)
-            if vec is not None:
-                op = VecHashAggregate(
-                    child.op,
-                    vec[0],
-                    vec[1],
-                    agg_specs,
-                    head_fns,
-                    having_fns,
-                    global_group=not box.group_keys,
-                )
-        if op is None:
-            op = HashAggregate(
-                child.op,
-                key_fns,
-                agg_specs,
-                head_fns,
-                having_fns,
-                global_group=not box.group_keys,
-            )
+        op = HashAggregate(
+            child.op,
+            key_fns,
+            agg_specs,
+            head_fns,
+            having_fns,
+            global_group=not box.group_keys,
+        )
         return CompiledPlan(op, box.output_columns())
-
-    def _vec_agg_inputs(
-        self,
-        child_layout: Layout,
-        group_keys: Sequence[ast.Expr],
-        agg_exprs: Sequence[ast.FuncCall],
-    ) -> Optional[Tuple[List[VecValueFn], List[Optional[VecValueFn]]]]:
-        """Vector closures for grouping keys and aggregate arguments, or
-        None when any of them fails to vectorize (COUNT(*) yields a None
-        slot — the batch aggregate bumps its counter directly)."""
-        vec_compiler = self.vec_compiler(child_layout)
-        key_vfns = [vec_compiler.compile_value(key) for key in group_keys]
-        if any(vfn is None for vfn in key_vfns):
-            return None
-        arg_vfns: List[Optional[VecValueFn]] = []
-        for agg in agg_exprs:
-            if agg.star:
-                arg_vfns.append(None)
-                continue
-            vfn = vec_compiler.compile_value(agg.args[0])
-            if vfn is None:
-                return None
-            arg_vfns.append(vfn)
-        return key_vfns, arg_vfns  # type: ignore[return-value]
 
     # -- TOP (ORDER BY / LIMIT) -----------------------------------------------------
 
@@ -1137,30 +918,12 @@ class Planner:
             }
             compiler = self.compiler(layout)
             key_fns = [compiler.compile(expr) for expr, _ in box.order_by]
-            ascending = [asc for _, asc in box.order_by]
-            if isinstance(op, VecOp):
-                op = VecSort(op, key_fns, ascending)
-            else:
-                op = Sort(op, key_fns, ascending)
+            op = Sort(op, key_fns, [asc for _, asc in box.order_by])
         if box.limit is not None or box.offset is not None:
-            if isinstance(op, VecOp):
-                op = VecLimit(op, box.limit, box.offset)
-            else:
-                op = Limit(op, box.limit, box.offset)
+            op = Limit(op, box.limit, box.offset)
         columns = child.columns
         if box.visible is not None and box.visible < len(columns):
-            keep = list(range(box.visible))
-            if isinstance(op, VecOp):
-                op = VecProject(
-                    op,
-                    [
-                        (lambda p: (lambda cols, idx, env: gather(cols[p], idx)))(p)
-                        for p in keep
-                    ],
-                    "trim",
-                )
-            else:
-                op = Project(op, [_column(p) for p in keep], "trim")
+            op = Project(op, [_column(p) for p in range(box.visible)], "trim")
             columns = columns[: box.visible]
         return CompiledPlan(op, columns)
 

@@ -58,7 +58,7 @@ class HeapFile:
 
         Equivalent to :meth:`insert` per row, but the tail page stays pinned
         across consecutive rows instead of being re-fetched for each one —
-        the write-side counterpart of the vectorized scan.
+        the write-side counterpart of the batch scan.
         """
         rids: List[RID] = []
         if not rows:
@@ -166,7 +166,7 @@ class HeapFile:
     def scan_row_chunks(self) -> Iterator[List[Tuple[Any, ...]]]:
         """Yield the live rows one page at a time, without RIDs.
 
-        The vectorized scan transposes these chunks straight into column
+        The batch scan transposes these chunks straight into column
         batches; skipping the per-row RID allocation of :meth:`scan` is a
         measurable part of its constant-factor win.
         """

@@ -203,7 +203,6 @@ def _spans_provider(db) -> Callable[[], Iterable[Tuple]]:
                 attrs.get("fingerprint"),
                 str(attrs["plan_cache"]) if "plan_cache" in attrs else None,
                 str(attrs["error"]) if "error" in attrs else None,
-                attrs.get("executor"),
                 attrs.get("batches"),
                 span.thread_id,
                 attrs.get("shard"),
@@ -364,7 +363,6 @@ def build_sys_tables(db) -> List[VirtualTable]:
                 ("fingerprint", VARCHAR()),
                 ("plan_cache", VARCHAR()),
                 ("error", VARCHAR()),
-                ("executor", VARCHAR()),
                 ("batches", INTEGER),
                 ("thread", INTEGER),
                 ("shard", INTEGER),

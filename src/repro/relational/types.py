@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from repro.errors import TypeCheckError
 
@@ -171,6 +171,18 @@ def sql_compare(op: str, left: Any, right: Any) -> Optional[bool]:
     if op == ">=":
         return left >= right
     raise TypeCheckError(f"unknown comparison operator {op!r}")
+
+
+def sql_in(value: Any, items: Sequence[Any]) -> Optional[bool]:
+    """SQL ``value IN (items)`` over evaluated items: the left-to-right
+    ``sql_compare`` fold, which stops at the first match and raises on
+    the first mismatched domain before it."""
+    result: Optional[bool] = False
+    for item in items:
+        result = tv_or(result, sql_compare("=", value, item))
+        if result is True:
+            break
+    return result
 
 
 def _check_comparable(left: Any, right: Any) -> None:

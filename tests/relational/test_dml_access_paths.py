@@ -4,7 +4,7 @@ An UPDATE or DELETE finds its rows with a planned, cached row-finding plan
 (``Planner.plan_write``) — the same index-probe / index-range / scan choice
 a single-table SELECT gets — and writes only after every target row has
 been found.  These tests pin down the write semantics under index access
-paths (on the row and batch executors and on a sharded table) and prove the
+paths (on one-row and full-size batches, and on a sharded table) and prove the
 access path and the plan cache by counts, never by timing.
 """
 
@@ -12,22 +12,31 @@ import pytest
 
 from repro.errors import SerializationError
 from repro.relational.engine import Database
+from repro.relational.executor import batch, operators
+from repro.relational.executor.batch import BATCH_SIZE
 from repro.relational.plancache import normalize_statement
 from repro.relational.sql.parser import parse_statements
 from repro.workloads.design import build_design_database, working_set_co
 from repro.xnf.api import XNFSession
 
+#: mode -> (Database options, operator batch size); "row" cuts every batch
+#: the operators build after one row, so a write's RID stream crosses a
+#: batch boundary at each row
 MODES = {
-    "row": {"executor": "row"},
-    "batch": {"executor": "batch"},
-    "sharded": {"executor": "row", "shards": 2},
+    "row": ({}, 1),
+    "batch": ({}, BATCH_SIZE),
+    "sharded": ({"shards": 2}, BATCH_SIZE),
 }
 
 
 @pytest.fixture(params=sorted(MODES))
-def make_db(request):
+def make_db(request, monkeypatch):
+    options, batch_size = MODES[request.param]
+    monkeypatch.setattr(batch, "BATCH_SIZE", batch_size)
+    monkeypatch.setattr(operators, "BATCH_SIZE", batch_size)
+
     def make(**kwargs):
-        return Database(**MODES[request.param], **kwargs)
+        return Database(**options, **kwargs)
 
     return make
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import TypeCheckError
 from repro.relational.engine import Database
 
 
@@ -107,6 +108,55 @@ class TestOddQueries:
             "SELECT SUBSTR(name, 1, 2), MOD(id, 2) FROM PEOPLE WHERE id = 3"
         )
         assert result.rows == [("ca", 1)]
+
+
+def _named(n):
+    """P(id, name VARCHAR, age INTEGER) with *n* rows."""
+    db = Database()
+    db.execute("CREATE TABLE P (id INTEGER PRIMARY KEY, name VARCHAR, age INTEGER)")
+    db.execute(
+        "INSERT INTO P VALUES " + ", ".join(f"({i}, 'n{i}', {i})" for i in range(n))
+    )
+    db.execute("ANALYZE")
+    return db
+
+
+class TestDomainChecks:
+    """The hashed IN-list kernel answers and raises exactly as the row
+    evaluator's left-to-right ``sql_compare`` fold, so the outcome never
+    depends on the table size."""
+
+    @pytest.mark.parametrize("n", [10, 100])
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT id FROM P WHERE name NOT IN (1, 2)",
+            "SELECT id FROM P WHERE name IN (1, 2)",
+            "SELECT id FROM P WHERE age IN ('a')",
+            "SELECT id FROM P WHERE age NOT IN (NULL, 'a')",
+            "SELECT id FROM P WHERE age IN (1, 'a')",
+            "SELECT id FROM P WHERE name = 1",
+        ],
+    )
+    def test_mismatched_in_list_raises(self, sql, n):
+        with pytest.raises(TypeCheckError):
+            _named(n).execute(sql)
+
+    @pytest.mark.parametrize("n", [10, 100])
+    def test_in_list_answers_match_the_row_fold(self, n):
+        db = _named(n)
+        count = "SELECT COUNT(*) FROM P WHERE "
+        assert db.execute(count + "age NOT IN (3, 3)").scalar() == n - 1
+        assert db.execute(count + "age NOT IN (3, NULL)").scalar() == 0
+        assert db.execute(count + "name IN (NULL)").scalar() == 0
+        assert db.execute(count + "name IN ('n1', 'n7', NULL)").scalar() == 2
+
+    def test_avg_of_strings_is_a_type_error(self):
+        db = _named(10)
+        with pytest.raises(TypeCheckError):
+            db.execute("SELECT AVG(name) FROM P")
+        # SUM keeps the engine's string '+', which concatenates
+        assert db.execute("SELECT SUM(name) FROM P WHERE id < 2").scalar() == "n0n1"
 
 
 class TestManyTableJoins:

@@ -1,194 +1,118 @@
-"""Row-vs-batch executor equivalence.
+"""The executor on inputs spanning several batches, checked against SQLite.
 
-Every query here runs through two Databases that differ only in executor
-mode ("row" vs "batch") and must produce identical results — identical
-multisets for unordered queries, identical sequences for ordered ones.
-The corpus is the full SQLite-crosscheck set (already validated against
-SQLite in row mode, so batch-mode agreement transitively matches the
-oracle) plus queries aimed at the vectorized kernels specifically: large
-IN lists, mixed NULL comparison domains, LEFT joins with NULL keys, and
-correlated subqueries (which must *fall back* to row operators inside a
-batch-mode plan without changing semantics).
+The SQLite-crosscheck corpus and its batch-kernel extras run here over a P
+table larger than two batches, so every scan, filter, join, aggregate,
+sort and limit meets batch boundaries (the small crosscheck tables fit in
+one batch).  Added cases target the boundaries directly: LIMIT/OFFSET
+across a batch edge, DISTINCT and GROUP BY with more than one batch of
+groups, a LEFT JOIN with a residual predicate, correlated subqueries over
+more than a batch of outer rows, and the bag set operations.
 """
+
+import re
+from collections import Counter
 
 import pytest
 
-from repro.errors import ExecutionError
-from repro.relational.engine import Database
-
+from repro.relational.executor.batch import BATCH_SIZE
 from tests.relational.test_sqlite_crosscheck import (
     CROSSCHECK_QUERIES,
+    EXTRA_ORDERED,
+    EXTRA_QUERIES,
     ORDERED_QUERIES,
+    check,
+    load_engines,
+    people_and_pets,
 )
 
-# Enough rows that "auto" mode would also vectorize these tables, with
-# NULLs in every column that participates in predicates or join keys.
-N_PEOPLE = 150
+N_PEOPLE = 2 * BATCH_SIZE + 452
 N_PETS = 260
-
-SPECIES = ("cat", "dog", "fish", "owl", "hen")
-CITIES = ("NY", "SF", "LA", None)
-
-
-def _fill(db: Database) -> None:
-    db.execute(
-        "CREATE TABLE P (id INTEGER PRIMARY KEY, name VARCHAR, age INTEGER, "
-        "city VARCHAR, score FLOAT)"
-    )
-    db.execute(
-        "CREATE TABLE Q (pid INTEGER PRIMARY KEY, owner INTEGER, "
-        "species VARCHAR, age INTEGER)"
-    )
-    for i in range(1, N_PEOPLE + 1):
-        name = f"p{i % 41:02d}"
-        age = "NULL" if i % 13 == 0 else str(20 + (i * 7) % 45)
-        city = CITIES[(i * 3) % len(CITIES)]
-        city_sql = "NULL" if city is None else f"'{city}'"
-        score = "NULL" if i % 11 == 0 else str(round((i * 1.7) % 9.5, 2))
-        db.execute(
-            f"INSERT INTO P VALUES ({i}, '{name}', {age}, {city_sql}, {score})"
-        )
-    for i in range(1, N_PETS + 1):
-        owner = "NULL" if i % 17 == 0 else str((i * 5) % (N_PEOPLE + 20))
-        species = SPECIES[i % len(SPECIES)]
-        age = str(i % 19)
-        db.execute(
-            f"INSERT INTO Q VALUES ({i}, {owner}, '{species}', {age})"
-        )
-    db.execute("ANALYZE")
 
 
 @pytest.fixture(scope="module")
 def pair():
-    row_db = Database(executor="row")
-    batch_db = Database(executor="batch")
-    _fill(row_db)
-    _fill(batch_db)
-    return row_db, batch_db
+    return load_engines(*people_and_pets(N_PEOPLE, N_PETS))
 
 
-EXTRA_QUERIES = [
-    # wide IN list: the batch kernel uses hashed set membership, the row
-    # path folds tv_or — both must agree, including the NULL item
-    "SELECT id FROM P WHERE age IN (25, 26, 27, 31, 40, 41, 52, 63, NULL)",
-    "SELECT id FROM P WHERE age NOT IN (25, 26, 27, 31, 40, 41, 52, 63)",
-    "SELECT id FROM P WHERE id IN (" + ", ".join(map(str, range(0, 300, 7))) + ")",
-    # comparison both ways around, and column-vs-column
-    "SELECT id FROM P WHERE 40 <= age",
-    "SELECT pid FROM Q WHERE age < owner",
-    # NULL-key joins never match, LEFT pads
-    "SELECT P.id, Q.pid FROM P LEFT JOIN Q ON P.age = Q.age",
-    "SELECT P.id, Q.pid FROM P JOIN Q ON P.age = Q.age",
-    # multi-column grouping over data wider than one batch section
-    "SELECT city, age, COUNT(*), SUM(score) FROM P GROUP BY city, age",
-    "SELECT species, COUNT(DISTINCT owner) FROM Q GROUP BY species",
-    # correlated subqueries: batch plans fall back to row operators here
-    "SELECT name FROM P WHERE EXISTS "
-    "(SELECT 1 FROM Q WHERE Q.owner = P.id AND Q.age > P.age - 30)",
-    "SELECT id, (SELECT MAX(age) FROM Q WHERE Q.owner = P.id) FROM P",
-    # string kernels
-    "SELECT name FROM P WHERE name LIKE 'p1%'",
-    "SELECT name FROM P WHERE name NOT LIKE '%3'",
-    "SELECT name || '/' || city FROM P",
-    # arithmetic incl. NULL propagation and int/float mixing
-    "SELECT id, age * score, age - id FROM P",
-    "SELECT id FROM P WHERE age * 2 > id + 40",
+BOUNDARY_QUERIES = [
+    # more than one batch of groups
+    "SELECT DISTINCT name, age FROM P",
+    "SELECT id / 2, COUNT(*), SUM(age), MAX(city) FROM P GROUP BY id / 2",
+    # LEFT JOIN whose ON clause keeps a residual beside the equi key
+    "SELECT P.id, Q.pid FROM P LEFT JOIN Q ON P.id = Q.owner AND Q.age < P.age - 40",
+    # correlated EXISTS and scalar subqueries over every outer row of P
+    "SELECT id FROM P WHERE NOT EXISTS "
+    "(SELECT 1 FROM Q WHERE Q.owner = P.id AND Q.species = 'cat')",
+    "SELECT id, (SELECT COUNT(*) FROM Q WHERE Q.owner < P.id) FROM P",
 ]
 
-EXTRA_ORDERED = [
-    "SELECT id, age FROM P ORDER BY age DESC, id LIMIT 20",
-    "SELECT id FROM P WHERE city = 'NY' ORDER BY score, id OFFSET 5",
-    "SELECT species, COUNT(*) AS n FROM Q GROUP BY species ORDER BY n DESC, species",
+BOUNDARY_ORDERED = [
+    f"SELECT id, name FROM P ORDER BY id LIMIT 100 OFFSET {BATCH_SIZE - 50}",
+    f"SELECT id FROM P ORDER BY age DESC, id LIMIT {BATCH_SIZE + 7} OFFSET {BATCH_SIZE + 3}",
 ]
 
 
-def _norm(rows):
-    return sorted(
-        rows,
-        key=lambda r: tuple(
-            (v is None, str(type(v)), v if v is not None else 0) for v in r
-        ),
-    )
-
-
-@pytest.mark.parametrize("query", CROSSCHECK_QUERIES + EXTRA_QUERIES)
+@pytest.mark.parametrize("query", CROSSCHECK_QUERIES + EXTRA_QUERIES + BOUNDARY_QUERIES)
 def test_unordered_equivalence(pair, query):
-    row_db, batch_db = pair
-    assert _norm(row_db.execute(query).rows) == _norm(
-        batch_db.execute(query).rows
-    ), query
+    check(pair, query)
 
 
-@pytest.mark.parametrize("query", ORDERED_QUERIES + EXTRA_ORDERED)
+@pytest.mark.parametrize("query", ORDERED_QUERIES + EXTRA_ORDERED + BOUNDARY_ORDERED)
 def test_ordered_equivalence(pair, query):
-    row_db, batch_db = pair
-    assert row_db.execute(query).rows == batch_db.execute(query).rows, query
+    check(pair, query, ordered=True)
+
+
+@pytest.mark.parametrize("op", ["UNION ALL", "INTERSECT ALL", "EXCEPT ALL"])
+def test_bag_set_operations(pair, op):
+    """SQLite lacks INTERSECT/EXCEPT ALL: the expected bag is built from
+    its answers to the two arms."""
+    ours, ref = pair
+    left, right = "SELECT age % 19 FROM P", "SELECT age FROM Q"
+    a = Counter(ref.execute(left).fetchall())
+    b = Counter(ref.execute(right).fetchall())
+    expected = {"UNION ALL": a + b, "INTERSECT ALL": a & b, "EXCEPT ALL": a - b}[op]
+    assert expected
+    assert Counter(ours.execute(f"{left} {op} {right}").rows) == expected
 
 
 def test_not_vacuous(pair):
-    """The batch database actually plans Vec* operators (and row doesn't)."""
-    row_db, batch_db = pair
-    query = "SELECT city, COUNT(*) FROM P WHERE age > 30 GROUP BY city"
-    assert "Vec" in batch_db.explain(query)
-    assert "Vec" not in row_db.explain(query)
-
-
-def test_correlated_falls_back_to_row_operators(pair):
-    _, batch_db = pair
-    plan = batch_db.explain(
-        "SELECT name FROM P WHERE EXISTS (SELECT 1 FROM Q WHERE Q.owner = P.id)"
-    )
-    assert "Vec" not in plan
-
-
-def test_sys_tables_fall_back_to_row_operators(pair):
-    _, batch_db = pair
-    plan = batch_db.explain("SELECT * FROM SYS_STAT_TABLES")
-    assert "Vec" not in plan
+    """The fill really spans batch boundaries: P scans in three or more
+    batches."""
+    ours, _ = pair
+    text = ours.explain_analyze("SELECT id FROM P WHERE age >= 30")
+    scan = next(line for line in text.splitlines() if "SeqScan(P)" in line)
+    assert int(re.search(r"batches=(\d+)", scan).group(1)) >= 3
 
 
 def test_analyze_reports_batches(pair):
-    _, batch_db = pair
-    text = batch_db.explain_analyze("SELECT id FROM P WHERE age >= 30")
+    ours, _ = pair
+    text = ours.explain_analyze("SELECT id FROM P WHERE age >= 30")
     assert "batches=" in text and "fill=" in text
 
 
-def test_execute_span_carries_executor_mode(pair):
-    row_db, batch_db = pair
-    for db, mode in ((row_db, "row"), (batch_db, "batch")):
-        db.execute("SELECT COUNT(*) FROM P")
-        rows = db.execute(
-            "SELECT executor FROM SYS_TRACE_SPANS WHERE name = 'execute'"
-        ).rows
-        assert (mode,) in rows
-
-
-def test_executor_mode_resolution(monkeypatch):
-    monkeypatch.setenv("REPRO_EXECUTOR", "batch")
-    assert Database().executor_mode == "batch"
-    assert Database(executor="row").executor_mode == "row"
-    monkeypatch.delenv("REPRO_EXECUTOR")
-    assert Database().executor_mode == "auto"
-    with pytest.raises(ExecutionError):
-        Database(executor="columnar")
-
-
 def test_xnf_extraction_equivalence():
+    """A CO extracted by the generated queries equals the same tuples and
+    connections read with one plain SQL query each."""
     from repro.workloads.oo1 import build_parts_database, load_parts_co
     from repro.xnf.api import XNFSession
 
-    def extract(mode):
-        db = build_parts_database(80, executor=mode)
-        co = load_parts_co(XNFSession(db))
-        parts = sorted(tuple(t.values()) for t in co.node("Xpart"))
-        conns = sorted(
-            (
-                tuple(c.parent.values()),
-                tuple(c.child.values()),
-                tuple(sorted(c.attributes.items())),
-            )
-            for c in co.connections("connects")
+    db = build_parts_database(80)
+    co = load_parts_co(XNFSession(db))
+    parts = sorted(tuple(t.values()) for t in co.node("Xpart"))
+    conns = {
+        (
+            tuple(c.parent.values()),
+            tuple(c.child.values()),
+            tuple(sorted(c.attributes.items())),
         )
-        return parts, conns
-
-    assert extract("row") == extract("batch")
+        for c in co.connections("connects")
+    }
+    assert parts == sorted(db.execute("SELECT * FROM PART").rows)
+    sql = (
+        "SELECT s.*, t.*, c.clength, c.ctype FROM PART s, CONN c, PART t "
+        "WHERE s.pid = c.cfrom AND t.pid = c.cto"
+    )
+    assert conns == {
+        (row[:5], row[5:10], (("clength", row[10]), ("ctype", row[11])))
+        for row in db.execute(sql).rows
+    }

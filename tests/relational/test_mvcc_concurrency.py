@@ -2,8 +2,8 @@
 
 Part 1 (single-threaded, fully deterministic): snapshot visibility,
 first-committer-wins conflicts, the retryable error taxonomy, admission
-control, vacuum progress, and statement-timeout cleanup under the
-vectorized executor.
+control, vacuum progress, and statement-timeout cleanup between
+executor batches.
 
 Part 2 (multi-threaded chaos harness, parametrized over seeds): reader
 threads extract composite invariants from the company and OO1 databases
@@ -333,7 +333,7 @@ class TestVacuum:
 
 class TestStatementTimeoutVectorized:
     def test_timeout_aborts_between_batches_with_clean_state(self):
-        db = Database(mvcc=True, executor="batch")
+        db = Database(mvcc=True)
         db.execute("CREATE TABLE BIG (a INTEGER PRIMARY KEY, b INTEGER)")
         rows = ",".join(f"({i},{i % 97})" for i in range(3000))
         db.execute(f"INSERT INTO BIG VALUES {rows}")
@@ -350,7 +350,7 @@ class TestStatementTimeoutVectorized:
         assert db.query("SELECT COUNT(*) FROM BIG").scalar() == 3000
 
     def test_timeout_outside_txn_leaves_no_snapshot(self):
-        db = Database(mvcc=True, executor="batch", statement_timeout_s=1e-9)
+        db = Database(mvcc=True, statement_timeout_s=1e-9)
         db.execute("CREATE TABLE T2 (a INTEGER PRIMARY KEY)")
         db.execute(
             "INSERT INTO T2 VALUES "
