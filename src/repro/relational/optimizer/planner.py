@@ -64,7 +64,6 @@ from repro.relational.qgm.model import (
     ValuesBox,
     has_subquery,
     referenced_quantifiers,
-    walk_resolved,
 )
 from repro.relational.sql import ast
 
@@ -875,7 +874,7 @@ class Planner:
         agg_exprs: List[ast.FuncCall] = []
         seen_sql: Set[str] = set()
         for expr in [col.expr for col in box.head] + list(box.having):
-            for node in walk_resolved(expr):
+            for node in ast.walk(expr):
                 if isinstance(node, ast.FuncCall) and node.is_aggregate:
                     sql = node.to_sql()
                     if sql not in seen_sql:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.relational.catalog import Catalog
@@ -100,55 +100,11 @@ class _Lifter:
 def count_explicit_parameters(stmt: ast.Statement) -> int:
     """Highest explicit ``?`` ordinal + 1 (0 when the statement has none)."""
     highest = -1
-
-    def visit_expr(expr: Optional[ast.Expr]) -> None:
-        nonlocal highest
-        if expr is None:
-            return
-        for node in ast.walk_expr(expr):
-            if isinstance(node, ast.Parameter):
-                highest = max(highest, node.index)
-            elif isinstance(node, (ast.InSubquery, ast.Exists, ast.ScalarSubquery)):
-                visit_query(node.subquery)
-
-    def visit_table_ref(ref: ast.TableRef) -> None:
-        if isinstance(ref, ast.DerivedTable):
-            visit_query(ref.subquery)
-        elif isinstance(ref, ast.Join):
-            visit_table_ref(ref.left)
-            visit_table_ref(ref.right)
-            visit_expr(ref.condition)
-
-    def visit_query(q: ast.Query) -> None:
-        if isinstance(q, ast.SetOpStmt):
-            visit_query(q.left)
-            visit_query(q.right)
-            return
-        for item in q.select_items:
-            visit_expr(item.expr)
-        for ref in q.from_tables:
-            visit_table_ref(ref)
-        visit_expr(q.where)
-        for key in q.group_by:
-            visit_expr(key)
-        visit_expr(q.having)
-        for order in q.order_by:
-            visit_expr(order.expr)
-
-    if isinstance(stmt, (ast.SelectStmt, ast.SetOpStmt)):
-        visit_query(stmt)
-    elif isinstance(stmt, ast.InsertStmt):
-        for row in stmt.rows or []:
-            for expr in row:
-                visit_expr(expr)
-        if stmt.select is not None:
-            visit_query(stmt.select)
-    elif isinstance(stmt, ast.UpdateStmt):
-        for _, expr in stmt.assignments:
-            visit_expr(expr)
-        visit_expr(stmt.where)
-    elif isinstance(stmt, ast.DeleteStmt):
-        visit_expr(stmt.where)
+    for query in ast.queries(stmt):
+        for expr in ast.clause_exprs(query):
+            for node in ast.walk(expr):
+                if isinstance(node, ast.Parameter) and node.index > highest:
+                    highest = node.index
     return highest + 1
 
 
@@ -165,11 +121,11 @@ def normalize_statement(stmt: ast.Statement) -> NormalizedStatement:
     elif isinstance(stmt, ast.UpdateStmt):
         normalized = ast.UpdateStmt(
             stmt.table,
-            [(col, _norm_pred(expr, lifter)) for col, expr in stmt.assignments],
-            _norm_pred(stmt.where, lifter),
+            [(col, _norm_expr(expr, lifter)) for col, expr in stmt.assignments],
+            _norm_expr(stmt.where, lifter),
         )
     elif isinstance(stmt, ast.DeleteStmt):
-        normalized = ast.DeleteStmt(stmt.table, _norm_pred(stmt.where, lifter))
+        normalized = ast.DeleteStmt(stmt.table, _norm_expr(stmt.where, lifter))
     elif isinstance(stmt, ast.InsertStmt) and stmt.select is not None:
         normalized = ast.InsertStmt(
             stmt.table, stmt.columns, select=_norm_query(stmt.select, lifter)
@@ -192,11 +148,11 @@ def _norm_query(q: ast.Query, lifter: _Lifter) -> ast.Query:
         )
     return ast.SelectStmt(
         select_items=[
-            ast.SelectItem(_norm_subqueries_only(item.expr, lifter), item.alias)
+            ast.SelectItem(_norm_expr(item.expr, lifter, lift_literals=False), item.alias)
             for item in q.select_items
         ],
         from_tables=[_norm_table_ref(ref, lifter) for ref in q.from_tables],
-        where=_norm_pred(q.where, lifter),
+        where=_norm_expr(q.where, lifter),
         group_by=q.group_by,
         having=q.having,
         order_by=q.order_by,
@@ -217,121 +173,36 @@ def _norm_table_ref(ref: ast.TableRef, lifter: _Lifter) -> ast.TableRef:
             ref.kind,
             _norm_table_ref(ref.left, lifter),
             _norm_table_ref(ref.right, lifter),
-            _norm_pred(ref.condition, lifter),
+            _norm_expr(ref.condition, lifter),
         )
     return ref
 
 
-def _norm_pred(expr: Optional[ast.Expr], lifter: _Lifter) -> Optional[ast.Expr]:
-    """Normalize a WHERE-position expression: literals become parameters."""
-    if expr is None:
-        return None
-    if isinstance(expr, ast.Literal):
-        # NULL keeps its identity: IS NULL / three-valued folding treats it
-        # specially and NULL constants never vary between hot repetitions.
-        if expr.value is None:
-            return expr
-        return lifter.lift(expr.value)
-    if isinstance(expr, ast.BinaryOp):
-        return ast.BinaryOp(
-            expr.op,
-            _norm_pred(expr.left, lifter),
-            _norm_pred(expr.right, lifter),
-        )
-    if isinstance(expr, ast.UnaryOp):
-        return ast.UnaryOp(expr.op, _norm_pred(expr.operand, lifter))
-    if isinstance(expr, ast.IsNull):
-        return ast.IsNull(_norm_pred(expr.operand, lifter), expr.negated)
-    if isinstance(expr, ast.Between):
-        return ast.Between(
-            _norm_pred(expr.operand, lifter),
-            _norm_pred(expr.low, lifter),
-            _norm_pred(expr.high, lifter),
-            expr.negated,
-        )
-    if isinstance(expr, ast.InList):
-        return ast.InList(
-            _norm_pred(expr.operand, lifter),
-            [_norm_pred(item, lifter) for item in expr.items],
-            expr.negated,
-        )
-    if isinstance(expr, ast.InSubquery):
-        return ast.InSubquery(
-            _norm_pred(expr.operand, lifter),
-            _norm_query(expr.subquery, lifter),
-            expr.negated,
-        )
-    if isinstance(expr, ast.Exists):
-        return ast.Exists(_norm_query(expr.subquery, lifter), expr.negated)
-    if isinstance(expr, ast.ScalarSubquery):
-        return ast.ScalarSubquery(_norm_query(expr.subquery, lifter))
-    if isinstance(expr, ast.FuncCall):
-        return ast.FuncCall(
-            expr.name,
-            [_norm_pred(arg, lifter) for arg in expr.args],
-            distinct=expr.distinct,
-            star=expr.star,
-        )
-    if isinstance(expr, ast.Case):
-        return ast.Case(
-            [
-                (_norm_pred(cond, lifter), _norm_pred(result, lifter))
-                for cond, result in expr.whens
-            ],
-            (
-                _norm_pred(expr.else_result, lifter)
-                if expr.else_result is not None
-                else None
-            ),
-        )
-    # ColumnRef, Parameter, Star, and any resolved QGM nodes pass through.
-    return expr
+def _norm_expr(
+    expr: Optional[ast.Expr], lifter: _Lifter, lift_literals: bool = True
+) -> Optional[ast.Expr]:
+    """Normalize an expression: its literals become parameters, and so do
+    those of the WHERE clauses of its subqueries.
 
+    Without *lift_literals* (SELECT-list position) the expression's own
+    literals stay, for textual GROUP BY matching.
+    """
 
-def _norm_subqueries_only(expr: ast.Expr, lifter: _Lifter) -> ast.Expr:
-    """In SELECT-list position, literals stay (textual GROUP BY matching)
-    but subqueries nested inside still get their WHERE clauses normalized."""
-    if isinstance(expr, ast.InSubquery):
-        return ast.InSubquery(
-            _norm_subqueries_only(expr.operand, lifter),
-            _norm_query(expr.subquery, lifter),
-            expr.negated,
-        )
-    if isinstance(expr, ast.Exists):
-        return ast.Exists(_norm_query(expr.subquery, lifter), expr.negated)
-    if isinstance(expr, ast.ScalarSubquery):
-        return ast.ScalarSubquery(_norm_query(expr.subquery, lifter))
-    if isinstance(expr, ast.BinaryOp):
-        return ast.BinaryOp(
-            expr.op,
-            _norm_subqueries_only(expr.left, lifter),
-            _norm_subqueries_only(expr.right, lifter),
-        )
-    if isinstance(expr, ast.UnaryOp):
-        return ast.UnaryOp(expr.op, _norm_subqueries_only(expr.operand, lifter))
-    if isinstance(expr, ast.FuncCall):
-        return ast.FuncCall(
-            expr.name,
-            [_norm_subqueries_only(arg, lifter) for arg in expr.args],
-            distinct=expr.distinct,
-            star=expr.star,
-        )
-    if isinstance(expr, ast.Case):
-        return ast.Case(
-            [
-                (
-                    _norm_subqueries_only(cond, lifter),
-                    _norm_subqueries_only(result, lifter),
-                )
-                for cond, result in expr.whens
-            ],
-            (
-                _norm_subqueries_only(expr.else_result, lifter)
-                if expr.else_result is not None
-                else None
-            ),
-        )
-    return expr
+    def norm(node: ast.Expr) -> Optional[ast.Expr]:
+        if isinstance(node, ast.Literal):
+            # NULL keeps its identity: IS NULL / three-valued folding treats
+            # it specially and NULL constants never vary between hot
+            # repetitions.
+            if not lift_literals or node.value is None:
+                return node
+            return lifter.lift(node.value)
+        if not isinstance(node, (ast.InSubquery, ast.Exists, ast.ScalarSubquery)):
+            return None
+        # the operand (IN) first, so its literals keep their slots
+        changes = {name: ast.map(getattr(node, name), norm) for name in node.CHILDREN}
+        return replace(node, subquery=_norm_query(node.subquery, lifter), **changes)
+
+    return None if expr is None else ast.map(expr, norm)
 
 
 # ===========================================================================
@@ -343,60 +214,26 @@ def referenced_objects(stmt: ast.Statement, catalog: Catalog) -> List[str]:
     """Upper-cased names of every table and view *stmt* depends on,
     including the base tables under referenced views."""
     names: List[str] = []
-    seen: set = set()
+
+    def visit(root: Any) -> None:
+        for query in ast.queries(root):
+            if isinstance(query, (ast.InsertStmt, ast.UpdateStmt, ast.DeleteStmt)):
+                add(query.table)
+            elif isinstance(query, ast.SelectStmt):
+                for ref in ast.table_refs(query):
+                    if isinstance(ref, ast.NamedTable):
+                        add(ref.name)
 
     def add(name: str) -> None:
         key = name.upper()
-        if key in seen:
+        if key in names:
             return
-        seen.add(key)
         names.append(key)
         view = catalog.get_view(key)
         if view is not None:
-            visit_query(view.body)
+            visit(view.body)
 
-    def visit_expr(expr: Optional[ast.Expr]) -> None:
-        if expr is None:
-            return
-        for node in ast.walk_expr(expr):
-            if isinstance(node, (ast.InSubquery, ast.Exists, ast.ScalarSubquery)):
-                visit_query(node.subquery)
-
-    def visit_table_ref(ref: ast.TableRef) -> None:
-        if isinstance(ref, ast.NamedTable):
-            add(ref.name)
-        elif isinstance(ref, ast.DerivedTable):
-            visit_query(ref.subquery)
-        elif isinstance(ref, ast.Join):
-            visit_table_ref(ref.left)
-            visit_table_ref(ref.right)
-            visit_expr(ref.condition)
-
-    def visit_query(q: ast.Query) -> None:
-        if isinstance(q, ast.SetOpStmt):
-            visit_query(q.left)
-            visit_query(q.right)
-            return
-        for item in q.select_items:
-            visit_expr(item.expr)
-        for ref in q.from_tables:
-            visit_table_ref(ref)
-        visit_expr(q.where)
-        for key in q.group_by:
-            visit_expr(key)
-        visit_expr(q.having)
-
-    if isinstance(stmt, (ast.SelectStmt, ast.SetOpStmt)):
-        visit_query(stmt)
-    elif isinstance(stmt, ast.InsertStmt):
-        add(stmt.table)
-        if stmt.select is not None:
-            visit_query(stmt.select)
-    elif isinstance(stmt, (ast.UpdateStmt, ast.DeleteStmt)):
-        add(stmt.table)
-        visit_expr(stmt.where)
-        for _, expr in getattr(stmt, "assignments", ()):
-            visit_expr(expr)
+    visit(stmt)
     return names
 
 

@@ -9,7 +9,7 @@ the executor evaluates against its environment stack.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import CatalogError, TypeCheckError
 from repro.relational.catalog import Catalog
@@ -26,7 +26,7 @@ from repro.relational.qgm.model import (
     SubqueryExpr,
     TopBox,
     ValuesBox,
-    walk_resolved,
+    collect_outer_refs,
 )
 from repro.relational.sql import ast
 
@@ -183,9 +183,18 @@ class QGMBuilder:
         group_box = GroupByBox()
         group_box.input = Quantifier("g", spj)
 
+        def regroup(node: ast.Expr) -> Optional[ast.Expr]:
+            if not isinstance(node, QGMColumnRef):
+                return None
+            flat = flat_names.get((node.quantifier, node.column))
+            if flat is None:
+                raise CatalogError(
+                    f"column {node.to_sql()} not available after grouping"
+                )
+            return QGMColumnRef("g", flat)
+
         def reroute(expr: ast.Expr) -> ast.Expr:
-            resolved = self._resolve_expr(expr, scope)
-            return _remap_to_quantifier(resolved, flat_names, "g")
+            return ast.map(self._resolve_expr(expr, scope), regroup)
 
         group_box.group_keys = [reroute(key) for key in stmt.group_by]
         group_key_sql = {key.to_sql() for key in group_box.group_keys}
@@ -216,17 +225,20 @@ class QGMBuilder:
         self, expr: ast.Expr, group_key_sql: set, context: str
     ) -> None:
         """Every non-aggregate column use must appear in the GROUP BY keys."""
-        if expr.to_sql() in group_key_sql:
-            return
-        if isinstance(expr, ast.FuncCall) and expr.is_aggregate:
-            return
-        if isinstance(expr, QGMColumnRef):
-            raise TypeCheckError(
-                f"column {expr.to_sql()} in {context} is neither grouped "
-                "nor aggregated"
-            )
-        for child in _direct_children(expr):
-            self._check_group_expr(child, group_key_sql, context)
+
+        def check(node: ast.Expr) -> Optional[ast.Expr]:
+            if node.to_sql() in group_key_sql or (
+                isinstance(node, ast.FuncCall) and node.is_aggregate
+            ):
+                return node  # covered: do not look inside
+            if isinstance(node, QGMColumnRef):
+                raise TypeCheckError(
+                    f"column {node.to_sql()} in {context} is neither grouped "
+                    "nor aggregated"
+                )
+            return None
+
+        ast.map(expr, check)
 
     # -- FROM-clause handling ------------------------------------------------------
 
@@ -405,209 +417,54 @@ class QGMBuilder:
     # -- expression resolution -------------------------------------------------------
 
     def _resolve_expr(self, expr: ast.Expr, scope: Optional[_Scope]) -> ast.Expr:
-        if isinstance(expr, (ast.Literal, ast.Parameter)):
-            return expr
-        if isinstance(expr, ast.ColumnRef):
-            if scope is None:
-                raise CatalogError(
-                    f"column reference {expr.to_sql()!r} outside any scope"
-                )
-            quant, column, depth = scope.resolve(expr.table, expr.column)
-            if depth == 0:
-                return QGMColumnRef(quant, column)
-            return OuterRef(quant, column)
-        if isinstance(expr, ast.BinaryOp):
-            return ast.BinaryOp(
-                expr.op,
-                self._resolve_expr(expr.left, scope),
-                self._resolve_expr(expr.right, scope),
-            )
-        if isinstance(expr, ast.UnaryOp):
-            return ast.UnaryOp(expr.op, self._resolve_expr(expr.operand, scope))
-        if isinstance(expr, ast.IsNull):
-            return ast.IsNull(self._resolve_expr(expr.operand, scope), expr.negated)
-        if isinstance(expr, ast.Between):
-            return ast.Between(
-                self._resolve_expr(expr.operand, scope),
-                self._resolve_expr(expr.low, scope),
-                self._resolve_expr(expr.high, scope),
-                expr.negated,
-            )
-        if isinstance(expr, ast.InList):
-            return ast.InList(
-                self._resolve_expr(expr.operand, scope),
-                [self._resolve_expr(item, scope) for item in expr.items],
-                expr.negated,
-            )
-        if isinstance(expr, ast.InSubquery):
-            sub_box = self.build_query(expr.subquery, scope)
-            if len(sub_box.output_columns()) != 1:
-                raise TypeCheckError("IN subquery must return one column")
-            node = SubqueryExpr(
-                "IN",
-                sub_box,
-                operand=self._resolve_expr(expr.operand, scope),
-                negated=expr.negated,
-            )
-            node.correlated = _box_is_correlated(sub_box)
-            return node
-        if isinstance(expr, ast.Exists):
-            sub_box = self.build_query(expr.subquery, scope)
-            node = SubqueryExpr("EXISTS", sub_box, negated=expr.negated)
-            node.correlated = _box_is_correlated(sub_box)
-            return node
-        if isinstance(expr, ast.ScalarSubquery):
-            sub_box = self.build_query(expr.subquery, scope)
-            if len(sub_box.output_columns()) != 1:
-                raise TypeCheckError("scalar subquery must return one column")
-            node = SubqueryExpr("SCALAR", sub_box)
-            node.correlated = _box_is_correlated(sub_box)
-            return node
-        if isinstance(expr, ast.FuncCall):
-            return ast.FuncCall(
-                expr.name,
-                [self._resolve_expr(arg, scope) for arg in expr.args],
-                distinct=expr.distinct,
-                star=expr.star,
-            )
-        if isinstance(expr, ast.Case):
-            return ast.Case(
-                [
-                    (
-                        self._resolve_expr(cond, scope),
-                        self._resolve_expr(result, scope),
+        # the unresolved node kinds whose resolution is that of their children
+        by_children = (
+            ast.Literal,
+            ast.Parameter,
+            ast.BinaryOp,
+            ast.UnaryOp,
+            ast.IsNull,
+            ast.Between,
+            ast.InList,
+            ast.FuncCall,
+            ast.Case,
+        )
+
+        def resolve(node: ast.Expr) -> Optional[ast.Expr]:
+            if isinstance(node, ast.ColumnRef):
+                if scope is None:
+                    raise CatalogError(
+                        f"column reference {node.to_sql()!r} outside any scope"
                     )
-                    for cond, result in expr.whens
-                ],
-                (
-                    self._resolve_expr(expr.else_result, scope)
-                    if expr.else_result is not None
-                    else None
-                ),
-            )
-        if isinstance(expr, (QGMColumnRef, OuterRef, SubqueryExpr)):
-            return expr  # already resolved (XNF compiler path)
-        raise TypeCheckError(f"unsupported expression {expr!r}")
+                quant, column, depth = scope.resolve(node.table, node.column)
+                if depth == 0:
+                    return QGMColumnRef(quant, column)
+                return OuterRef(quant, column)
+            if isinstance(node, (ast.InSubquery, ast.Exists, ast.ScalarSubquery)):
+                return self._resolve_subquery(node, scope, resolve)
+            if isinstance(node, (QGMColumnRef, OuterRef, SubqueryExpr)):
+                return node  # already resolved (XNF compiler path)
+            if not isinstance(node, by_children):
+                raise TypeCheckError(f"unsupported expression {node!r}")
+            return None
 
+        return ast.map(expr, resolve)
 
-# ---------------------------------------------------------------------------
-# helpers
-# ---------------------------------------------------------------------------
+    def _resolve_subquery(
+        self,
+        node: ast.Expr,
+        scope: Optional[_Scope],
+        resolve: Callable[[ast.Expr], Optional[ast.Expr]],
+    ) -> SubqueryExpr:
+        box = self.build_query(node.subquery, scope)
+        correlated = bool(collect_outer_refs(box))
+        if isinstance(node, ast.Exists):
+            return SubqueryExpr("EXISTS", box, None, node.negated, correlated)
+        if len(box.output_columns()) != 1:
+            kind = "IN" if isinstance(node, ast.InSubquery) else "scalar"
+            raise TypeCheckError(f"{kind} subquery must return one column")
+        if isinstance(node, ast.ScalarSubquery):
+            return SubqueryExpr("SCALAR", box, correlated=correlated)
+        operand = ast.map(node.operand, resolve)
+        return SubqueryExpr("IN", box, operand, node.negated, correlated)
 
-
-def _direct_children(expr: ast.Expr) -> List[ast.Expr]:
-    if isinstance(expr, ast.BinaryOp):
-        return [expr.left, expr.right]
-    if isinstance(expr, ast.UnaryOp):
-        return [expr.operand]
-    if isinstance(expr, ast.IsNull):
-        return [expr.operand]
-    if isinstance(expr, ast.Between):
-        return [expr.operand, expr.low, expr.high]
-    if isinstance(expr, ast.InList):
-        return [expr.operand, *expr.items]
-    if isinstance(expr, ast.FuncCall):
-        return list(expr.args)
-    if isinstance(expr, ast.Case):
-        children: List[ast.Expr] = []
-        for cond, result in expr.whens:
-            children.extend((cond, result))
-        if expr.else_result is not None:
-            children.append(expr.else_result)
-        return children
-    return []
-
-
-def _remap_to_quantifier(
-    expr: ast.Expr, flat_names: Dict[Tuple[str, str], str], quantifier: str
-) -> ast.Expr:
-    """Rewrite QGMColumnRef(q, c) to QGMColumnRef(quantifier, flat_name)."""
-    if isinstance(expr, QGMColumnRef):
-        flat = flat_names.get((expr.quantifier, expr.column))
-        if flat is None:
-            raise CatalogError(
-                f"column {expr.to_sql()} not available after grouping"
-            )
-        return QGMColumnRef(quantifier, flat)
-    if isinstance(expr, (ast.Literal, ast.Parameter, OuterRef, SubqueryExpr)):
-        return expr
-    if isinstance(expr, ast.BinaryOp):
-        return ast.BinaryOp(
-            expr.op,
-            _remap_to_quantifier(expr.left, flat_names, quantifier),
-            _remap_to_quantifier(expr.right, flat_names, quantifier),
-        )
-    if isinstance(expr, ast.UnaryOp):
-        return ast.UnaryOp(
-            expr.op, _remap_to_quantifier(expr.operand, flat_names, quantifier)
-        )
-    if isinstance(expr, ast.IsNull):
-        return ast.IsNull(
-            _remap_to_quantifier(expr.operand, flat_names, quantifier), expr.negated
-        )
-    if isinstance(expr, ast.Between):
-        return ast.Between(
-            _remap_to_quantifier(expr.operand, flat_names, quantifier),
-            _remap_to_quantifier(expr.low, flat_names, quantifier),
-            _remap_to_quantifier(expr.high, flat_names, quantifier),
-            expr.negated,
-        )
-    if isinstance(expr, ast.InList):
-        return ast.InList(
-            _remap_to_quantifier(expr.operand, flat_names, quantifier),
-            [_remap_to_quantifier(item, flat_names, quantifier) for item in expr.items],
-            expr.negated,
-        )
-    if isinstance(expr, ast.FuncCall):
-        return ast.FuncCall(
-            expr.name,
-            [_remap_to_quantifier(arg, flat_names, quantifier) for arg in expr.args],
-            distinct=expr.distinct,
-            star=expr.star,
-        )
-    if isinstance(expr, ast.Case):
-        return ast.Case(
-            [
-                (
-                    _remap_to_quantifier(cond, flat_names, quantifier),
-                    _remap_to_quantifier(result, flat_names, quantifier),
-                )
-                for cond, result in expr.whens
-            ],
-            (
-                _remap_to_quantifier(expr.else_result, flat_names, quantifier)
-                if expr.else_result is not None
-                else None
-            ),
-        )
-    raise TypeCheckError(f"unsupported expression in grouped query: {expr!r}")
-
-
-def _box_is_correlated(box: Box) -> bool:
-    """A box is correlated if any expression below it holds an OuterRef."""
-    def exprs_of(b: Box):
-        if isinstance(b, SelectBox):
-            for col in b.head:
-                yield col.expr
-            yield from b.predicates
-            for _, preds in b.outer_joins:
-                yield from preds
-        elif isinstance(b, GroupByBox):
-            for col in b.head:
-                yield col.expr
-            yield from b.group_keys
-            yield from b.having
-        elif isinstance(b, TopBox):
-            for expr, _ in b.order_by:
-                yield expr
-
-    def visit(b: Box) -> bool:
-        for expr in exprs_of(b):
-            for node in walk_resolved(expr):
-                if isinstance(node, OuterRef):
-                    return True
-                if isinstance(node, SubqueryExpr) and visit(node.box):
-                    return True
-        return any(visit(child) for child in b.children())
-
-    return visit(box)

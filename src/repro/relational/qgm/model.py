@@ -231,6 +231,7 @@ class TopBox(Box):
 class QGMColumnRef(ast.Expr):
     """Column of a quantifier in the current box."""
 
+    CHILDREN = ()
     quantifier: str
     column: str
 
@@ -242,6 +243,7 @@ class QGMColumnRef(ast.Expr):
 class OuterRef(ast.Expr):
     """Correlated reference to a quantifier of an enclosing box."""
 
+    CHILDREN = ()
     quantifier: str
     column: str
 
@@ -255,9 +257,10 @@ class SubqueryExpr(ast.Expr):
 
     ``kind`` is ``EXISTS``, ``IN`` or ``SCALAR``.  For IN, ``operand`` is the
     tested expression.  ``correlated`` is computed at build time and controls
-    executor memoisation.
+    executor memoisation.  ``box`` is a query body, not a child.
     """
 
+    CHILDREN = ("operand",)
     kind: str
     box: Box
     operand: Optional[ast.Expr] = None
@@ -271,41 +274,6 @@ class SubqueryExpr(ast.Expr):
         if self.kind == "IN":
             return f"{self.operand.to_sql()} {not_kw}IN (<{self.box.name}>)"
         return f"(<{self.box.name}>)"
-
-
-def walk_resolved(expr: ast.Expr):
-    """Depth-first walk that also knows about the QGM expression nodes."""
-    yield expr
-    if isinstance(expr, (QGMColumnRef, OuterRef, ast.Literal)):
-        return
-    if isinstance(expr, SubqueryExpr):
-        if expr.operand is not None:
-            yield from walk_resolved(expr.operand)
-        return
-    if isinstance(expr, ast.BinaryOp):
-        yield from walk_resolved(expr.left)
-        yield from walk_resolved(expr.right)
-    elif isinstance(expr, ast.UnaryOp):
-        yield from walk_resolved(expr.operand)
-    elif isinstance(expr, ast.IsNull):
-        yield from walk_resolved(expr.operand)
-    elif isinstance(expr, ast.Between):
-        yield from walk_resolved(expr.operand)
-        yield from walk_resolved(expr.low)
-        yield from walk_resolved(expr.high)
-    elif isinstance(expr, ast.InList):
-        yield from walk_resolved(expr.operand)
-        for item in expr.items:
-            yield from walk_resolved(item)
-    elif isinstance(expr, ast.FuncCall):
-        for arg in expr.args:
-            yield from walk_resolved(arg)
-    elif isinstance(expr, ast.Case):
-        for cond, result in expr.whens:
-            yield from walk_resolved(cond)
-            yield from walk_resolved(result)
-        if expr.else_result is not None:
-            yield from walk_resolved(expr.else_result)
 
 
 def box_expressions(box: Box):
@@ -336,7 +304,7 @@ def collect_outer_refs(box: Box) -> set:
 
     def visit(b: Box) -> None:
         for expr in box_expressions(b):
-            for node in walk_resolved(expr):
+            for node in ast.walk(expr):
                 if isinstance(node, OuterRef):
                     found.add((node.quantifier, node.column))
                 elif isinstance(node, SubqueryExpr):
@@ -352,10 +320,10 @@ def referenced_quantifiers(expr: ast.Expr) -> set:
     """Names of the current box's quantifiers used by *expr*."""
     return {
         node.quantifier
-        for node in walk_resolved(expr)
+        for node in ast.walk(expr)
         if isinstance(node, QGMColumnRef)
     }
 
 
 def has_subquery(expr: ast.Expr) -> bool:
-    return any(isinstance(node, SubqueryExpr) for node in walk_resolved(expr))
+    return any(isinstance(node, SubqueryExpr) for node in ast.walk(expr))

@@ -12,23 +12,20 @@ Rules run to a (bounded) fixpoint.  Each rule preserves bag semantics:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from repro.errors import ExecutionError
 from repro.relational.qgm.model import (
-    BaseTableBox,
     Box,
     GroupByBox,
     HeadColumn,
-    OuterRef,
     QGMColumnRef,
     Quantifier,
     SelectBox,
     SetOpBox,
     SubqueryExpr,
     TopBox,
-    ValuesBox,
-    walk_resolved,
+    referenced_quantifiers,
 )
 from repro.relational.sql import ast
 from repro.relational.types import sql_arith, sql_compare
@@ -93,13 +90,29 @@ class Rewriter:
         self._rewrite_subqueries_in(box)
         return box
 
-    def _rewrite_subqueries_in(self, box: Box) -> None:
-        from repro.relational.qgm.model import box_expressions
+    def _rewrite_subqueries_in(self, box: Union[SelectBox, GroupByBox]) -> None:
+        """Rewrite the body of every subquery in *box*'s expressions."""
 
-        for expr in box_expressions(box):
-            for node in walk_resolved(expr):
-                if isinstance(node, SubqueryExpr):
-                    node.box = self._rewrite_box(node.box)
+        def rewrite(node: ast.Expr) -> Optional[ast.Expr]:
+            if not isinstance(node, SubqueryExpr):
+                return None
+            body = self._rewrite_box(node.box)
+            operand = None if node.operand is None else ast.map(node.operand, rewrite)
+            if body is node.box and operand is node.operand:
+                return node
+            return SubqueryExpr(node.kind, body, operand, node.negated, node.correlated)
+
+        for col in box.head:
+            col.expr = ast.map(col.expr, rewrite)
+        if isinstance(box, SelectBox):
+            box.predicates = [ast.map(p, rewrite) for p in box.predicates]
+            box.outer_joins = [
+                (name, [ast.map(p, rewrite) for p in preds])
+                for name, preds in box.outer_joins
+            ]
+        elif isinstance(box, GroupByBox):
+            box.group_keys = [ast.map(k, rewrite) for k in box.group_keys]
+            box.having = [ast.map(p, rewrite) for p in box.having]
 
     # -- rule: merge SPJ child boxes ----------------------------------------------
 
@@ -139,32 +152,29 @@ class Rewriter:
             rename[inner.name] = new_name
             taken.add(new_name)
 
-        def rename_expr(expr: ast.Expr) -> ast.Expr:
-            return _substitute(
-                expr,
-                lambda ref: QGMColumnRef(
-                    rename.get(ref.quantifier, ref.quantifier), ref.column
-                ),
-            )
+        def rename_ref(node: ast.Expr) -> Optional[ast.Expr]:
+            if not isinstance(node, QGMColumnRef):
+                return None
+            return QGMColumnRef(rename.get(node.quantifier, node.quantifier), node.column)
 
         head_map = {
-            col.name: rename_expr(col.expr) for col in child.head
+            col.name: ast.map(col.expr, rename_ref) for col in child.head
         }
 
-        def replace_ref(ref: QGMColumnRef) -> ast.Expr:
-            if ref.quantifier != quant.name:
-                return ref
-            if ref.column not in head_map:
+        def replace_ref(node: ast.Expr) -> Optional[ast.Expr]:
+            if not isinstance(node, QGMColumnRef) or node.quantifier != quant.name:
+                return None
+            if node.column not in head_map:
                 raise ExecutionError(
-                    f"merge: column {ref.column} missing from child head"
+                    f"merge: column {node.column} missing from child head"
                 )
-            return head_map[ref.column]
+            return head_map[node.column]
 
         for col in box.head:
-            col.expr = _substitute(col.expr, replace_ref)
-        box.predicates = [_substitute(p, replace_ref) for p in box.predicates]
+            col.expr = ast.map(col.expr, replace_ref)
+        box.predicates = [ast.map(p, replace_ref) for p in box.predicates]
         box.outer_joins = [
-            (name, [_substitute(p, replace_ref) for p in preds])
+            (name, [ast.map(p, replace_ref) for p in preds])
             for name, preds in box.outer_joins
         ]
         position = box.quantifiers.index(quant)
@@ -173,7 +183,7 @@ class Rewriter:
             for inner in child.quantifiers
         ]
         box.quantifiers[position : position + 1] = new_quants
-        box.predicates.extend(rename_expr(p) for p in child.predicates)
+        box.predicates.extend(ast.map(p, rename_ref) for p in child.predicates)
 
     # -- rule: predicate pushdown ----------------------------------------------------
 
@@ -181,11 +191,7 @@ class Rewriter:
         outer_names = {name for name, _ in box.outer_joins}
         kept: List[ast.Expr] = []
         for pred in box.predicates:
-            refs = {
-                node.quantifier
-                for node in walk_resolved(pred)
-                if isinstance(node, QGMColumnRef)
-            }
+            refs = referenced_quantifiers(pred)
             if len(refs) != 1:
                 kept.append(pred)
                 continue
@@ -207,13 +213,13 @@ class Rewriter:
             # filtering before DISTINCT over whole rows is equivalent.
             head_map = {col.name: col.expr for col in child.head}
 
-            def replace(ref: QGMColumnRef) -> ast.Expr:
-                if ref.quantifier != qname:
-                    return ref
-                return head_map[ref.column]
+            def replace(node: ast.Expr) -> Optional[ast.Expr]:
+                if not isinstance(node, QGMColumnRef) or node.quantifier != qname:
+                    return None
+                return head_map[node.column]
 
             try:
-                child.predicates.append(_substitute(pred, replace))
+                child.predicates.append(ast.map(pred, replace))
             except KeyError:
                 return False
             return True
@@ -226,12 +232,12 @@ class Rewriter:
                 arm_columns = arm.output_columns()
                 mapping = dict(zip(columns, arm_columns))
 
-                def replace_arm(ref: QGMColumnRef, mapping=mapping):
-                    if ref.quantifier != qname:
-                        return ref
-                    return QGMColumnRef("__arm__", mapping[ref.column])
+                def replace_arm(node: ast.Expr, mapping=mapping) -> Optional[ast.Expr]:
+                    if not isinstance(node, QGMColumnRef) or node.quantifier != qname:
+                        return None
+                    return QGMColumnRef("__arm__", mapping[node.column])
 
-                arm_pred = _substitute(pred, replace_arm)
+                arm_pred = ast.map(pred, replace_arm)
                 wrapped = _wrap_with_filter(arm, arm_pred)
                 if wrapped is None:
                     return False
@@ -252,9 +258,13 @@ class Rewriter:
         return result
 
     def _fold(self, expr: ast.Expr) -> ast.Expr:
+        """Fold the constants of *expr*'s operator spine, operands first."""
+        if not isinstance(expr, (ast.BinaryOp, ast.UnaryOp)):
+            return expr
+        # map hands each operand to _fold, whose result replaces it
+        expr = ast.map(expr, lambda node: None if node is expr else self._fold(node))
         if isinstance(expr, ast.BinaryOp):
-            left = self._fold(expr.left)
-            right = self._fold(expr.right)
+            left, right = expr.left, expr.right
             if isinstance(left, ast.Literal) and isinstance(right, ast.Literal):
                 value = _eval_const(expr.op, left.value, right.value)
                 if value is not _NO_FOLD:
@@ -267,17 +277,15 @@ class Rewriter:
                 if isinstance(right, ast.Literal) and right.value is True:
                     self.folds += 1
                     return left
-            return ast.BinaryOp(expr.op, left, right)
-        if isinstance(expr, ast.UnaryOp):
-            operand = self._fold(expr.operand)
-            if (
-                expr.op == "-"
-                and isinstance(operand, ast.Literal)
-                and isinstance(operand.value, (int, float))
-            ):
-                self.folds += 1
-                return ast.Literal(-operand.value)
-            return ast.UnaryOp(expr.op, operand)
+            return expr
+        operand = expr.operand
+        if (
+            expr.op == "-"
+            and isinstance(operand, ast.Literal)
+            and isinstance(operand.value, (int, float))
+        ):
+            self.folds += 1
+            return ast.Literal(-operand.value)
         return expr
 
 
@@ -295,74 +303,17 @@ def _eval_const(op: str, left, right):
     return _NO_FOLD
 
 
-def _substitute(expr: ast.Expr, replace) -> ast.Expr:
-    """Rebuild *expr* with every QGMColumnRef passed through *replace*."""
-    if isinstance(expr, QGMColumnRef):
-        return replace(expr)
-    if isinstance(expr, (ast.Literal, OuterRef)):
-        return expr
-    if isinstance(expr, SubqueryExpr):
-        # References inside the subquery box to the merged quantifier are
-        # OuterRefs (different node type), which stay valid because the
-        # substitution only renames/inlines refs of the *current* box.
-        operand = (
-            _substitute(expr.operand, replace) if expr.operand is not None else None
-        )
-        return SubqueryExpr(expr.kind, expr.box, operand, expr.negated, expr.correlated)
-    if isinstance(expr, ast.BinaryOp):
-        return ast.BinaryOp(
-            expr.op, _substitute(expr.left, replace), _substitute(expr.right, replace)
-        )
-    if isinstance(expr, ast.UnaryOp):
-        return ast.UnaryOp(expr.op, _substitute(expr.operand, replace))
-    if isinstance(expr, ast.IsNull):
-        return ast.IsNull(_substitute(expr.operand, replace), expr.negated)
-    if isinstance(expr, ast.Between):
-        return ast.Between(
-            _substitute(expr.operand, replace),
-            _substitute(expr.low, replace),
-            _substitute(expr.high, replace),
-            expr.negated,
-        )
-    if isinstance(expr, ast.InList):
-        return ast.InList(
-            _substitute(expr.operand, replace),
-            [_substitute(item, replace) for item in expr.items],
-            expr.negated,
-        )
-    if isinstance(expr, ast.FuncCall):
-        return ast.FuncCall(
-            expr.name,
-            [_substitute(arg, replace) for arg in expr.args],
-            distinct=expr.distinct,
-            star=expr.star,
-        )
-    if isinstance(expr, ast.Case):
-        return ast.Case(
-            [
-                (_substitute(cond, replace), _substitute(result, replace))
-                for cond, result in expr.whens
-            ],
-            (
-                _substitute(expr.else_result, replace)
-                if expr.else_result is not None
-                else None
-            ),
-        )
-    return expr
-
-
 def _wrap_with_filter(arm: Box, pred: ast.Expr) -> Optional[Box]:
     """Wrap a set-op arm in a filtering SelectBox (pred over '__arm__')."""
     if isinstance(arm, SelectBox) and not arm.distinct:
         head_map = {col.name: col.expr for col in arm.head}
 
-        def replace(ref: QGMColumnRef) -> ast.Expr:
-            if ref.quantifier != "__arm__":
-                return ref
-            return head_map[ref.column]
+        def replace(node: ast.Expr) -> Optional[ast.Expr]:
+            if not isinstance(node, QGMColumnRef) or node.quantifier != "__arm__":
+                return None
+            return head_map[node.column]
 
-        arm.predicates.append(_substitute(pred, replace))
+        arm.predicates.append(ast.map(pred, replace))
         return arm
     wrapper = SelectBox("pushdown")
     quant = Quantifier("__arm__", arm)

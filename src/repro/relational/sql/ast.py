@@ -10,7 +10,7 @@ section 4.1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, ClassVar, List, Optional, Sequence, Tuple, Union
 
 
 # ===========================================================================
@@ -19,7 +19,16 @@ from typing import Any, List, Optional, Sequence, Tuple, Union
 
 
 class Expr:
-    """Base class for expression nodes."""
+    """Base class for expression nodes.
+
+    Every concrete node class declares ``CHILDREN``: the names of its fields
+    that hold sub-expressions, in evaluation order.  A child field holds an
+    expression, ``None``, or a list of expressions or of expression tuples
+    (``Case.whens``).  Subquery bodies are queries, not children.  Nodes are
+    never mutated after construction, so rewrites may share subtrees.
+    """
+
+    CHILDREN: ClassVar[Tuple[str, ...]]
 
     def to_sql(self) -> str:
         raise NotImplementedError
@@ -27,6 +36,7 @@ class Expr:
 
 @dataclass
 class Literal(Expr):
+    CHILDREN = ()
     value: Any  # int, float, str, bool, or None
 
     def to_sql(self) -> str:
@@ -50,6 +60,7 @@ class Parameter(Expr):
     in constants share one compiled plan.
     """
 
+    CHILDREN = ()
     index: int
 
     def to_sql(self) -> str:
@@ -58,6 +69,7 @@ class Parameter(Expr):
 
 @dataclass
 class ColumnRef(Expr):
+    CHILDREN = ()
     table: Optional[str]
     column: str
 
@@ -71,6 +83,7 @@ class ColumnRef(Expr):
 class Star(Expr):
     """``*`` or ``t.*`` in a select list."""
 
+    CHILDREN = ()
     table: Optional[str] = None
 
     def to_sql(self) -> str:
@@ -79,6 +92,7 @@ class Star(Expr):
 
 @dataclass
 class BinaryOp(Expr):
+    CHILDREN = ("left", "right")
     op: str  # AND OR = <> < <= > >= + - * / % || LIKE
     left: Expr
     right: Expr
@@ -89,6 +103,7 @@ class BinaryOp(Expr):
 
 @dataclass
 class UnaryOp(Expr):
+    CHILDREN = ("operand",)
     op: str  # NOT, -
     operand: Expr
 
@@ -100,6 +115,7 @@ class UnaryOp(Expr):
 
 @dataclass
 class IsNull(Expr):
+    CHILDREN = ("operand",)
     operand: Expr
     negated: bool = False
 
@@ -110,6 +126,7 @@ class IsNull(Expr):
 
 @dataclass
 class Between(Expr):
+    CHILDREN = ("operand", "low", "high")
     operand: Expr
     low: Expr
     high: Expr
@@ -125,6 +142,7 @@ class Between(Expr):
 
 @dataclass
 class InList(Expr):
+    CHILDREN = ("operand", "items")
     operand: Expr
     items: List[Expr]
     negated: bool = False
@@ -137,6 +155,7 @@ class InList(Expr):
 
 @dataclass
 class InSubquery(Expr):
+    CHILDREN = ("operand",)
     operand: Expr
     subquery: "Query"
     negated: bool = False
@@ -148,6 +167,7 @@ class InSubquery(Expr):
 
 @dataclass
 class Exists(Expr):
+    CHILDREN = ()
     subquery: "Query"
     negated: bool = False
 
@@ -158,6 +178,7 @@ class Exists(Expr):
 
 @dataclass
 class ScalarSubquery(Expr):
+    CHILDREN = ()
     subquery: "Query"
 
     def to_sql(self) -> str:
@@ -168,6 +189,7 @@ class ScalarSubquery(Expr):
 class FuncCall(Expr):
     """Function application; covers aggregates and scalar functions."""
 
+    CHILDREN = ("args",)
     name: str  # upper-cased
     args: List[Expr]
     distinct: bool = False
@@ -189,6 +211,7 @@ class FuncCall(Expr):
 
 @dataclass
 class Case(Expr):
+    CHILDREN = ("whens", "else_result")
     whens: List[Tuple[Expr, Expr]]
     else_result: Optional[Expr] = None
 
@@ -519,46 +542,156 @@ Statement = Union[
 # ===========================================================================
 
 
-def walk_expr(expr: Expr):
-    """Yield *expr* and all sub-expressions, depth-first (not subqueries)."""
-    yield expr
-    if isinstance(expr, BinaryOp):
-        yield from walk_expr(expr.left)
-        yield from walk_expr(expr.right)
-    elif isinstance(expr, UnaryOp):
-        yield from walk_expr(expr.operand)
-    elif isinstance(expr, IsNull):
-        yield from walk_expr(expr.operand)
-    elif isinstance(expr, Between):
-        yield from walk_expr(expr.operand)
-        yield from walk_expr(expr.low)
-        yield from walk_expr(expr.high)
-    elif isinstance(expr, InList):
-        yield from walk_expr(expr.operand)
-        for item in expr.items:
-            yield from walk_expr(item)
-    elif isinstance(expr, InSubquery):
-        yield from walk_expr(expr.operand)
-    elif isinstance(expr, FuncCall):
-        for arg in expr.args:
-            yield from walk_expr(arg)
-    elif isinstance(expr, Case):
-        for cond, result in expr.whens:
-            yield from walk_expr(cond)
-            yield from walk_expr(result)
-        if expr.else_result is not None:
-            yield from walk_expr(expr.else_result)
+def walk(expr: Expr) -> List[Expr]:
+    """*expr* and all its sub-expressions, depth-first, parents first.
+
+    Subquery bodies are not entered.
+    """
+    out: List[Expr] = []
+    _walk_into(expr, out)
+    return out
 
 
-def column_refs(expr: Expr) -> List[ColumnRef]:
-    """All column references in *expr* (excluding inside subqueries)."""
-    return [node for node in walk_expr(expr) if isinstance(node, ColumnRef)]
+def _walk_into(node: Expr, out: List[Expr]) -> None:
+    out.append(node)
+    for name in node.CHILDREN:
+        value = getattr(node, name)
+        if isinstance(value, Expr):
+            _walk_into(value, out)
+        elif value is not None:  # a list of expressions or expression tuples
+            for item in value:
+                if isinstance(item, Expr):
+                    _walk_into(item, out)
+                else:
+                    for sub in item:
+                        _walk_into(sub, out)
+
+
+def map(expr: Expr, fn: Callable[[Expr], Optional[Expr]]) -> Expr:
+    """Rebuild *expr* with nodes replaced by *fn*.
+
+    *fn* sees each node parents first.  It returns the node's replacement,
+    which is not descended into, or ``None`` to keep the node and map its
+    children.  A node none of whose children changed is returned as is, so
+    ``map(e, lambda node: None) is e``.
+    """
+    out = fn(expr)
+    if out is not None:
+        return out
+    changes = None
+    for name in expr.CHILDREN:
+        old = getattr(expr, name)
+        if old is None:
+            continue
+        new = map(old, fn) if isinstance(old, Expr) else _map_items(old, fn)
+        if new is not old:
+            if changes is None:
+                changes = {name: new}
+            else:
+                changes[name] = new
+    if changes is None:
+        return expr
+    cls = type(expr)
+    return cls(
+        *[changes[f] if f in changes else getattr(expr, f) for f in cls.__match_args__]
+    )
+
+
+def _map_items(items: Any, fn: Callable[[Expr], Optional[Expr]]) -> Any:
+    """:func:`map` over a list child: expressions or expression tuples."""
+    out = [
+        map(item, fn) if isinstance(item, Expr) else _map_items(item, fn)
+        for item in items
+    ]
+    if all(new is old for new, old in zip(out, items)):
+        return items
+    return out if isinstance(items, list) else tuple(out)
+
+
+def table_refs(query: "SelectStmt") -> List[TableRef]:
+    """Every FROM item of a SELECT block, joins flattened, parents first."""
+    out: List[TableRef] = []
+    stack = list(reversed(query.from_tables))
+    while stack:
+        ref = stack.pop()
+        out.append(ref)
+        if isinstance(ref, Join):
+            stack += (ref.right, ref.left)
+    return out
+
+
+def clause_exprs(stmt: Any) -> List[Expr]:
+    """The expressions held directly by a statement or query block, in
+    clause order; those of nested queries are not included."""
+    if isinstance(stmt, SelectStmt):
+        out = [item.expr for item in stmt.select_items]
+        for ref in stmt.from_tables:
+            if isinstance(ref, Join):
+                out += [
+                    item.condition
+                    for item in table_refs(stmt)
+                    if isinstance(item, Join) and item.condition is not None
+                ]
+                break
+        if stmt.where is not None:
+            out.append(stmt.where)
+        if stmt.group_by:
+            out += stmt.group_by
+        if stmt.having is not None:
+            out.append(stmt.having)
+        if stmt.order_by:
+            out += [item.expr for item in stmt.order_by]
+        return out
+    if isinstance(stmt, SetOpStmt):
+        return [item.expr for item in stmt.order_by]
+    if isinstance(stmt, InsertStmt):
+        return [expr for row in stmt.rows or [] for expr in row]
+    out = []
+    if isinstance(stmt, UpdateStmt):
+        out = [expr for _, expr in stmt.assignments]
+    if isinstance(stmt, (UpdateStmt, DeleteStmt)) and stmt.where is not None:
+        out.append(stmt.where)
+    return out
+
+
+def queries(stmt: Any) -> List[Any]:
+    """*stmt* and every query nested in it, parents first.
+
+    Nested queries are set-operation arms, derived tables, the body of an
+    INSERT ... SELECT, and subqueries in any clause.
+    """
+    out: List[Any] = []
+    stack = [stmt]
+    while stack:
+        query = stack.pop()
+        out.append(query)
+        nested: List[Any] = []
+        if isinstance(query, SelectStmt):
+            for ref in query.from_tables:
+                if isinstance(ref, (Join, DerivedTable)):
+                    nested += [
+                        item.subquery
+                        for item in table_refs(query)
+                        if isinstance(item, DerivedTable)
+                    ]
+                    break
+        elif isinstance(query, SetOpStmt):
+            nested += (query.left, query.right)
+        elif isinstance(query, InsertStmt) and query.select is not None:
+            nested.append(query.select)
+        for expr in clause_exprs(query):
+            for node in walk(expr):
+                if isinstance(node, (InSubquery, Exists, ScalarSubquery)):
+                    nested.append(node.subquery)
+        if nested:
+            stack += reversed(nested)
+    return out
 
 
 def contains_aggregate(expr: Expr) -> bool:
     """True if *expr* contains an aggregate call outside subqueries."""
     return any(
-        isinstance(node, FuncCall) and node.is_aggregate for node in walk_expr(expr)
+        isinstance(node, FuncCall) and node.is_aggregate for node in walk(expr)
     )
 
 

@@ -56,9 +56,11 @@ class PathExpr(sql_ast.Expr):
 
     ``start`` is either a tuple variable bound by an enclosing SUCH THAT
     (``d->employment->…``) or a node name (``Xdept->employment->…``), in
-    which case the path ranges over every tuple of that node.
+    which case the path ranges over every tuple of that node.  Step
+    predicates are scoped to their step, so they are not children.
     """
 
+    CHILDREN = ()
     start: str
     steps: List[PathStep] = field(default_factory=list)
 

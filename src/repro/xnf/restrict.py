@@ -9,9 +9,10 @@ re-enforced, exactly the semantics the paper walks through for Fig. 5.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from repro.errors import XNFError
+from repro.relational.sql import ast as sql_ast
 from repro.xnf.cache import COCache
 from repro.xnf.lang import xast
 from repro.xnf.paths import eval_instance_expr
@@ -51,7 +52,7 @@ def apply_instance_restrictions(
                     restriction.parent_alias: conn.parent,
                     restriction.child_alias: conn.child,
                 }
-                predicate = _substitute_attrs(restriction, conn)
+                predicate = _bind_attributes(restriction, conn)
                 if eval_instance_expr(predicate, bindings, cache) is not True:
                     doomed_connections.append(conn)
         else:  # pragma: no cover
@@ -67,50 +68,16 @@ def apply_instance_restrictions(
     return dropped
 
 
-def _substitute_attrs(restriction: xast.EdgeRestriction, conn):
+def _bind_attributes(restriction: xast.EdgeRestriction, conn) -> sql_ast.Expr:
     """Replace references to connection attributes by their values."""
-    from repro.relational.sql import ast as sql_ast
-
     if not conn.attributes:
         return restriction.predicate
 
-    def rewrite(expr):
-        if isinstance(expr, sql_ast.ColumnRef):
-            if expr.table is None and expr.column in conn.attributes:
-                return sql_ast.Literal(conn.attributes[expr.column])
-            if (
-                expr.table is not None
-                and expr.table.upper() == restriction.edge.upper()
-                and expr.column in conn.attributes
-            ):
-                return sql_ast.Literal(conn.attributes[expr.column])
-            return expr
-        if isinstance(expr, sql_ast.BinaryOp):
-            return sql_ast.BinaryOp(expr.op, rewrite(expr.left), rewrite(expr.right))
-        if isinstance(expr, sql_ast.UnaryOp):
-            return sql_ast.UnaryOp(expr.op, rewrite(expr.operand))
-        if isinstance(expr, sql_ast.IsNull):
-            return sql_ast.IsNull(rewrite(expr.operand), expr.negated)
-        if isinstance(expr, sql_ast.Between):
-            return sql_ast.Between(
-                rewrite(expr.operand),
-                rewrite(expr.low),
-                rewrite(expr.high),
-                expr.negated,
-            )
-        if isinstance(expr, sql_ast.InList):
-            return sql_ast.InList(
-                rewrite(expr.operand),
-                [rewrite(i) for i in expr.items],
-                expr.negated,
-            )
-        if isinstance(expr, sql_ast.FuncCall):
-            return sql_ast.FuncCall(
-                expr.name,
-                [rewrite(a) for a in expr.args],
-                distinct=expr.distinct,
-                star=expr.star,
-            )
-        return expr
+    def bind(node: sql_ast.Expr) -> Optional[sql_ast.Expr]:
+        if not isinstance(node, sql_ast.ColumnRef) or node.column not in conn.attributes:
+            return None
+        if node.table is None or node.table.upper() == restriction.edge.upper():
+            return sql_ast.Literal(conn.attributes[node.column])
+        return node
 
-    return rewrite(restriction.predicate)
+    return sql_ast.map(restriction.predicate, bind)

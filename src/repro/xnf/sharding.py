@@ -96,12 +96,6 @@ def find_scatter_target(
 # -- zone-map / partition-bound pruning ----------------------------------------
 
 
-def _conjuncts(expr: Any) -> List[Any]:
-    if isinstance(expr, sql_ast.BinaryOp) and expr.op == "AND":
-        return _conjuncts(expr.left) + _conjuncts(expr.right)
-    return [expr] if expr is not None else []
-
-
 def _column_pos(
     table: ShardedTable, binding: str, ref: Any
 ) -> Optional[int]:
@@ -307,7 +301,7 @@ def scatter_candidates(
     table, ref = hit
     binding = ref.alias or ref.name
     select = _enclosing_select(query, ref)
-    conjuncts = _conjuncts(select.where) if select is not None else []
+    conjuncts = sql_ast.conjuncts(select.where) if select is not None else []
     shard_ids = [
         shard_id
         for shard_id in range(table.partition.num_shards)

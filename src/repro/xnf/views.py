@@ -53,7 +53,7 @@ class XNFViewCatalog:
 def contains_path(expr: sql_ast.Expr) -> bool:
     """True if *expr* contains a path expression anywhere."""
     return any(
-        isinstance(node, xast.PathExpr) for node in sql_ast.walk_expr(expr)
+        isinstance(node, xast.PathExpr) for node in sql_ast.walk(expr)
     )
 
 
@@ -185,53 +185,20 @@ def _rewrite_edge_restriction(
         restriction.child_alias.upper(): edge.child_binding,
     }
 
-    def rewrite(expr: sql_ast.Expr) -> sql_ast.Expr:
-        if isinstance(expr, sql_ast.ColumnRef):
-            if expr.table is None and expr.column in attr_map:
-                return attr_map[expr.column]
-            if expr.table is not None:
-                upper = expr.table.upper()
-                if upper in alias_map:
-                    return sql_ast.ColumnRef(alias_map[upper], expr.column)
-                if upper == edge.name.upper() and expr.column in attr_map:
-                    return attr_map[expr.column]
-            return expr
-        if isinstance(expr, sql_ast.Literal):
-            return expr
-        if isinstance(expr, sql_ast.BinaryOp):
-            return sql_ast.BinaryOp(expr.op, rewrite(expr.left), rewrite(expr.right))
-        if isinstance(expr, sql_ast.UnaryOp):
-            return sql_ast.UnaryOp(expr.op, rewrite(expr.operand))
-        if isinstance(expr, sql_ast.IsNull):
-            return sql_ast.IsNull(rewrite(expr.operand), expr.negated)
-        if isinstance(expr, sql_ast.Between):
-            return sql_ast.Between(
-                rewrite(expr.operand),
-                rewrite(expr.low),
-                rewrite(expr.high),
-                expr.negated,
-            )
-        if isinstance(expr, sql_ast.InList):
-            return sql_ast.InList(
-                rewrite(expr.operand),
-                [rewrite(item) for item in expr.items],
-                expr.negated,
-            )
-        if isinstance(expr, sql_ast.FuncCall):
-            return sql_ast.FuncCall(
-                expr.name,
-                [rewrite(arg) for arg in expr.args],
-                distinct=expr.distinct,
-                star=expr.star,
-            )
-        if isinstance(expr, sql_ast.Case):
-            return sql_ast.Case(
-                [(rewrite(c), rewrite(r)) for c, r in expr.whens],
-                rewrite(expr.else_result) if expr.else_result is not None else None,
-            )
-        return expr
+    def rewrite(node: sql_ast.Expr) -> Optional[sql_ast.Expr]:
+        if not isinstance(node, sql_ast.ColumnRef):
+            return None
+        if node.table is None and node.column in attr_map:
+            return attr_map[node.column]
+        if node.table is not None:
+            upper = node.table.upper()
+            if upper in alias_map:
+                return sql_ast.ColumnRef(alias_map[upper], node.column)
+            if upper == edge.name.upper() and node.column in attr_map:
+                return attr_map[node.column]
+        return node
 
-    return rewrite(restriction.predicate)
+    return sql_ast.map(restriction.predicate, rewrite)
 
 
 def apply_take(

@@ -9,9 +9,10 @@ flag) with per-object catalog-version dependencies, and the
 
 import pytest
 
-from repro.errors import SQLError
+from repro.errors import CatalogError, SQLError
 from repro.relational.engine import Database
-from repro.relational.plancache import normalize_statement
+from repro.relational.plancache import normalize_statement, referenced_objects
+from repro.relational.sql import ast
 from repro.relational.sql.parser import parse_statements
 
 
@@ -61,6 +62,40 @@ class TestNormalization:
     def test_null_literal_not_lifted(self):
         norm = normalize_statement(_one("SELECT val FROM T WHERE grp IS NULL"))
         assert norm.lifted_values == []
+
+
+@pytest.fixture
+def two_db():
+    db = Database()
+    db.execute("CREATE TABLE T1 (a INTEGER PRIMARY KEY)")
+    db.execute("CREATE TABLE T2 (b INTEGER PRIMARY KEY)")
+    db.execute("INSERT INTO T1 VALUES (1), (2), (3)")
+    db.execute("INSERT INTO T2 VALUES (1), (3)")
+    return db
+
+
+class TestSelectListSubqueries:
+    """A subquery anywhere in a SELECT item has its WHERE literals lifted,
+    whatever operator it sits under."""
+
+    @pytest.mark.parametrize(
+        "template",
+        [
+            "SELECT a, (SELECT COUNT(*) FROM T2 WHERE b = {}) FROM T1",
+            "SELECT a, (SELECT COUNT(*) FROM T2 WHERE b = {}) IS NULL FROM T1",
+            "SELECT a, (SELECT COUNT(*) FROM T2 WHERE b = {}) BETWEEN 0 AND 1 FROM T1",
+            "SELECT a, (SELECT COUNT(*) FROM T2 WHERE b = {}) IN (0, 1) FROM T1",
+        ],
+        ids=["bare", "is-null", "between", "in-list"],
+    )
+    def test_one_plan_for_both_constants(self, two_db, template):
+        one, three = _one(template.format(1)), _one(template.format(3))
+        assert normalize_statement(one).fingerprint == normalize_statement(three).fingerprint
+        before = two_db.plan_cache.stats()["misses"]
+        first = two_db.execute(template.format(1)).rows
+        second = two_db.execute(template.format(3)).rows
+        assert two_db.plan_cache.stats()["misses"] == before + 1
+        assert first == second  # T2 holds both 1 and 3
 
 
 class TestTransparentCaching:
@@ -161,6 +196,13 @@ class TestInvalidation:
         after = tdb.plan_cache.stats()
         assert after["invalidations"] == before["invalidations"] + 1
 
+    def test_drop_of_table_read_only_under_order_by_invalidates(self, two_db):
+        sql = "SELECT a FROM T1 ORDER BY (SELECT COUNT(*) FROM T2 WHERE T2.b = T1.a), a"
+        assert two_db.execute(sql).rows == [(2,), (1,), (3,)]
+        two_db.execute("DROP TABLE T2")
+        with pytest.raises(CatalogError):
+            two_db.execute(sql)
+
     def test_unrelated_ddl_does_not_invalidate(self, tdb):
         tdb.execute("SELECT val FROM T WHERE id = 1")
         tdb.execute("CREATE TABLE OTHER (x INTEGER)")
@@ -244,3 +286,497 @@ class TestExplainCounters:
         text = tdb.explain("SELECT val FROM T WHERE id = 1")
         assert "plan cache: hits=" in text
         assert tdb.plan_cache.stats() == before
+
+
+# ---------------------------------------------------------------------------
+# Fingerprint corpus: every node kind in every clause
+# ---------------------------------------------------------------------------
+
+#: (statement, fingerprint, lifted values, explicit parameter count,
+#: referenced objects as a sorted list).  Recorded from the hand-written
+#: per-node normalizer that the generic expression map replaced; the
+#: commented entries are where that normalizer was wrong.
+FINGERPRINT_CORPUS = [
+    (
+        "SELECT a, 1, 'x', NULL, -b, NOT (a = 2), a || 'y' FROM T1",
+        "SELECT a, 1, 'x', NULL, (-b), (NOT (a = 2)), (a || 'y') FROM T1",
+        [],
+        0,
+        ['T1'],
+    ),
+    (
+        "SELECT a IS NULL, b IS NOT NULL, a BETWEEN 1 AND 3, a IN (1, 2, 3) FROM T1",
+        "SELECT (a IS NULL), (b IS NOT NULL), (a BETWEEN 1 AND 3), (a IN (1, 2, 3)) FROM T1",
+        [],
+        0,
+        ['T1'],
+    ),
+    (
+        "SELECT COUNT(*), SUM(DISTINCT b), UPPER(c) FROM T1",
+        "SELECT COUNT(*), SUM(DISTINCT b), UPPER(c) FROM T1",
+        [],
+        0,
+        ['T1'],
+    ),
+    (
+        "SELECT CASE WHEN a > 1 THEN 'big' WHEN a = 1 THEN 'one' ELSE 'small' END FROM T1",
+        "SELECT CASE WHEN (a > 1) THEN 'big' WHEN (a = 1) THEN 'one' ELSE 'small' END FROM T1",
+        [],
+        0,
+        ['T1'],
+    ),
+    (
+        "SELECT a, (SELECT COUNT(*) FROM T2 WHERE T2.b = T1.a AND T2.c > 5) FROM T1",
+        "SELECT a, (SELECT COUNT(*) FROM T2 WHERE ((T2.b = T1.a) AND (T2.c > ?0))) FROM T1",
+        [5],
+        0,
+        ['T1', 'T2'],
+    ),
+    (
+        "SELECT a IN (SELECT b FROM T2 WHERE c = 4), EXISTS (SELECT * FROM T2 WHERE c = "
+        "9) FROM T1",
+        "SELECT (a IN (SELECT b FROM T2 WHERE (c = ?0))), (EXISTS (SELECT * FROM T2 WHERE "
+        "(c = ?1))) FROM T1",
+        [4, 9],
+        0,
+        ['T1', 'T2'],
+    ),
+    # was wrong: kept the subquery's literal
+    (
+        "SELECT a, (SELECT COUNT(*) FROM T2 WHERE b = 1) IS NULL FROM T1",
+        "SELECT a, ((SELECT COUNT(*) FROM T2 WHERE (b = ?0)) IS NULL) FROM T1",
+        [1],
+        0,
+        ['T1', 'T2'],
+    ),
+    # was wrong: kept the subquery's literal
+    (
+        "SELECT a, (SELECT MAX(c) FROM T2 WHERE b = 2) BETWEEN 0 AND 10 FROM T1",
+        "SELECT a, ((SELECT MAX(c) FROM T2 WHERE (b = ?0)) BETWEEN 0 AND 10) FROM T1",
+        [2],
+        0,
+        ['T1', 'T2'],
+    ),
+    # was wrong: kept the subquery's literal
+    (
+        "SELECT a, a IN (7, 8) IS NULL, (SELECT MIN(c) FROM T2 WHERE b = 3) IN (7, 8) FROM T1",
+        "SELECT a, ((a IN (7, 8)) IS NULL), ((SELECT MIN(c) FROM T2 WHERE (b = ?0)) IN "
+        "(7, 8)) FROM T1",
+        [3],
+        0,
+        ['T1', 'T2'],
+    ),
+    (
+        "SELECT CASE WHEN (SELECT COUNT(*) FROM T2 WHERE b = 5) > 0 THEN 1 ELSE 0 END FROM T1",
+        "SELECT CASE WHEN ((SELECT COUNT(*) FROM T2 WHERE (b = ?0)) > 0) THEN 1 ELSE 0 "
+        "END FROM T1",
+        [5],
+        0,
+        ['T1', 'T2'],
+    ),
+    (
+        "SELECT T1.*, * FROM T1",
+        "SELECT T1.*, * FROM T1",
+        [],
+        0,
+        ['T1'],
+    ),
+    (
+        "SELECT a FROM T1 WHERE a = 1",
+        "SELECT a FROM T1 WHERE (a = ?0)",
+        [1],
+        0,
+        ['T1'],
+    ),
+    (
+        "SELECT a FROM T1 WHERE a = 1 AND b = 'two' AND c > 3.5 AND d <> 4 AND e <= 5",
+        "SELECT a FROM T1 WHERE (((((a = ?0) AND (b = ?1)) AND (c > ?2)) AND (d <> ?3)) "
+        "AND (e <= ?4))",
+        [1, 'two', 3.5, 4, 5],
+        0,
+        ['T1'],
+    ),
+    (
+        "SELECT a FROM T1 WHERE NOT (a = 1 OR b = 2) AND -c < 3",
+        "SELECT a FROM T1 WHERE ((NOT ((a = ?0) OR (b = ?1))) AND ((-c) < ?2))",
+        [1, 2, 3],
+        0,
+        ['T1'],
+    ),
+    (
+        "SELECT a FROM T1 WHERE b IS NULL AND c IS NOT NULL",
+        "SELECT a FROM T1 WHERE ((b IS NULL) AND (c IS NOT NULL))",
+        [],
+        0,
+        ['T1'],
+    ),
+    (
+        "SELECT a FROM T1 WHERE a BETWEEN 2 AND 8 AND b NOT BETWEEN 1 AND 3",
+        "SELECT a FROM T1 WHERE ((a BETWEEN ?0 AND ?1) AND (b NOT BETWEEN ?2 AND ?3))",
+        [2, 8, 1, 3],
+        0,
+        ['T1'],
+    ),
+    (
+        "SELECT a FROM T1 WHERE a IN (1, 2, 3) AND b NOT IN ('x', NULL)",
+        "SELECT a FROM T1 WHERE ((a IN (?0, ?1, ?2)) AND (b NOT IN (?3, NULL)))",
+        [1, 2, 3, 'x'],
+        0,
+        ['T1'],
+    ),
+    (
+        "SELECT a FROM T1 WHERE c LIKE 'ab%' AND a + 1 * 2 > 3",
+        "SELECT a FROM T1 WHERE ((c LIKE ?0) AND ((a + (?1 * ?2)) > ?3))",
+        ['ab%', 1, 2, 3],
+        0,
+        ['T1'],
+    ),
+    (
+        "SELECT a FROM T1 WHERE ABS(b - 4) > 2 AND COALESCE(c, 0) = 1",
+        "SELECT a FROM T1 WHERE ((ABS((b - ?0)) > ?1) AND (COALESCE(c, ?2) = ?3))",
+        [4, 2, 0, 1],
+        0,
+        ['T1'],
+    ),
+    (
+        "SELECT a FROM T1 WHERE CASE WHEN a > 5 THEN b ELSE 7 END = 7",
+        "SELECT a FROM T1 WHERE (CASE WHEN (a > ?0) THEN b ELSE ?1 END = ?2)",
+        [5, 7, 7],
+        0,
+        ['T1'],
+    ),
+    (
+        "SELECT a FROM T1 WHERE a IN (SELECT b FROM T2 WHERE c = 3)",
+        "SELECT a FROM T1 WHERE (a IN (SELECT b FROM T2 WHERE (c = ?0)))",
+        [3],
+        0,
+        ['T1', 'T2'],
+    ),
+    (
+        "SELECT a FROM T1 WHERE 5 NOT IN (SELECT b FROM T2 WHERE c = 3)",
+        "SELECT a FROM T1 WHERE (?0 NOT IN (SELECT b FROM T2 WHERE (c = ?1)))",
+        [5, 3],
+        0,
+        ['T1', 'T2'],
+    ),
+    (
+        "SELECT a FROM T1 WHERE EXISTS (SELECT * FROM T2 WHERE T2.b = T1.a AND T2.c = 8)",
+        "SELECT a FROM T1 WHERE (EXISTS (SELECT * FROM T2 WHERE ((T2.b = T1.a) AND (T2.c = ?0))))",
+        [8],
+        0,
+        ['T1', 'T2'],
+    ),
+    (
+        "SELECT a FROM T1 WHERE NOT EXISTS (SELECT * FROM T2 WHERE T2.b = T1.a)",
+        "SELECT a FROM T1 WHERE (NOT (EXISTS (SELECT * FROM T2 WHERE (T2.b = T1.a))))",
+        [],
+        0,
+        ['T1', 'T2'],
+    ),
+    (
+        "SELECT a FROM T1 WHERE b > (SELECT AVG(c) FROM T2 WHERE c < 100)",
+        "SELECT a FROM T1 WHERE (b > (SELECT AVG(c) FROM T2 WHERE (c < ?0)))",
+        [100],
+        0,
+        ['T1', 'T2'],
+    ),
+    (
+        "SELECT a FROM T1 WHERE a = ? AND b > 4",
+        "SELECT a FROM T1 WHERE ((a = ?0) AND (b > ?1))",
+        [4],
+        1,
+        ['T1'],
+    ),
+    (
+        "SELECT a FROM T1 WHERE a = ? AND b IN (SELECT b FROM T2 WHERE c = ? OR c = 6)",
+        "SELECT a FROM T1 WHERE ((a = ?0) AND (b IN (SELECT b FROM T2 WHERE ((c = ?1) OR "
+        "(c = ?2)))))",
+        [6],
+        2,
+        ['T1', 'T2'],
+    ),
+    (
+        "SELECT T1.a, T2.c FROM T1 JOIN T2 ON T1.a = T2.b AND T2.c > 10",
+        "SELECT T1.a, T2.c FROM (T1 INNER JOIN T2 ON ((T1.a = T2.b) AND (T2.c > ?0)))",
+        [10],
+        0,
+        ['T1', 'T2'],
+    ),
+    (
+        "SELECT T1.a FROM T1 LEFT JOIN T2 ON T1.a = T2.b AND T2.c = 'z' WHERE T1.b = 2",
+        "SELECT T1.a FROM (T1 LEFT JOIN T2 ON ((T1.a = T2.b) AND (T2.c = ?0))) WHERE (T1.b = ?1)",
+        ['z', 2],
+        0,
+        ['T1', 'T2'],
+    ),
+    (
+        "SELECT d.a FROM (SELECT a FROM T1 WHERE b = 3) AS d, T2 WHERE d.a = T2.b AND T2.c = 4",
+        "SELECT d.a FROM (SELECT a FROM T1 WHERE (b = ?0)) AS d, T2 WHERE ((d.a = T2.b) "
+        "AND (T2.c = ?1))",
+        [3, 4],
+        0,
+        ['T1', 'T2'],
+    ),
+    (
+        "SELECT x FROM V WHERE x = 11",
+        "SELECT x FROM V WHERE (x = ?0)",
+        [11],
+        0,
+        ['T1', 'V'],
+    ),
+    (
+        "SELECT V.x, T3.e FROM V JOIN T3 ON V.x = T3.e WHERE T3.f IN (SELECT c FROM T2 "
+        "WHERE b = 1)",
+        "SELECT V.x, T3.e FROM (V INNER JOIN T3 ON (V.x = T3.e)) WHERE (T3.f IN (SELECT c "
+        "FROM T2 WHERE (b = ?0)))",
+        [1],
+        0,
+        ['T1', 'T2', 'T3', 'V'],
+    ),
+    (
+        "SELECT b, COUNT(*) FROM T1 WHERE a > 2 GROUP BY b HAVING COUNT(*) > 1 ORDER BY 2 DESC",
+        "SELECT b, COUNT(*) FROM T1 WHERE (a > ?0) GROUP BY b HAVING (COUNT(*) > 1) ORDER "
+        "BY 2 DESC",
+        [2],
+        0,
+        ['T1'],
+    ),
+    (
+        "SELECT b + 1, SUM(a) FROM T1 GROUP BY b + 1 HAVING SUM(a) BETWEEN 1 AND 9",
+        "SELECT (b + 1), SUM(a) FROM T1 GROUP BY (b + 1) HAVING (SUM(a) BETWEEN 1 AND 9)",
+        [],
+        0,
+        ['T1'],
+    ),
+    (
+        "SELECT a FROM T1 ORDER BY b DESC, a LIMIT 5 OFFSET 2",
+        "SELECT a FROM T1 ORDER BY b DESC, a ASC LIMIT 5 OFFSET 2",
+        [],
+        0,
+        ['T1'],
+    ),
+    # was wrong: missed the table read only under ORDER BY
+    (
+        "SELECT a FROM T1 ORDER BY (SELECT COUNT(*) FROM T2 WHERE T2.b = T1.a), a",
+        "SELECT a FROM T1 ORDER BY (SELECT COUNT(*) FROM T2 WHERE (T2.b = T1.a)) ASC, a ASC",
+        [],
+        0,
+        ['T1', 'T2'],
+    ),
+    (
+        "SELECT b, COUNT(*) FROM T1 GROUP BY b HAVING COUNT(*) > (SELECT COUNT(*) FROM T2 "
+        "WHERE c = 2)",
+        "SELECT b, COUNT(*) FROM T1 GROUP BY b HAVING (COUNT(*) > (SELECT COUNT(*) FROM "
+        "T2 WHERE (c = 2)))",
+        [],
+        0,
+        ['T1', 'T2'],
+    ),
+    (
+        "SELECT T1.a FROM T1 JOIN T2 ON T1.a = T2.b AND T2.c BETWEEN 1 AND 9 AND T1.d IS "
+        "NOT NULL AND T1.e IN (4, 5) AND NOT T1.c LIKE 'q%' AND COALESCE(T2.c, -1) <> "
+        "CASE WHEN T1.a > 0 THEN 1 ELSE 2 END AND EXISTS (SELECT * FROM T3 WHERE f = 6)",
+        "SELECT T1.a FROM (T1 INNER JOIN T2 ON (((((((T1.a = T2.b) AND (T2.c BETWEEN ?0 "
+        "AND ?1)) AND (T1.d IS NOT NULL)) AND (T1.e IN (?2, ?3))) AND (NOT (T1.c LIKE "
+        "?4))) AND (COALESCE(T2.c, ?5) <> CASE WHEN (T1.a > ?6) THEN ?7 ELSE ?8 END)) AND "
+        "(EXISTS (SELECT * FROM T3 WHERE (f = ?9)))))",
+        [1, 9, 4, 5, 'q%', -1, 0, 1, 2, 6],
+        0,
+        ['T1', 'T2', 'T3'],
+    ),
+    (
+        "SELECT CASE WHEN b > 3 THEN 'hi' ELSE 'lo' END, COUNT(*) FROM T1 GROUP BY CASE "
+        "WHEN b > 3 THEN 'hi' ELSE 'lo' END HAVING SUM(a) IN (1, 2) OR MAX(a) IS NULL OR "
+        "NOT MIN(a) BETWEEN -1 AND 1",
+        "SELECT CASE WHEN (b > 3) THEN 'hi' ELSE 'lo' END, COUNT(*) FROM T1 GROUP BY CASE "
+        "WHEN (b > 3) THEN 'hi' ELSE 'lo' END HAVING (((SUM(a) IN (1, 2)) OR (MAX(a) IS "
+        "NULL)) OR (NOT (MIN(a) BETWEEN -1 AND 1)))",
+        [],
+        0,
+        ['T1'],
+    ),
+    (
+        "SELECT a, b FROM T1 ORDER BY CASE WHEN b IS NULL THEN 0 ELSE 1 END, -a, ABS(b) DESC",
+        "SELECT a, b FROM T1 ORDER BY CASE WHEN (b IS NULL) THEN 0 ELSE 1 END ASC, (-a) "
+        "ASC, ABS(b) DESC",
+        [],
+        0,
+        ['T1'],
+    ),
+    (
+        "SELECT a, ? FROM T1 WHERE b = ? AND c = 'k'",
+        "SELECT a, ?0 FROM T1 WHERE ((b = ?1) AND (c = ?2))",
+        ['k'],
+        2,
+        ['T1'],
+    ),
+    (
+        "SELECT a FROM T1 WHERE a = 1 UNION SELECT b FROM T2 WHERE c = 2",
+        "(SELECT a FROM T1 WHERE (a = ?0)) UNION (SELECT b FROM T2 WHERE (c = ?1))",
+        [1, 2],
+        0,
+        ['T1', 'T2'],
+    ),
+    (
+        "SELECT a FROM T1 WHERE b = 1 UNION ALL SELECT b FROM T2 ORDER BY 1 LIMIT 3",
+        "(SELECT a FROM T1 WHERE (b = ?0)) UNION ALL (SELECT b FROM T2) ORDER BY 1 ASC LIMIT 3",
+        [1],
+        0,
+        ['T1', 'T2'],
+    ),
+    (
+        "SELECT a FROM T1 EXCEPT SELECT b FROM T2 WHERE c IN (SELECT e FROM T3 WHERE f = 1)",
+        "(SELECT a FROM T1) EXCEPT (SELECT b FROM T2 WHERE (c IN (SELECT e FROM T3 WHERE "
+        "(f = ?0))))",
+        [1],
+        0,
+        ['T1', 'T2', 'T3'],
+    ),
+    (
+        "UPDATE T1 SET b = b + 1, c = 'u' WHERE a = 3",
+        "UPDATE T1 SET b = (b + ?0), c = ?1 WHERE (a = ?2)",
+        [1, 'u', 3],
+        0,
+        ['T1'],
+    ),
+    (
+        "UPDATE T1 SET b = (SELECT MAX(c) FROM T2 WHERE T2.b = 4) WHERE a IN (SELECT e "
+        "FROM T3 WHERE f = 2)",
+        "UPDATE T1 SET b = (SELECT MAX(c) FROM T2 WHERE (T2.b = ?0)) WHERE (a IN (SELECT "
+        "e FROM T3 WHERE (f = ?1)))",
+        [4, 2],
+        0,
+        ['T1', 'T2', 'T3'],
+    ),
+    (
+        "UPDATE T1 SET b = CASE WHEN a > 2 THEN 1 ELSE NULL END WHERE a BETWEEN 1 AND 5",
+        "UPDATE T1 SET b = CASE WHEN (a > ?0) THEN ?1 ELSE NULL END WHERE (a BETWEEN ?2 AND ?3)",
+        [2, 1, 1, 5],
+        0,
+        ['T1'],
+    ),
+    (
+        "UPDATE T1 SET d = COALESCE(d, 0) + 1, e = -e WHERE b IS NOT NULL AND c IN ('p', "
+        "'q') AND NOT EXISTS (SELECT * FROM T2 WHERE T2.b = T1.a)",
+        "UPDATE T1 SET d = (COALESCE(d, ?0) + ?1), e = (-e) WHERE (((b IS NOT NULL) AND "
+        "(c IN (?2, ?3))) AND (NOT (EXISTS (SELECT * FROM T2 WHERE (T2.b = T1.a)))))",
+        [0, 1, 'p', 'q'],
+        0,
+        ['T1', 'T2'],
+    ),
+    (
+        "DELETE FROM T1 WHERE a = 9 AND b IS NULL",
+        "DELETE FROM T1 WHERE ((a = ?0) AND (b IS NULL))",
+        [9],
+        0,
+        ['T1'],
+    ),
+    (
+        "DELETE FROM T1 WHERE EXISTS (SELECT * FROM T2 WHERE T2.b = T1.a AND c = 1)",
+        "DELETE FROM T1 WHERE (EXISTS (SELECT * FROM T2 WHERE ((T2.b = T1.a) AND (c = ?0))))",
+        [1],
+        0,
+        ['T1', 'T2'],
+    ),
+    (
+        "INSERT INTO T1 (a, b) VALUES (1, 2), (3, 4)",
+        "INSERT INTO T1 (a, b) VALUES (1, 2), (3, 4)",
+        [],
+        0,
+        ['T1'],
+    ),
+    (
+        "INSERT INTO T1 (a, b) SELECT b, c FROM T2 WHERE c > 3",
+        "INSERT INTO T1 (a, b) SELECT b, c FROM T2 WHERE (c > ?0)",
+        [3],
+        0,
+        ['T1', 'T2'],
+    ),
+    (
+        "INSERT INTO T1 SELECT e, f, NULL FROM T3 WHERE f IN (SELECT c FROM T2 WHERE b = 8)",
+        "INSERT INTO T1 SELECT e, f, NULL FROM T3 WHERE (f IN (SELECT c FROM T2 WHERE (b = ?0)))",
+        [8],
+        0,
+        ['T1', 'T2', 'T3'],
+    ),
+    (
+        "INSERT INTO T2 SELECT a, CASE WHEN b BETWEEN 1 AND 2 THEN 1 ELSE NULL END FROM "
+        "T1 WHERE c LIKE 'x%' AND a IN (SELECT e FROM T3) AND d IS NULL AND -e < (SELECT "
+        "3 FROM T3)",
+        "INSERT INTO T2 SELECT a, CASE WHEN (b BETWEEN 1 AND 2) THEN 1 ELSE NULL END FROM "
+        "T1 WHERE ((((c LIKE ?0) AND (a IN (SELECT e FROM T3))) AND (d IS NULL)) AND "
+        "((-e) < (SELECT 3 FROM T3)))",
+        ['x%'],
+        0,
+        ['T1', 'T2', 'T3'],
+    ),
+]
+
+
+@pytest.fixture(scope="module")
+def corpus_catalog():
+    db = Database()
+    db.execute(
+        "CREATE TABLE T1 (a INTEGER PRIMARY KEY, b INTEGER, c VARCHAR, d INTEGER, e INTEGER)"
+    )
+    db.execute("CREATE TABLE T2 (b INTEGER PRIMARY KEY, c INTEGER)")
+    db.execute("CREATE TABLE T3 (e INTEGER PRIMARY KEY, f INTEGER)")
+    db.execute("CREATE VIEW V AS SELECT a AS x FROM T1 WHERE b > 0")
+    return db.catalog
+
+
+@pytest.mark.parametrize(
+    "sql,fingerprint,lifted,n_explicit,objects",
+    FINGERPRINT_CORPUS,
+    ids=[f"c{i:02d}" for i in range(len(FINGERPRINT_CORPUS))],
+)
+def test_fingerprint_corpus(corpus_catalog, sql, fingerprint, lifted, n_explicit, objects):
+    stmt = _one(sql)
+    norm = normalize_statement(stmt)
+    assert norm.fingerprint == fingerprint
+    assert norm.lifted_values == lifted
+    assert norm.n_explicit == n_explicit
+    assert sorted(referenced_objects(stmt, corpus_catalog)) == objects
+
+
+def test_fingerprint_corpus_relation_valued_from(corpus_catalog):
+    """Generated-query shapes: the rows of a ``RowsTable`` lift into one slot."""
+    delta = ast.RowsTable(["k", "v"], [(1, "a"), (2, "b")], "delta")
+    joined = ast.SelectStmt(
+        [ast.SelectItem(ast.Star("T2"))],
+        [delta, ast.NamedTable("T2")],
+        where=ast.BinaryOp(
+            "AND",
+            ast.BinaryOp("=", ast.ColumnRef("delta", "k"), ast.ColumnRef("T2", "b")),
+            ast.BinaryOp(">", ast.ColumnRef("T2", "c"), ast.Literal(0)),
+        ),
+        distinct=True,
+    )
+    norm = normalize_statement(joined)
+    assert norm.fingerprint == (
+        "SELECT DISTINCT T2.* FROM (VALUES ?0) AS delta(k, v), T2 "
+        "WHERE ((delta.k = T2.b) AND (T2.c > ?1))"
+    )
+    assert norm.lifted_values == [[(1, "a"), (2, "b")], 0]
+    assert referenced_objects(joined, corpus_catalog) == ["T2"]
+
+    two_sets = ast.SelectStmt(
+        [ast.SelectItem(ast.Star())],
+        [
+            ast.RowsTable(["k"], [(1,), (2,)], "src"),
+            ast.Join(
+                "INNER",
+                ast.RowsTable(["k"], [(3,)], "dst"),
+                ast.NamedTable("T1"),
+                ast.BinaryOp("=", ast.ColumnRef("dst", "k"), ast.ColumnRef("T1", "a")),
+            ),
+        ],
+        where=ast.BinaryOp("=", ast.ColumnRef("src", "k"), ast.ColumnRef("dst", "k")),
+    )
+    norm = normalize_statement(two_sets)
+    assert norm.fingerprint == (
+        "SELECT * FROM (VALUES ?0) AS src(k), ((VALUES ?1) AS dst(k) INNER JOIN T1 "
+        "ON (dst.k = T1.a)) WHERE (src.k = dst.k)"
+    )
+    assert norm.lifted_values == [[(1,), (2,)], [(3,)]]
+    assert referenced_objects(two_sets, corpus_catalog) == ["T1"]

@@ -9,13 +9,30 @@ from repro.xnf.api import XNFSession
 
 
 class TestEdgeRestrictionAttributes:
-    def test_schema_level_attribute_reference(self, fig4_session):
-        """An edge restriction can reference the relationship's attribute;
-        the resolver substitutes its defining expression."""
+    @pytest.mark.parametrize(
+        "predicate",
+        [
+            "percentage >= 50",
+            "CASE WHEN percentage >= 50 THEN 1 ELSE 0 END = 1",
+            "CASE WHEN membership.percentage >= 50 THEN 1 ELSE 0 END = 1",
+        ],
+        ids=["plain", "case", "qualified-case"],
+    )
+    @pytest.mark.parametrize(
+        "level",
+        # a path expression makes the restriction instance-level: it is then
+        # evaluated against the loaded cache instead of folded into SQL
+        ["", " AND COUNT(p->membership) >= 0"],
+        ids=["schema", "cache"],
+    )
+    def test_attribute_reference(self, fig4_session, level, predicate):
+        """An edge restriction can reference the relationship's attribute,
+        at any depth of the predicate: the resolver substitutes its defining
+        expression, the cache-side evaluator each connection's value."""
         co = fig4_session.query(
-            """
+            f"""
             OUT OF ALL-DEPS-ORG
-            WHERE membership (p, e) SUCH THAT percentage >= 50
+            WHERE membership (p, e) SUCH THAT {predicate}{level}
             TAKE *
             """
         )
