@@ -371,7 +371,12 @@ class IndexNLJoin(PlanOp):
         residual: Optional[RowFn] = None,
         kind: str = "INNER",
         right_width: int = 0,
+        inner_filter: Optional[RowFn] = None,
+        inner_filter_text: str = "",
     ):
+        """*inner_filter* tests each fetched inner row on its own, before
+        it is joined: the inner quantifier's single-table predicates, which
+        the probe bypasses by reading the base table."""
         self.left = left
         self.table = table
         self.index = index
@@ -379,11 +384,14 @@ class IndexNLJoin(PlanOp):
         self.residual = residual
         self.kind = kind
         self.right_width = right_width
+        self.inner_filter = inner_filter
         self._verify = _key_matches(index.column_positions)
         self.label = f"IndexNLJoin[{kind}]({table.name}.{index.name})"
+        if inner_filter is not None:
+            self.label += f" filter {inner_filter_text}"
 
     def batches(self, env: Env) -> Iterator[Batch]:
-        residual = self.residual
+        residual, inner_filter = self.residual, self.inner_filter
         pad = (None,) * self.right_width
         left_join = self.kind == "LEFT"
         probe, search, verify = self.table.probe, self.index.search, self._verify
@@ -395,6 +403,8 @@ class IndexNLJoin(PlanOp):
                 if value is not None:
                     key = (value,)
                     for row in probe(search(key), verify, key):
+                        if inner_filter is not None and inner_filter(row, env) is not True:
+                            continue
                         combined = left_row + row
                         if residual is None or residual(combined, env) is True:
                             matched = True

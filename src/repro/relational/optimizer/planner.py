@@ -135,6 +135,9 @@ class _Partial:
     est_rows: float
     cost: float
     applied: Set[int] = field(default_factory=set)  # indexes of applied preds
+    #: a single-quantifier access path's own predicates, for an index
+    #: nested loop that probes the base table instead of running ``op``
+    local_preds: Sequence[ast.Expr] = ()
 
 
 @dataclass
@@ -368,7 +371,10 @@ class Planner:
         if info.base_table is not None:
             op.feedback_source = info.base_table.name
             op.feedback_predicate = predicate_key
-        return _Partial(frozenset([info.name]), op, layout, info.width, est, cost)
+        return _Partial(
+            frozenset([info.name]), op, layout, info.width, est, cost,
+            local_preds=tuple(preds),
+        )
 
     @staticmethod
     def _predicate_key(preds: Sequence[ast.Expr]) -> str:
@@ -673,10 +679,25 @@ class Planner:
                             else None
                         )
                         probe_key = left_keys[0]
+                        # The probe reads the base table, not right_single.op:
+                        # the inner side's own predicates filter each fetched
+                        # row, and every row is fetched before that filter.
+                        inner_preds = right_single.local_preds
+                        inner_filter = (
+                            self.compiler(
+                                {(name, col): pos for pos, col in enumerate(right_info.columns)}
+                            ).compile_predicate(ast.conjoin(list(inner_preds)))
+                            if inner_preds
+                            else None
+                        )
+                        fetched = max(
+                            left.est_rows * max(right_table.stats.row_count, 1) * selectivity,
+                            0.5,
+                        )
                         inl_cost = (
                             left.cost
                             + left.est_rows * _INDEX_PROBE_COST
-                            + est_rows * _FETCH_ROW_COST
+                            + fetched * _FETCH_ROW_COST
                         )
                         candidates.append(
                             (
@@ -689,6 +710,8 @@ class Planner:
                                     inl_residual,
                                     "INNER",
                                     right_info.width,
+                                    inner_filter,
+                                    self._predicate_key(inner_preds),
                                 ),
                             )
                         )

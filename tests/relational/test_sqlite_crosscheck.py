@@ -256,3 +256,95 @@ def test_random_predicates_match_sqlite(pred):
     ours, ref = load_engines(ROWS, [])
     query = f"SELECT id FROM P WHERE {pred}"
     assert norm(ours.execute(query).rows) == norm(ref.execute(query).fetchall()), query
+
+
+# ---------------------------------------------------------------------------
+# Joins large enough for index nested loops, with inner-side filters
+# ---------------------------------------------------------------------------
+
+
+def test_index_nl_join_applies_inner_filter():
+    """The inner table's own predicate must survive an index nested loop."""
+    from repro.workloads.design import build_design_database
+
+    db = build_design_database(20)
+    query = (
+        "SELECT V.vid FROM DOCUMENT D, VERSION V "
+        "WHERE D.did = 3 AND D.did = V.vdid AND V.vnum = 1"
+    )
+    assert "IndexNLJoin" in db.explain(query)
+    assert db.execute(query).rows == [(7,)]
+    derived = (
+        "SELECT V.vid FROM DOCUMENT D, (SELECT * FROM VERSION WHERE vnum = 1) AS V "
+        "WHERE D.did = 3 AND D.did = V.vdid"
+    )
+    assert db.execute(derived).rows == [(7,)]
+    joined = (
+        "SELECT V.vid FROM DOCUMENT D JOIN VERSION V ON D.did = V.vdid "
+        "WHERE D.did = 3 AND V.vnum = 1"
+    )
+    assert db.execute(joined).rows == [(7,)]
+
+
+_JOIN_SIZES = {"A": 320, "B": 360, "C": 400}
+_join_engines = {}
+
+
+def join_engines():
+    """A -< B -< C with 320-400 rows each and an index on every join column,
+    loaded once: big enough that the planner picks index nested loops."""
+    if not _join_engines:
+        ours, ref = Database(), sqlite3.connect(":memory:")
+        rows = {
+            "A": [(i, i % 7, None if i % 29 == 0 else (i * 13) % 50) for i in range(1, 321)],
+            "B": [(i, None if i % 31 == 0 else (i * 7) % 330, (i * 11) % 50) for i in range(1, 361)],
+            "C": [(i, (i * 5) % 370, (i * 3) % 50) for i in range(1, 401)],
+        }
+        for name, (fk, val) in {"A": ("k", "v"), "B": ("a_id", "w"), "C": ("b_id", "x")}.items():
+            ddl = f"CREATE TABLE {name} (id INTEGER PRIMARY KEY, {fk} INTEGER, {val} INTEGER)"
+            ours.execute(ddl)
+            ref.execute(ddl)
+            ours.execute(f"INSERT INTO {name} VALUES {_values(rows[name])}")
+            ref.executemany(f"INSERT INTO {name} VALUES (?, ?, ?)", rows[name])
+            if name != "A":
+                index = f"CREATE INDEX idx_{name}_{fk} ON {name} ({fk})"
+                ours.execute(index)
+                ref.execute(index)
+        ours.execute("ANALYZE")
+        _join_engines.update(ours=ours, ref=ref)
+    return _join_engines["ours"], _join_engines["ref"]
+
+
+_LOCAL = {"A": ["id", "k", "v"], "B": ["id", "a_id", "w"], "C": ["id", "b_id", "x"]}
+
+
+@st.composite
+def local_predicates(draw, table):
+    column = draw(st.sampled_from(_LOCAL[table]))
+    kind = draw(st.sampled_from(["=", "<", ">=", "between", "in"]))
+    if kind == "between":
+        low = draw(st.integers(0, 60))
+        return f"{table}.{column} BETWEEN {low} AND {low + draw(st.integers(0, 40))}"
+    if kind == "in":
+        items = draw(st.lists(st.integers(0, 60), min_size=1, max_size=3))
+        return f"{table}.{column} IN ({', '.join(map(str, items))})"
+    return f"{table}.{column} {kind} {draw(st.integers(0, 60))}"
+
+
+@st.composite
+def join_queries(draw):
+    tables = ["A", "B", "C"][: draw(st.integers(2, 3))]
+    joins = ["A.id = B.a_id", "B.id = C.b_id"][: len(tables) - 1]
+    preds = list(joins)
+    for table in tables:
+        preds += draw(st.lists(local_predicates(table), max_size=2))
+    order = draw(st.permutations(tables))
+    heads = ", ".join(f"{table}.id" for table in tables)
+    return f"SELECT {heads} FROM {', '.join(order)} WHERE {' AND '.join(preds)}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(query=join_queries())
+def test_random_indexed_joins_match_sqlite(query):
+    ours, ref = join_engines()
+    assert norm(ours.execute(query).rows) == norm(ref.execute(query).fetchall()), query

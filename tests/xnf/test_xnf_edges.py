@@ -199,3 +199,28 @@ class TestMatchPredicateWithoutPK:
         co = session.query("OUT OF Xn AS NOTES TAKE *")
         co.delete(co.find("Xn", txt="b"))
         assert db.execute("SELECT * FROM NOTES").rows == [("a", 1)]
+
+
+def test_relationship_child_predicate_under_index_nested_loop():
+    """A child-only conjunct of a relationship predicate (``Xcomp.weight >
+    250``) must hold for every reached component, also when the generated
+    join probes COMPONENT's index."""
+    from repro.workloads.design import build_design_database
+
+    db = build_design_database(50)
+    co = XNFSession(db).query(
+        """
+        OUT OF Xver AS (SELECT * FROM VERSION WHERE vid = 7),
+               Xcomp AS COMPONENT,
+               has AS (RELATE Xver, Xcomp
+                       WHERE Xver.vid = Xcomp.cvid AND Xcomp.weight > 250)
+        TAKE *
+        """
+    )
+    expected = db.execute(
+        "SELECT cid FROM COMPONENT WHERE cvid = 7 AND weight > 250"
+    ).rows
+    assert len(expected) == 9
+    assert sorted(comp["cid"] for comp in co.node("Xcomp")) == sorted(
+        row[0] for row in expected
+    )
