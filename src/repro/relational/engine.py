@@ -46,6 +46,7 @@ from repro.relational.plancache import (
     CacheEntry,
     NormalizedStatement,
     PlanCache,
+    StatementTemplate,
     normalize_statement,
     referenced_objects,
 )
@@ -64,6 +65,14 @@ from repro.relational.txn.manager import (
 from repro.relational.txn.mvcc import current_snapshot, set_ambient_snapshot
 from repro.relational.txn.wal import WriteAheadLog
 from repro.relational.types import type_from_name
+
+
+def _sql_of(stmt: ast.Statement) -> str:
+    """SQL text of *stmt* for the slow log (DDL nodes render as their repr)."""
+    try:
+        return stmt.to_sql()
+    except Exception:
+        return repr(stmt)
 
 
 @dataclass
@@ -430,9 +439,21 @@ class Database:
     # -- public API ----------------------------------------------------------
 
     def execute(self, sql: str) -> Result:
-        """Execute one statement; the last result is returned for batches."""
+        """Execute one statement; the last result is returned for batches.
+
+        A statement whose template the plan cache holds is recognised from
+        its tokens and runs without the parser (:meth:`PlanCache.match`);
+        any other text is parsed, and a single cacheable statement leaves
+        its template behind for the next time.
+        """
         with self.tracer.span("statement", sql=sql[:200]):
             start = time.perf_counter()
+            matched = None
+            if self.plan_cache.capacity > 0 and not self.analyze_statements:
+                matched = self.plan_cache.match(sql)
+            if matched is not None:
+                self.last_timings["parse"] = time.perf_counter() - start
+                return self._execute_template(sql, *matched)
             with self.tracer.span("parse"):
                 statements = parse_statements(sql)
             self.last_timings["parse"] = time.perf_counter() - start
@@ -441,7 +462,35 @@ class Database:
             result = Result()
             for stmt in statements:
                 result = self.execute_ast(stmt)
+            if (
+                len(statements) == 1
+                and isinstance(stmt, self._TEMPLATED)
+                and self.plan_cache.capacity > 0
+                and not self.analyze_statements
+            ):
+                self.plan_cache.remember(sql, normalize_statement(stmt))
             return result
+
+    #: statements the plan cache keeps templates of: parameter-free queries
+    #: and UPDATE/DELETE (INSERT, DDL, EXPLAIN and the rest always parse)
+    _TEMPLATED = (ast.SelectStmt, ast.SetOpStmt, ast.UpdateStmt, ast.DeleteStmt)
+
+    def _execute_template(
+        self, sql: str, template: StatementTemplate, values: List[Any]
+    ) -> Result:
+        """Run a statement recognised from its tokens, with the bookkeeping
+        of :meth:`execute_ast`; only a slow-log entry parses the text."""
+        normalized = template.normalized
+        stmt = normalized.statement
+
+        def run() -> Result:
+            if isinstance(stmt, (ast.UpdateStmt, ast.DeleteStmt)):
+                return self._run_guarded(lambda: self._do_write(normalized, values))
+            return self._run_plan(self._cached_plan(normalized), values)
+
+        return self._run_statement(
+            stmt, run, lambda: parse_statements(sql)[0].to_sql(), normalized.fingerprint
+        )
 
     def execute_script(self, sql: str) -> List[Result]:
         return [self.execute_ast(stmt) for stmt in parse_statements(sql)]
@@ -463,13 +512,24 @@ class Database:
         return name
 
     def execute_ast(self, stmt: ast.Statement) -> Result:
+        return self._run_statement(stmt, lambda: self._dispatch_ast(stmt), lambda: _sql_of(stmt))
+
+    def _run_statement(
+        self,
+        stmt: ast.Statement,
+        run: Callable[[], Result],
+        sql_text: Callable[[], str],
+        fingerprint: Optional[str] = None,
+    ) -> Result:
+        """Per-statement bookkeeping around *run*: the statement count, its
+        span, statement stats and the slow log (which renders *sql_text*)."""
         self.statements_executed += 1
-        self._last_fingerprint = None
+        self._last_fingerprint = fingerprint
         self._last_cache_hit = False
         start = time.perf_counter()
         with self.tracer.span(self._stmt_span_name(stmt)) as span:
             try:
-                result = self._dispatch_ast(stmt)
+                result = run()
             except BaseException:
                 if self.statement_stats.enabled:
                     self.statement_stats.record(
@@ -497,7 +557,7 @@ class Database:
                 trace_id=span.trace_id or None,
             )
         if self.slow_query_log.enabled:
-            self._maybe_log_slow(stmt, elapsed, span)
+            self._maybe_log_slow(sql_text, elapsed, span)
         return result
 
     def _fingerprint_of(self, stmt: ast.Statement) -> str:
@@ -522,18 +582,14 @@ class Database:
                 self._last_fingerprint = type(stmt).__name__
         return self._last_fingerprint
 
-    def _maybe_log_slow(self, stmt: ast.Statement, elapsed: float, span) -> None:
+    def _maybe_log_slow(self, sql_text: Callable[[], str], elapsed: float, span) -> None:
         if (
             self.slow_query_log.threshold_s is None
             or elapsed < self.slow_query_log.threshold_s
         ):
             return
-        try:
-            sql = stmt.to_sql()
-        except Exception:
-            sql = repr(stmt)
         self.slow_query_log.maybe_record(
-            sql,
+            sql_text(),
             elapsed,
             trace=span.to_dict() if self.tracer.enabled else None,
             timings={k: round(v, 6) for k, v in self.last_timings.items()},
@@ -679,12 +735,13 @@ class Database:
     def _plan_cache_line(self) -> str:
         stats = self.plan_cache.stats()
         return (
-            "plan cache: hits=%d misses=%d invalidations=%d entries=%d"
+            "plan cache: hits=%d misses=%d invalidations=%d entries=%d token_lookups=%d"
             % (
                 stats["hits"],
                 stats["misses"],
                 stats["invalidations"],
                 stats["entries"],
+                stats["token_lookups"],
             )
         )
 
@@ -804,23 +861,27 @@ class Database:
         return Rewriter().rewrite(box)
 
     def _run_query(self, query: ast.Query) -> Result:
-        op_stats = None
-        values: Optional[List[Any]] = None
         if self.analyze_statements:
             # Analyze mode (XNF explain_analyze): bypass the cache so the
             # instrumented operators stay private to this execution.
             plan = self._analyze_compile(query)
-            op_stats = instrument_plan(plan.op)
-        elif self.plan_cache.capacity > 0:
+            return self._run_plan(plan, None, instrument_plan(plan.op))
+        if self.plan_cache.capacity > 0:
             normalized = normalize_statement(query)
             if normalized.n_explicit:
                 raise SQLError(
                     "query contains ? parameters; use Database.prepare()"
                 )
-            plan = self._cached_plan(normalized)
-            values = list(normalized.lifted_values)
-        else:
-            plan = self._compile_statement(query)
+            return self._run_plan(
+                self._cached_plan(normalized), list(normalized.lifted_values)
+            )
+        return self._run_plan(self._compile_statement(query), None)
+
+    def _run_plan(
+        self, plan: CompiledPlan, values: Optional[List[Any]], op_stats=None
+    ) -> Result:
+        """Execute a query plan (binding *values* into a cached one) under
+        an ``execute`` span; *op_stats* come from an instrumented plan."""
         start = time.perf_counter()
         with self.tracer.span("execute") as span:
             rows = self._execute_plan(plan, values)
@@ -839,13 +900,9 @@ class Database:
         self, normalized: NormalizedStatement, values: List[Any]
     ) -> Result:
         """Run a prepared query: cached plan + (explicit ++ lifted) params."""
-        plan = self._cached_plan(normalized)
-        start = time.perf_counter()
-        with self.tracer.span("execute") as span:
-            rows = self._execute_plan(plan, values + list(normalized.lifted_values))
-            span.annotate(rows=len(rows))
-        self.last_timings["execute"] = time.perf_counter() - start
-        return Result(plan.columns, rows, len(rows))
+        return self._run_plan(
+            self._cached_plan(normalized), values + list(normalized.lifted_values)
+        )
 
     @contextlib.contextmanager
     def snapshot_scope(self):
@@ -1478,11 +1535,6 @@ class Prepared:
             self.n_params = self._normalized.n_explicit
         else:
             self.n_params = 0
-        # The fingerprint property re-renders SQL on each access: compute it
-        # once here so re-executions record statement stats for free.
-        self._fingerprint = (
-            self._normalized.fingerprint if self._normalized is not None else None
-        )
         # Compile eagerly so the first execute() is already a re-bind.
         if isinstance(
             stmt, (ast.SelectStmt, ast.SetOpStmt, ast.UpdateStmt, ast.DeleteStmt)
@@ -1523,10 +1575,10 @@ class Prepared:
         db._last_cache_hit = False
         start = time.perf_counter()
         result = fn()
-        if db.statement_stats.enabled and self._fingerprint is not None:
+        if db.statement_stats.enabled and self._normalized is not None:
             current = db.tracer.current()
             db.statement_stats.record(
-                self._fingerprint,
+                self._normalized.fingerprint,
                 time.perf_counter() - start,
                 rows=result.rowcount,
                 cache_hit=db._last_cache_hit,

@@ -22,6 +22,10 @@ engine-side machinery that makes the "once" real:
   referenced object at compile time; a later mismatch — caused by CREATE /
   DROP / ALTER-equivalent index changes / ANALYZE — invalidates the entry
   lazily at lookup.
+* :class:`StatementTemplate` lets a statement the cache has seen skip the
+  parser: its token stream, with literal tokens as slots, is the key, and
+  the template binds the lifted values straight from the tokens (see
+  :meth:`PlanCache.match`).
 
 Aggregate counters are also mirrored module-globally so the benchmark
 harness can report hit rates across many Database instances.
@@ -32,10 +36,14 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.errors import ReproError
 from repro.relational.catalog import Catalog
 from repro.relational.sql import ast
+from repro.relational.sql.lexer import SQL_TOKENS
+from repro.relational.sql.parser import SQLParser
 
 #: Default number of cached plans per Database.
 DEFAULT_CAPACITY = 256
@@ -78,7 +86,7 @@ class NormalizedStatement:
     lifted_values: List[Any]
     n_explicit: int
 
-    @property
+    @cached_property
     def fingerprint(self) -> str:
         return self.statement.to_sql()
 
@@ -206,6 +214,139 @@ def _norm_expr(
 
 
 # ===========================================================================
+# Token-keyed statement templates
+# ===========================================================================
+
+#: a scanned statement: its key, then per token the number lexeme, the
+#: string lexeme (quotes included) and the literal lexeme ("" elsewhere)
+Scanned = Tuple[Tuple[Any, ...], Sequence[str], Sequence[str], Sequence[str]]
+
+
+def scan_statement(sql: str) -> Optional[Scanned]:
+    """Key *sql* by its token stream; None when the text does not lex.
+
+    The key holds every name and operator and, per token, whether it is a
+    literal: literal values are not part of it.  Whitespace and comments
+    are skipped, so only their placement at the very end shows in the key.
+    """
+    names, literals, numbers, strings, ops, errors = zip(*SQL_TOKENS.findall(sql))
+    if any(errors):
+        return None
+    return (names, ops, tuple(map(bool, literals))), numbers, strings, literals
+
+
+def _number(text: str) -> Any:
+    """A NUMBER lexeme's value, typed as :meth:`SQLParser.parse_primary` types it."""
+    return float(text) if "." in text or "e" in text or "E" in text else int(text)
+
+
+@dataclass
+class StatementTemplate:
+    """What the tree path derived from one statement text, keyed by its tokens.
+
+    ``normalized`` is the statement with its literals lifted (its fingerprint
+    is computed once).  ``kept`` pins the literal tokens whose value shaped
+    that fingerprint — LIMIT/OFFSET, literals of SELECT lists, GROUP BY,
+    HAVING and ORDER BY — as (token position, lexeme).  ``slots`` says
+    where each lifted value comes from: (token position, sign) for a
+    literal token, with sign 1 or -1 for a number (the parser folds unary
+    minus into it) and 0 for a string; (-1, value) for a constant such as
+    TRUE, whose token is part of the key.
+    """
+
+    normalized: NormalizedStatement
+    kept: Tuple[Tuple[int, str], ...]
+    slots: Tuple[Tuple[int, Any], ...]
+
+    def bind(self, scanned: Scanned) -> Optional[List[Any]]:
+        """The lifted values of a text with this template's key, or None
+        when a kept literal differs or a slot holds the other literal kind."""
+        _, numbers, strings, literals = scanned
+        for pos, lexeme in self.kept:
+            if literals[pos] != lexeme:
+                return None
+        values: List[Any] = []
+        for pos, sign in self.slots:
+            if pos < 0:
+                values.append(sign)
+            elif sign:
+                text = numbers[pos]
+                if not text:
+                    return None
+                values.append(_number(text) if sign > 0 else -_number(text))
+            else:
+                text = strings[pos]
+                if not text:
+                    return None
+                values.append(text[1:-1].replace("''", "'"))
+        return values
+
+
+def record_template(
+    scanned: Scanned, normalized: NormalizedStatement
+) -> Optional[StatementTemplate]:
+    """Derive the template of a scanned statement from its tree-path result.
+
+    Each literal token is swapped for a distinct sentinel and the text
+    re-parsed and normalized; a lifted value that is a sentinel (or its
+    negation) names the token that feeds its slot.  A literal token that
+    feeds no slot is kept: its lexeme becomes part of the match.  The
+    template is returned only when re-parsing reproduces *normalized*'s
+    fingerprint and binding the scanned tokens reproduces its lifted values.
+    """
+    key, numbers, strings, literals = scanned
+    names, ops, _ = key
+    base = 10**15  # beyond any literal's position: sentinel = base + position
+
+    def slots_with_sentinels(at: Sequence[int]) -> Optional[Tuple[str, List[Tuple[int, Any]]]]:
+        parts = [name or literal or op for name, literal, op in zip(names, literals, ops)]
+        for pos in at:
+            parts[pos] = str(base + pos) if numbers[pos] else f"'\x00{pos}'"
+        try:
+            (stmt,) = SQLParser(" ".join(parts)).parse_statements()
+        except (ReproError, ValueError):
+            return None
+        probe = normalize_statement(stmt)
+        if probe.n_explicit:
+            return None
+        slots: List[Tuple[int, Any]] = []
+        for value in probe.lifted_values:
+            if type(value) is int and base <= abs(value) < base + len(literals):
+                slots.append((abs(value) - base, 1 if value > 0 else -1))
+            elif type(value) is str and value[:1] == "\x00":
+                slots.append((int(value[1:]), 0))
+            else:
+                slots.append((-1, value))
+        return probe.fingerprint, slots
+
+    positions = [pos for pos, literal in enumerate(literals) if literal]
+    if not positions:
+        return StatementTemplate(
+            normalized, (), tuple((-1, value) for value in normalized.lifted_values)
+        )
+    probed = slots_with_sentinels(positions)
+    if probed is None:
+        return None
+    fingerprint, slots = probed
+    fed = sorted({pos for pos, _ in slots if pos >= 0})
+    if len(fed) < len(positions):
+        # kept literals changed the fingerprint: probe again with them restored
+        probed = slots_with_sentinels(fed)
+        if probed is None or probed[1] != slots:
+            return None
+        fingerprint = probed[0]
+    if fingerprint != normalized.fingerprint:
+        return None
+    kept = tuple((pos, literals[pos]) for pos in positions if pos not in fed)
+    template = StatementTemplate(normalized, kept, tuple(slots))
+    bound = template.bind(scanned)
+    expected = normalized.lifted_values
+    if bound is None or [(type(v), v) for v in bound] != [(type(v), v) for v in expected]:
+        return None
+    return template
+
+
+# ===========================================================================
 # Dependency extraction
 # ===========================================================================
 
@@ -270,9 +411,55 @@ class PlanCache:
         self.misses = 0
         self.invalidations = 0
         self.evictions = 0
+        #: statement templates by token key, LRU, at most ``capacity`` in all
+        #: (one key holds a variant per differing kept-literal value)
+        self._templates: "OrderedDict[Any, Tuple[StatementTemplate, ...]]" = OrderedDict()
+        self._template_count = 0
+        #: lookups whose statement was recognised from its tokens, unparsed
+        self.token_lookups = 0
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def match(self, sql: str) -> Optional[Tuple[StatementTemplate, List[Any]]]:
+        """The template of a statement text seen before, and its lifted
+        values bound from the tokens; None sends the text to the parser."""
+        scanned = scan_statement(sql)
+        if scanned is None:
+            return None
+        with self._mutex:
+            variants = self._templates.get(scanned[0])
+            if variants is None:
+                return None
+            self._templates.move_to_end(scanned[0])
+        for template in variants:
+            values = template.bind(scanned)
+            if values is not None:
+                with self._mutex:
+                    self.token_lookups += 1
+                return template, values
+        return None
+
+    def remember(self, sql: str, normalized: NormalizedStatement) -> None:
+        """Record the template of *sql*, a single statement the tree path
+        just ran as *normalized* (parameter-free), for :meth:`match`."""
+        if self.capacity <= 0:
+            return
+        scanned = scan_statement(sql)
+        template = None if scanned is None else record_template(scanned, normalized)
+        if template is None:
+            return
+        key = scanned[0]
+        with self._mutex:
+            self._templates[key] = (template,) + self._templates.pop(key, ())
+            self._template_count += 1
+            while self._template_count > self.capacity:
+                oldest, variants = next(iter(self._templates.items()))
+                if len(variants) > 1:
+                    self._templates[oldest] = variants[:-1]
+                else:
+                    del self._templates[oldest]
+                self._template_count -= 1
 
     def lookup(self, key: CacheKey, catalog: Catalog) -> Optional[CacheEntry]:
         """Return a still-valid entry for *key*, counting hit or miss.
@@ -312,6 +499,8 @@ class PlanCache:
     def clear(self) -> None:
         with self._mutex:
             self._entries.clear()
+            self._templates.clear()
+            self._template_count = 0
 
     def invalidate_all(self) -> int:
         """Drop every entry, counting each as an invalidation.
@@ -323,6 +512,8 @@ class PlanCache:
         with self._mutex:
             dropped = len(self._entries)
             self._entries.clear()
+            self._templates.clear()
+            self._template_count = 0
             self.invalidations += dropped
             GLOBAL_STATS["invalidations"] += dropped
             return dropped
@@ -335,6 +526,8 @@ class PlanCache:
                 "invalidations": self.invalidations,
                 "evictions": self.evictions,
                 "entries": len(self._entries),
+                "templates": self._template_count,
+                "token_lookups": self.token_lookups,
                 "volatile_entries": sum(
                     1 for entry in self._entries.values() if entry.volatile
                 ),

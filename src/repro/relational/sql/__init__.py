@@ -8,8 +8,8 @@ with the XNF language parser (:mod:`repro.xnf.lang`), which adds the
 on top.
 """
 
-from repro.relational.sql.lexer import Lexer, Token
+from repro.relational.sql.lexer import Token
 from repro.relational.sql.parser import parse_sql, parse_statements, SQLParser
 from repro.relational.sql import ast
 
-__all__ = ["Lexer", "Token", "parse_sql", "parse_statements", "SQLParser", "ast"]
+__all__ = ["Token", "parse_sql", "parse_statements", "SQLParser", "ast"]

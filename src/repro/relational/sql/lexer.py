@@ -5,12 +5,19 @@ identifiers here (parsers match on upper-cased identifier text), which keeps
 the lexer reusable for XNF's extra keywords (OUT, RELATE, TAKE, ...).
 The only XNF-specific lexeme is the ``->`` path operator, emitted as one
 token so path expressions parse unambiguously.
+
+Scanning is one compiled master regex per mode (plain SQL, and XNF with
+hyphenated names).  Each match is optional whitespace and comments followed
+by one token, an error, or the end of the input, so the matches tile the
+source.  The plan cache scans statement text with the same pattern
+(:data:`SQL_TOKENS`) to recognise a statement it has seen before.  A token
+keeps only its offset; line and column are derived when asked for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional
+import re
+from typing import List, NamedTuple
 
 from repro.errors import ParseError
 
@@ -21,205 +28,90 @@ STRING = "STRING"
 OP = "OP"
 EOF = "EOF"
 
-#: multi-character operators, longest first
-_MULTI_OPS = ["->", "<=", ">=", "<>", "!=", "||"]
-_SINGLE_OPS = set("+-*/%(),.;=<>[]?")
+_SKIP = r"(?:[ \t\r\n]+|--[^\n]*|/\*[\s\S]*?\*/)*"
+_NAME = r"[^\W\d][\w$#]*"
+# digits, then at most one '.' (not the first of '..') or an exponent, then
+# digits and further exponents
+_EXPONENT = r"[eE](?=[+-]?\d)[+-]?"
+_NUMBER = rf"(?=\.?\d)\d*(?:(?:\.(?!\.)|{_EXPONENT})(?:\d|{_EXPONENT})*)?"
 
 
-@dataclass(frozen=True)
-class Token:
+def _master(name: str) -> "re.Pattern[str]":
+    """Groups: 1 name (bare or "quoted"), 2 literal = 3 number | 4 string,
+    5 operator, 6 error (an unterminated string, quoted name or comment, or
+    a stray character); no group = end of input."""
+    return re.compile(
+        _SKIP
+        + rf"""(?:({name}|"[^"]*")"""
+        + rf"""|(({_NUMBER})|('[^']*(?:''[^']*)*'(?!')))"""
+        + r"""|(->|<=|>=|<>|!=|\|\||/(?!\*)|[-+*%(),.;=<>\[\]?])"""
+        + r"""|(/\*|[^ \t\r\n])|\Z)"""
+    )
+
+
+#: plain SQL: ``a-b`` is a subtraction
+SQL_TOKENS = _master(_NAME)
+#: XNF text: ``ALL-DEPS``-style names (the paper's view names)
+XNF_TOKENS = _master(rf"{_NAME}(?:-\w[\w$#]*)*")
+
+_ERRORS = {
+    "'": "unterminated string literal",
+    '"': "unterminated quoted identifier",
+    "/*": "unterminated block comment",
+}
+
+
+def _line(source: str, pos: int) -> int:
+    return source.count("\n", 0, pos) + 1
+
+
+def _column(source: str, pos: int) -> int:
+    return pos - source.rfind("\n", 0, pos)
+
+
+class Token(NamedTuple):
     kind: str
     text: str
-    line: int
-    column: int
+    pos: int
+    source: str
+
+    @property
+    def line(self) -> int:
+        return _line(self.source, self.pos)
+
+    @property
+    def column(self) -> int:
+        return _column(self.source, self.pos)
 
     def upper(self) -> str:
         return self.text.upper()
 
 
-class Lexer:
-    """Single-pass tokenizer with position tracking for error messages."""
-
-    def __init__(self, source: str, hyphen_idents: bool = False):
-        """*hyphen_idents* allows ``ALL-DEPS``-style names (paper notation).
-
-        The XNF parser turns this on; plain SQL keeps it off so ``a-b``
-        stays a subtraction.  Inside XNF text, write subtraction with
-        spaces (``a - b``).
-        """
-        self.source = source
-        self.hyphen_idents = hyphen_idents
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    def tokens(self) -> List[Token]:
-        result = list(self._iter_tokens())
-        result.append(Token(EOF, "", self.line, self.column))
-        return result
-
-    def _iter_tokens(self) -> Iterator[Token]:
-        src = self.source
-        length = len(src)
-        while self.pos < length:
-            ch = src[self.pos]
-            if ch in " \t\r\n":
-                self._advance(ch)
-                continue
-            if ch == "-" and self._peek(1) == "-":
-                self._skip_line_comment()
-                continue
-            if ch == "/" and self._peek(1) == "*":
-                self._skip_block_comment()
-                continue
-            if ch.isalpha() or ch == "_":
-                yield self._identifier()
-                continue
-            if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-                yield self._number()
-                continue
-            if ch == "'":
-                yield self._string()
-                continue
-            if ch == '"':
-                yield self._quoted_identifier()
-                continue
-            op = self._operator()
-            if op is not None:
-                yield op
-                continue
-            raise ParseError(f"unexpected character {ch!r}", self.line, self.column)
-
-    # -- scanners ---------------------------------------------------------------
-
-    def _identifier(self) -> Token:
-        line, column = self.line, self.column
-        start = self.pos
-        src = self.source
-        while self.pos < len(src) and (src[self.pos].isalnum() or src[self.pos] in "_$#"):
-            self._advance(src[self.pos])
-        # Allow hyphenated identifiers like ALL-DEPS (the paper's view names)
-        # when the hyphen is directly between identifier characters.
-        while (
-            self.hyphen_idents
-            and self.pos + 1 < len(src)
-            and src[self.pos] == "-"
-            and (src[self.pos + 1].isalnum() or src[self.pos + 1] == "_")
-        ):
-            self._advance("-")
-            while self.pos < len(src) and (
-                src[self.pos].isalnum() or src[self.pos] in "_$#"
-            ):
-                self._advance(src[self.pos])
-        return Token(IDENT, src[start : self.pos], line, column)
-
-    def _number(self) -> Token:
-        line, column = self.line, self.column
-        start = self.pos
-        src = self.source
-        seen_dot = False
-        while self.pos < len(src):
-            ch = src[self.pos]
-            if ch.isdigit():
-                self._advance(ch)
-            elif ch == "." and not seen_dot and self._peek(1) != ".":
-                seen_dot = True
-                self._advance(ch)
-            elif ch in "eE" and self.pos + 1 < len(src) and (
-                src[self.pos + 1].isdigit()
-                or (src[self.pos + 1] in "+-" and self._peek(2).isdigit())
-            ):
-                self._advance(ch)
-                if src[self.pos] in "+-":
-                    self._advance(src[self.pos])
-                seen_dot = True  # exponent implies float
-            else:
-                break
-        return Token(NUMBER, src[start : self.pos], line, column)
-
-    def _string(self) -> Token:
-        line, column = self.line, self.column
-        self._advance("'")
-        src = self.source
-        chars: List[str] = []
-        while True:
-            if self.pos >= len(src):
-                raise ParseError("unterminated string literal", line, column)
-            ch = src[self.pos]
-            if ch == "'":
-                if self._peek(1) == "'":  # escaped quote
-                    chars.append("'")
-                    self._advance("'")
-                    self._advance("'")
-                    continue
-                self._advance("'")
-                break
-            chars.append(ch)
-            self._advance(ch)
-        return Token(STRING, "".join(chars), line, column)
-
-    def _quoted_identifier(self) -> Token:
-        line, column = self.line, self.column
-        self._advance('"')
-        src = self.source
-        start = self.pos
-        while self.pos < len(src) and src[self.pos] != '"':
-            self._advance(src[self.pos])
-        if self.pos >= len(src):
-            raise ParseError("unterminated quoted identifier", line, column)
-        text = src[start : self.pos]
-        self._advance('"')
-        return Token(IDENT, text, line, column)
-
-    def _operator(self) -> Optional[Token]:
-        line, column = self.line, self.column
-        src = self.source
-        for op in _MULTI_OPS:
-            if src.startswith(op, self.pos):
-                for ch in op:
-                    self._advance(ch)
-                return Token(OP, op, line, column)
-        ch = src[self.pos]
-        if ch in _SINGLE_OPS:
-            self._advance(ch)
-            return Token(OP, ch, line, column)
-        return None
-
-    # -- helpers ----------------------------------------------------------------
-
-    def _peek(self, offset: int) -> str:
-        pos = self.pos + offset
-        if pos < len(self.source):
-            return self.source[pos]
-        return ""
-
-    def _advance(self, ch: str) -> None:
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.column = 1
-        else:
-            self.column += 1
-
-    def _skip_line_comment(self) -> None:
-        src = self.source
-        while self.pos < len(src) and src[self.pos] != "\n":
-            self._advance(src[self.pos])
-
-    def _skip_block_comment(self) -> None:
-        line, column = self.line, self.column
-        self._advance("/")
-        self._advance("*")
-        src = self.source
-        while self.pos < len(src):
-            if src[self.pos] == "*" and self._peek(1) == "/":
-                self._advance("*")
-                self._advance("/")
-                return
-            self._advance(src[self.pos])
-        raise ParseError("unterminated block comment", line, column)
-
-
 def tokenize(source: str, hyphen_idents: bool = False) -> List[Token]:
-    """Convenience wrapper: tokenize *source* fully."""
-    return Lexer(source, hyphen_idents=hyphen_idents).tokens()
+    """Tokenize *source* fully; the last token is EOF.
+
+    *hyphen_idents* allows ``ALL-DEPS``-style names.  The XNF parser turns
+    this on; plain SQL keeps it off so ``a-b`` stays a subtraction.  Inside
+    XNF text, write subtraction with spaces (``a - b``).
+    """
+    tokens: List[Token] = []
+    append = tokens.append
+    for match in (XNF_TOKENS if hyphen_idents else SQL_TOKENS).finditer(source):
+        name, literal, number, string, op, error = match.groups()
+        if name is not None:
+            text = name[1:-1] if name[0] == '"' else name
+            append(Token(IDENT, text, match.start(1), source))
+        elif number is not None:
+            append(Token(NUMBER, number, match.start(2), source))
+        elif string is not None:
+            append(Token(STRING, string[1:-1].replace("''", "'"), match.start(2), source))
+        elif op is not None:
+            append(Token(OP, op, match.start(5), source))
+        elif error is not None:
+            at = match.start(6)
+            message = _ERRORS.get(error) or f"unexpected character {error!r}"
+            raise ParseError(message, _line(source, at), _column(source, at))
+        else:
+            append(Token(EOF, "", match.end(), source))
+            break
+    return tokens

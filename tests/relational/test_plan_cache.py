@@ -4,14 +4,17 @@ The compile-once subsystem: statement normalization (WHERE constants lift
 into a parameter vector), the LRU cache keyed on (fingerprint, rewrite
 flag) with per-object catalog-version dependencies, and the
 ``Database.prepare`` API whose re-executions must skip planning entirely
-(proved by the hit counter).
+(proved by the hit counter), and the token-keyed templates that let a
+repeated statement text skip the parser as well.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import CatalogError, SQLError
+from repro.relational import engine as engine_module
 from repro.relational.engine import Database
-from repro.relational.plancache import normalize_statement, referenced_objects
+from repro.relational.plancache import PlanCache, normalize_statement, referenced_objects
 from repro.relational.sql import ast
 from repro.relational.sql.parser import parse_statements
 
@@ -780,3 +783,323 @@ def test_fingerprint_corpus_relation_valued_from(corpus_catalog):
     )
     assert norm.lifted_values == [[(1,), (2,)], [(3,)]]
     assert referenced_objects(two_sets, corpus_catalog) == ["T1"]
+
+
+# ---------------------------------------------------------------------------
+# Token-keyed templates: a cached statement skips the parser
+# ---------------------------------------------------------------------------
+
+
+def _corpus_db(**kwargs):
+    db = Database(**kwargs)
+    db.execute(
+        "CREATE TABLE T1 (a INTEGER PRIMARY KEY, b INTEGER, c VARCHAR, d INTEGER, e INTEGER)"
+    )
+    db.execute("CREATE TABLE T2 (b INTEGER PRIMARY KEY, c INTEGER)")
+    db.execute("CREATE TABLE T3 (e INTEGER PRIMARY KEY, f INTEGER)")
+    db.execute("CREATE VIEW V AS SELECT a AS x FROM T1 WHERE b > 0")
+    db.execute(
+        "INSERT INTO T1 VALUES (1, 1, 'x1', 2, 3), (2, 5, 'it''s', NULL, 1), "
+        "(3, -5, NULL, 1, 2), (4, 2, 'xy', 0, 5)"
+    )
+    db.execute("INSERT INTO T2 VALUES (1, 4), (2, 9), (5, 6)")
+    db.execute("INSERT INTO T3 VALUES (1, 1), (2, 0), (3, 7)")
+    return db
+
+
+class _ParseCounter:
+    """Counts calls of the engine's ``parse_statements`` (the hit path must
+    make none)."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        real = engine_module.parse_statements
+
+        def counted(sql):
+            self.calls += 1
+            return real(sql)
+
+        monkeypatch.setattr(engine_module, "parse_statements", counted)
+
+
+def _typed(values):
+    return [(type(value), value) for value in values]
+
+
+def _assert_template_is_tree(db, sql):
+    """The template the token path uses for *sql* derives exactly what
+    parse + normalize derive from it."""
+    matched = db.plan_cache.match(sql)
+    assert matched is not None, sql
+    template, values = matched
+    tree = normalize_statement(_one(sql))
+    assert template.normalized.fingerprint == tree.fingerprint
+    assert _typed(values) == _typed(tree.lifted_values)
+    assert template.normalized.n_explicit == tree.n_explicit == 0
+
+
+#: (recorded text, then a text with the same tokens but other literals,
+#: and whether that one is a token hit: a differing kept literal is not)
+TOKEN_CASES = [
+    ("SELECT a FROM T1 WHERE b = 1", "SELECT a FROM T1 WHERE b = 5", True),
+    ("SELECT a FROM T1 WHERE b = -5", "SELECT a FROM T1 WHERE b = -1", True),
+    ("SELECT a FROM T1 WHERE b = - -5", "SELECT a FROM T1 WHERE b = - -1", True),
+    ("SELECT a FROM T1 WHERE b = -(5)", "SELECT a FROM T1 WHERE b = -(2)", True),
+    ("SELECT a FROM T1 WHERE b < 1e3", "SELECT a FROM T1 WHERE b < 2E-1", True),
+    ("SELECT a FROM T1 WHERE b < .5", "SELECT a FROM T1 WHERE b < 7", True),
+    ("SELECT a FROM T1 WHERE b < 7", "SELECT a FROM T1 WHERE b < 7.0", True),
+    ("SELECT a FROM T1 WHERE c = 'it''s'", "SELECT a FROM T1 WHERE c = 'x1'", True),
+    ("SELECT a FROM T1 WHERE c = ''", "SELECT a FROM T1 WHERE c = 'xy'", True),
+    ("SELECT a FROM T1 WHERE 1 = 1", "SELECT a FROM T1 WHERE '1' = '1'", False),
+    ("SELECT a FROM T1 WHERE b IN (1)", "SELECT a FROM T1 WHERE b IN (5)", True),
+    ("SELECT a FROM T1 WHERE b IN (1, 2)", "SELECT a FROM T1 WHERE b IN (5, 5)", True),
+    ("SELECT a FROM T1 WHERE b IN (1, 2, 5)", "SELECT a FROM T1 WHERE b IN (5, 2, 9)", True),
+    ("SELECT a FROM T1 WHERE b = 1 LIMIT 2", "SELECT a FROM T1 WHERE b = 2 LIMIT 2", True),
+    ("SELECT a FROM T1 WHERE b = 1 LIMIT 2", "SELECT a FROM T1 WHERE b = 1 LIMIT 3", False),
+    (
+        "SELECT a FROM T1 ORDER BY a LIMIT 2 OFFSET 1",
+        "SELECT a FROM T1 ORDER BY a LIMIT 2 OFFSET 2",
+        False,
+    ),
+    ("SELECT a, b FROM T1 ORDER BY 2", "SELECT a, b FROM T1 ORDER BY 1", False),
+    ("SELECT a, 1, 'x' FROM T1 WHERE b > 0", "SELECT a, 1, 'x' FROM T1 WHERE b > 3", True),
+    ("SELECT a, 1 FROM T1 WHERE b > 0", "SELECT a, 2 FROM T1 WHERE b > 0", False),
+    (
+        "SELECT b + 1, COUNT(*) FROM T1 WHERE a > 0 GROUP BY b + 1 HAVING COUNT(*) > 0",
+        "SELECT b + 1, COUNT(*) FROM T1 WHERE a > 1 GROUP BY b + 1 HAVING COUNT(*) > 0",
+        True,
+    ),
+    (
+        "SELECT b, COUNT(*) FROM T1 GROUP BY b HAVING COUNT(*) > 0",
+        "SELECT b, COUNT(*) FROM T1 GROUP BY b HAVING COUNT(*) > 1",
+        False,
+    ),
+    ("SELECT a FROM T1 WHERE c IS NULL", "SELECT a FROM T1 WHERE c IS NULL", True),
+    ("SELECT a FROM T1 WHERE d = NULL OR b = 1", "SELECT a FROM T1 WHERE d = NULL OR b = 2", True),
+    ("SELECT a FROM T1 WHERE (b > 0) = TRUE", "SELECT a FROM T1 WHERE (b > 1) = TRUE", True),
+    ("SELECT a FROM T1 WHERE (b > 0) = TRUE", "SELECT a FROM T1 WHERE (b > 0) = FALSE", False),
+    (
+        "SELECT a FROM T1 WHERE CASE b WHEN 1 THEN 'p' ELSE 'q' END = 'p'",
+        "SELECT a FROM T1 WHERE CASE b WHEN 5 THEN 'p' ELSE 'q' END = 'q'",
+        True,
+    ),
+    (
+        "SELECT a -- the key\nFROM T1 /* any */ WHERE b = 1",
+        "SELECT a -- other words\nFROM T1 /* differ */ WHERE b = 5",
+        True,
+    ),
+    ("select a from T1 where b = 1", "select a from T1 where b = 5", True),
+    ("select a from T1 where b = 1", "SELECT a FROM T1 WHERE b = 5", False),
+    ("SELECT a FROM T1 WHERE b = 1;", "SELECT a FROM T1 WHERE b = 5;", True),
+    ("SELECT a FROM T1 WHERE b = 1;", "SELECT a FROM T1 WHERE b = 5", False),
+    ('SELECT "a" FROM T1 WHERE b = 1', 'SELECT "a" FROM T1 WHERE b = 5', True),
+    (
+        "SELECT x FROM V WHERE x IN (SELECT e FROM T3 WHERE f > 0) UNION SELECT 9 FROM T2",
+        "SELECT x FROM V WHERE x IN (SELECT e FROM T3 WHERE f > 6) UNION SELECT 9 FROM T2",
+        True,
+    ),
+    ("UPDATE T1 SET d = 7, c = 'u' WHERE a = 1", "UPDATE T1 SET d = 8, c = 'v' WHERE a = 2", True),
+    ("DELETE FROM T2 WHERE c > 8", "DELETE FROM T2 WHERE c > 100", True),
+]
+
+
+@pytest.mark.parametrize(
+    "first,second,hit", TOKEN_CASES, ids=[f"t{i:02d}" for i in range(len(TOKEN_CASES))]
+)
+def test_token_path_equals_tree_path(monkeypatch, first, second, hit):
+    reference = _corpus_db(plan_cache_capacity=0)
+    expected = [reference.execute(sql).rows for sql in (first, first, second)]
+    db = _corpus_db()
+    parses = _ParseCounter(monkeypatch)
+    assert db.execute(first).rows == expected[0]
+    assert parses.calls == 1
+    assert db.execute(first).rows == expected[1]
+    assert parses.calls == 1 and db.plan_cache.stats()["token_lookups"] == 1
+    _assert_template_is_tree(db, first)
+    assert db.execute(second).rows == expected[2]
+    assert parses.calls == (1 if hit else 2)
+    _assert_template_is_tree(db, second)
+
+
+@pytest.mark.parametrize(
+    "sql", [entry[0] for entry in FINGERPRINT_CORPUS],
+    ids=[f"c{i:02d}" for i in range(len(FINGERPRINT_CORPUS))],
+)
+def test_fingerprint_corpus_token_path(sql):
+    """Every corpus statement the engine keeps a template of is recognised
+    from its tokens as exactly what the tree path makes of it."""
+    stmt = _one(sql)
+    tree = normalize_statement(stmt)
+    cache = PlanCache()
+    if tree.n_explicit or not isinstance(stmt, Database._TEMPLATED):
+        return  # ``?`` statements and INSERTs always take the tree path
+    cache.remember(sql, tree)
+    assert cache.stats()["templates"] == 1
+    matched = cache.match(sql)
+    assert matched is not None
+    assert matched[0].normalized.fingerprint == tree.fingerprint
+    assert _typed(matched[1]) == _typed(tree.lifted_values)
+
+
+class TestTemplates:
+    def test_statements_that_always_parse(self, monkeypatch, tdb):
+        parses = _ParseCounter(monkeypatch)
+        for sql in [
+            "SELECT id FROM T WHERE id = 1; SELECT id FROM T WHERE id = 2",
+            "INSERT INTO T VALUES (9, 9, 9)",
+            "EXPLAIN SELECT id FROM T WHERE id = 1",
+            "CREATE INDEX ix_val ON T (val)",
+        ]:
+            tdb.execute(sql)
+        assert parses.calls == 4
+        assert tdb.plan_cache.stats()["templates"] == 0
+        tdb.execute("DROP INDEX ix_val")
+        tdb.execute("DELETE FROM T WHERE id = 9")
+        tdb.execute("DELETE FROM T WHERE id = 9")
+        assert parses.calls == 6
+
+    def test_explicit_parameters_always_parse(self, monkeypatch, tdb):
+        parses = _ParseCounter(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(SQLError, match="use Database.prepare"):
+                tdb.execute("SELECT id FROM T WHERE id = ?")
+        assert parses.calls == 2 and tdb.plan_cache.stats()["templates"] == 0
+
+    def test_literal_kind_is_part_of_a_folded_slot(self):
+        cache = PlanCache()
+        sql = "SELECT a FROM T WHERE b = -1"
+        cache.remember(sql, normalize_statement(_one(sql)))
+        assert cache.match("SELECT a FROM T WHERE b = -7")[1] == [-7]
+        assert cache.match("SELECT a FROM T WHERE b = -'1'") is None
+        assert cache.match("SELECT a FROM T WHERE b = -1 -") is None
+
+    def test_zero_capacity_and_analyze_mode_always_parse(self, monkeypatch):
+        db = Database(plan_cache_capacity=0)
+        db.execute("CREATE TABLE T (id INTEGER PRIMARY KEY)")
+        parses = _ParseCounter(monkeypatch)
+        for _ in range(2):
+            db.execute("SELECT id FROM T WHERE id = 1")
+        assert parses.calls == 2 and db.plan_cache.stats()["templates"] == 0
+
+    def test_templates_bounded_by_capacity_and_cleared(self):
+        db = Database(plan_cache_capacity=3)
+        db.execute("CREATE TABLE T (id INTEGER PRIMARY KEY, v INTEGER)")
+        for limit in range(1, 6):
+            db.execute(f"SELECT id FROM T WHERE v = 1 LIMIT {limit}")
+            db.execute(f"SELECT v FROM T WHERE id = {limit}")
+        assert db.plan_cache.stats()["templates"] == 3
+        db.plan_cache.clear()
+        assert db.plan_cache.stats()["templates"] == 0
+        db.execute("SELECT v FROM T WHERE id = 1")
+        assert db.plan_cache.invalidate_all() == 1
+        assert db.plan_cache.stats()["templates"] == 0
+
+    def test_hit_keeps_plan_cache_validation(self, tdb):
+        tdb.execute("SELECT val FROM T WHERE id = 1")
+        tdb.execute("CREATE INDEX ix_val ON T (val)")
+        before = tdb.plan_cache.stats()
+        assert tdb.execute("SELECT val FROM T WHERE id = 2").rows == [(20,)]
+        after = tdb.plan_cache.stats()
+        assert after["token_lookups"] == before["token_lookups"] + 1
+        assert after["invalidations"] == before["invalidations"] + 1
+        assert after["misses"] == before["misses"] + 1
+
+    def test_hit_bookkeeping_matches_tree_path(self, tdb):
+        tdb.execute("SELECT val FROM T WHERE id = 1")
+        executed = tdb.statements_executed
+        tdb.execute("SELECT val FROM T WHERE id = 2")
+        assert tdb.statements_executed == executed + 1
+        stat = tdb.statement_stats.get("SELECT val FROM T WHERE (id = ?0)")
+        assert stat.calls == 2 and stat.plan_cache_hits == 1
+        assert tdb.tracer.last_trace.children[0].name == "sql.select"
+
+    def test_slow_log_renders_the_statement(self):
+        db = Database(slow_query_threshold_s=0.0)
+        db.execute("CREATE TABLE T (id INTEGER PRIMARY KEY)")
+        db.execute("SELECT id FROM T WHERE id = 1")
+        db.execute("SELECT id FROM T WHERE id = 2")
+        assert db.plan_cache.stats()["token_lookups"] == 1
+        assert db.slow_query_log.entries()[-1].sql == "SELECT id FROM T WHERE (id = 2)"
+
+    def test_explain_footer_counts_token_lookups(self, tdb):
+        tdb.execute("SELECT val FROM T WHERE id = 1")
+        tdb.execute("SELECT val FROM T WHERE id = 3")
+        assert tdb.explain("SELECT val FROM T").endswith("token_lookups=1")
+
+
+_BAG_ROWS = 320
+
+
+def _render(value):
+    if isinstance(value, str):
+        return "'" + value.replace("'", "''") + "'"
+    return "NULL" if value is None else repr(value)
+
+
+@pytest.fixture(scope="module")
+def bag_dbs():
+    """R with 320 rows, NULLs and quotes in it; cached and cache-less."""
+    words = ["a", "b", "it's", ""]
+    rows = ", ".join(
+        "(" + ", ".join(map(_render, (
+            i,
+            i % 23 - 11,
+            None if i % 17 == 0 else round((i * 0.37) % 9 - 4, 2),
+            f"{words[i % 4]}{i % 5}",
+        ))) + ")"
+        for i in range(1, _BAG_ROWS + 1)
+    )
+    dbs = []
+    for capacity in (256, 0):
+        db = Database(plan_cache_capacity=capacity)
+        db.execute("CREATE TABLE R (id INTEGER PRIMARY KEY, a INTEGER, f FLOAT, s VARCHAR)")
+        db.execute(f"INSERT INTO R VALUES {rows}")
+        db.execute("CREATE INDEX ix_r_a ON R (a)")
+        db.execute("ANALYZE")
+        dbs.append(db)
+    return dbs
+
+
+_numbers = st.one_of(
+    st.integers(-15, 15),
+    st.floats(-6, 6, allow_nan=False).map(lambda v: round(v, 3)),
+    st.sampled_from([1e3, -2.5e-1, 0.5]),
+)
+_strings = st.sampled_from(["a1", "it's", "", "b3", "''", "it's2"])
+
+#: statement shapes over R: ``{}`` is a literal (n number, s string); the
+#: prepared twin has ``?`` there
+_BAG_SHAPES = [
+    ("SELECT id, f FROM R WHERE a = {}", "n"),
+    ("SELECT id FROM R WHERE a BETWEEN {} AND {} AND s <> {}", "nns"),
+    ("SELECT a, COUNT(*), SUM(f) FROM R WHERE f > {} GROUP BY a", "n"),
+    ("SELECT id FROM R WHERE a IN ({}, {}) OR s = {}", "nns"),
+    ("SELECT id FROM R WHERE a = - {} OR f < - - {}", "nn"),
+    ("SELECT id, s FROM R WHERE f <= {} ORDER BY id LIMIT 7", "n"),
+    ("SELECT R.id FROM R, R AS Q WHERE R.a = Q.id AND Q.f > {} AND R.s < {}", "ns"),
+]
+
+
+def _bag(rows):
+    return sorted(
+        rows,
+        key=lambda row: [(v is None, str(type(v)), 0 if v is None else v) for v in row],
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_literal_prepared_and_cache_hit_agree(bag_dbs, data):
+    """Literal text, its ``prepare()`` twin and a token-path re-execution
+    return the same bag as an engine without a plan cache."""
+    cached, uncached = bag_dbs
+    shape, kinds = data.draw(st.sampled_from(_BAG_SHAPES))
+    values = [data.draw(_numbers if kind == "n" else _strings) for kind in kinds]
+    literal = shape.format(*map(_render, values))
+    expected = _bag(uncached.execute(literal).rows)
+    assert _bag(cached.execute(literal).rows) == expected
+    twin = cached.prepare(shape.replace("{}", "?"))
+    assert _bag(twin.execute(values).rows) == expected
+    lookups = cached.plan_cache.stats()["token_lookups"]
+    assert _bag(cached.execute(literal).rows) == expected
+    assert cached.plan_cache.stats()["token_lookups"] == lookups + 1
