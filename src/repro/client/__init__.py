@@ -8,7 +8,6 @@ repro.client`` starts the REPL.
 
 from repro.client.client import (
     RemoteCO,
-    RemoteCOCursor,
     RemotePrepared,
     WireClient,
     WireResult,
@@ -17,7 +16,6 @@ from repro.client.client import (
 
 __all__ = [
     "RemoteCO",
-    "RemoteCOCursor",
     "RemotePrepared",
     "WireClient",
     "WireResult",

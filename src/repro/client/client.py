@@ -23,11 +23,13 @@ from __future__ import annotations
 import random
 import socket
 import time
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import CursorError, ReproError
+from repro.errors import CursorError, ExecutionError, ReproError
 from repro.obs.trace import TraceContext, Tracer
 from repro.server import protocol
+from repro.xnf.cache import CachedTuple, COCache
+from repro.xnf.stream import decode_stream
 
 
 class WireResult:
@@ -88,79 +90,71 @@ class RemotePrepared:
         return WireResult(self._client, payload)
 
 
-class RemoteCOCursor:
-    """Client handle on a server-side independent CO cursor."""
-
-    def __init__(self, client: "WireClient", cursor_id: int, node: str):
-        self._client = client
-        self.cursor_id = cursor_id
-        self.node = node
-        self._buffer: List[Dict[str, Any]] = []
-        self._exhausted = False
-
-    def fetch(self) -> Optional[Dict[str, Any]]:
-        """Next tuple as a dict, or None at end of set."""
-        if not self._buffer and not self._exhausted:
-            payload = self._client.request(
-                op="CO_FETCH", cursor=self.cursor_id, n=100
-            )
-            self._buffer.extend(payload.get("rows") or [])
-            self._exhausted = not payload.get("more", False)
-        if self._buffer:
-            return self._buffer.pop(0)
-        return None
-
-    def __iter__(self) -> Iterator[Dict[str, Any]]:
-        while True:
-            row = self.fetch()
-            if row is None:
-                return
-            yield row
-
-
 class RemoteCO:
-    """Client handle on a composite object held open in the wire session."""
+    """A composite object extracted over the wire and held in this process.
+
+    The ``XNF`` response carries the CO itself (schema header plus the
+    heterogeneous tuple stream, see :func:`repro.xnf.stream.encode_stream`);
+    it is loaded into a :class:`~repro.xnf.cache.COCache` here, so cursors,
+    paths and ``nodes`` never cross the network — as the paper has it, "the
+    access to the cache does not require any inter-process communication".
+    """
 
     def __init__(self, client: "WireClient", payload: Dict[str, Any]):
-        self._client = client
-        self.co_id: int = payload["co"]
+        schema, stream = decode_stream(
+            payload["co"], WireResult(client, payload).rows()
+        )
+        cache = COCache(schema)
+        for item in stream:  # the same loader as an in-process TAKE's
+            cache.consume(item)
+        self._cache: Optional[COCache] = cache
         #: node name -> tuple count (as extracted)
-        self.nodes: Dict[str, int] = payload.get("nodes") or {}
+        self.nodes: Dict[str, int] = {
+            name: len(cache.node(name)) for name in cache.node_names()
+        }
         #: edge name -> connection count
-        self.edges: Dict[str, int] = payload.get("edges") or {}
-        self._closed = False
+        self.edges: Dict[str, int] = {
+            name: len(cache.connections_of(name)) for name in cache.edge_names()
+        }
 
-    def cursor(self, node: str) -> RemoteCOCursor:
-        payload = self._client.request(op="CO_CURSOR", co=self.co_id, node=node)
-        return RemoteCOCursor(self._client, payload["cursor"], node)
+    def _open_cache(self) -> COCache:
+        if self._cache is None:
+            raise CursorError("composite object is closed")
+        return self._cache
+
+    def cursor(self, node: str) -> Iterator[Dict[str, Any]]:
+        """Independent cursor on *node*: its tuples as dicts, in load order."""
+        cursor = self._open_cache().cursor(node).open()
+        return (cached.as_dict() for cached in cursor)
 
     def path(
         self, start: str, path: str, **criteria: Any
     ) -> List[Dict[str, Any]]:
-        """Evaluate a path expression server-side.
+        """Evaluate a path expression on the local cache.
 
         ``criteria`` anchor the start: ``co.path("Xdept", "employment",
         dname="d1")`` navigates from the department named d1.
         """
-        payload = self._client.request(
-            op="CO_PATH", co=self.co_id, start=start, path=path,
-            criteria=criteria or None,
-        )
-        return payload.get("rows") or []
+        cache = self._open_cache()
+        anchor: Union[CachedTuple, str] = start
+        if criteria:
+            found = cache.find(start, **criteria)
+            if found is None:
+                raise ExecutionError(f"no {start} tuple matches {criteria!r}")
+            anchor = found
+        return [
+            {"node": t.node, "values": t.as_dict()}
+            for t in cache.path(anchor, path)
+        ]
 
     def close(self) -> None:
-        if not self._closed:
-            self._client.request(op="CO_CLOSE", co=self.co_id)
-            self._closed = True
+        self._cache = None
 
     def __enter__(self) -> "RemoteCO":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        try:
-            self.close()
-        except (ReproError, OSError):
-            pass
+        self.close()
 
 
 class WireClient:
@@ -189,6 +183,12 @@ class WireClient:
             # the server refused admission before the session existed
             self.sock.close()
             raise protocol.rehydrate_error(hello.get("error") or {})
+        if hello.get("protocol") != protocol.PROTOCOL_VERSION:
+            self.sock.close()
+            raise protocol.ProtocolError(
+                f"server speaks protocol {hello.get('protocol')!r}, this "
+                f"client speaks {protocol.PROTOCOL_VERSION}"
+            )
         self.server_info = hello
         self.session_id: int = hello.get("session", -1)
         self._closed = False
@@ -247,7 +247,8 @@ class WireClient:
     # -- XNF ------------------------------------------------------------------
 
     def take(self, text: str) -> RemoteCO:
-        """Run an XNF TAKE query; the CO stays open in the wire session."""
+        """Run an XNF TAKE query in one request (plus FETCH pages for a CO
+        longer than the server's ``fetch_size``); the CO lives here."""
         payload = self.request(op="XNF", text=text)
         if "co" not in payload:
             raise CursorError("XNF statement did not produce a composite object")

@@ -4,14 +4,16 @@ Reads statements from stdin (scriptable: pipe a file in), sends them to a
 :class:`~repro.server.XNFServer` and pretty-prints results.  SQL and
 ``EXPLAIN`` / ``EXPLAIN ANALYZE`` pass straight through the server's SQL
 entry point; statements starting with ``OUT OF`` run as XNF TAKE queries
-(the extracted CO is summarized and kept open as ``\\co N``); ``XNF
-EXPLAIN ANALYZE <take-query>`` renders the server-side span tree.
+(the extracted CO arrives whole, is summarized and kept in this process as
+CO ``N``); ``XNF EXPLAIN ANALYZE <take-query>`` renders the server-side
+span tree.
 
-Dot commands::
+Dot commands (``\\co``, ``\\path`` and ``\\close`` run on the local CO
+cache and send no frame)::
 
     \\co N node      open a cursor on node of CO N and print its tuples
     \\path N node path [col=value]   evaluate a path expression on CO N
-    \\close N        release CO N
+    \\close N        drop CO N from the client
     \\timeout S      set this session's statement timeout (- to clear)
     \\retry <sql>    run one statement under the client retry loop
     \\profile        time breakdown of this session's last statement
@@ -102,14 +104,16 @@ class Repl:
         self.cos[handle] = co
         nodes = ", ".join(f"{n}:{c}" for n, c in sorted(co.nodes.items()))
         edges = ", ".join(f"{e}:{c}" for e, c in sorted(co.edges.items()))
-        self.emit(f"CO {handle} open — nodes [{nodes}] edges [{edges}]")
+        self.emit(
+            f"CO {handle} loaded into the client — nodes [{nodes}] edges [{edges}]"
+        )
 
     # -- dot commands ---------------------------------------------------------
 
     def _co(self, token: str) -> RemoteCO:
         co = self.cos.get(int(token))
         if co is None:
-            raise ReproError(f"no open CO {token} (see \\co output)")
+            raise ReproError(f"no CO {token} (TAKE output names it)")
         return co
 
     def _dot_command(self, stmt: str) -> bool:

@@ -55,7 +55,7 @@ class WireSessionStats:
 
     __slots__ = (
         "session_id", "peer", "state", "statements", "rows_sent", "errors",
-        "retryable_errors", "cos_open", "cursors_open", "in_txn",
+        "retryable_errors", "cursors_open", "in_txn",
         "connected_at", "last_activity", "_lock",
     )
 
@@ -67,7 +67,6 @@ class WireSessionStats:
         self.rows_sent = 0
         self.errors = 0
         self.retryable_errors = 0
-        self.cos_open = 0
         self.cursors_open = 0
         self.in_txn = False
         self.connected_at = time.monotonic()
@@ -97,7 +96,6 @@ class WireSessionStats:
                 self.rows_sent,
                 self.errors,
                 self.retryable_errors,
-                self.cos_open,
                 self.cursors_open,
                 self.in_txn,
                 round((now - self.connected_at) * 1e3, 3),

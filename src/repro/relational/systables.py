@@ -406,7 +406,6 @@ def build_sys_tables(db) -> List[VirtualTable]:
                 ("rows_sent", INTEGER),
                 ("errors", INTEGER),
                 ("retryable_errors", INTEGER),
-                ("cos_open", INTEGER),
                 ("cursors_open", INTEGER),
                 ("in_txn", BOOLEAN),
                 ("age_ms", FLOAT),

@@ -2,10 +2,12 @@
 
 A frame is a 4-byte big-endian unsigned length followed by that many bytes
 of UTF-8 JSON encoding one object.  Requests carry an ``"op"`` field
-(AUTH, QUERY, PREPARE, EXECUTE, FETCH, XNF, XNF_EXPLAIN, CO_CURSOR,
-CO_FETCH, CO_PATH, CO_CLOSE, SET, PING, PROFILE, CLOSE); responses carry
-``"ok": true`` plus op-specific fields, or ``"ok": false`` plus an
-``"error"`` object.
+(AUTH, QUERY, PREPARE, EXECUTE, FETCH, XNF, XNF_EXPLAIN, SET, PING,
+PROFILE, CLOSE); responses carry ``"ok": true`` plus op-specific fields, or
+``"ok": false`` plus an ``"error"`` object; an unknown op is an error.
+Since v2 the ``XNF`` response to a TAKE is the CO itself: its schema header
+under ``"co"`` and its heterogeneous stream as result rows, paged through
+``FETCH`` (:func:`repro.xnf.stream.encode_stream`).
 
 Distributed tracing (additive in protocol v1): a request may carry a
 ``"trace"`` object — ``{"id": <trace_id>, "span": <parent span id>,
@@ -45,7 +47,7 @@ from typing import Any, Dict, Type
 from repro.errors import ReproError, SQLError
 
 #: bump when the frame vocabulary changes incompatibly
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: refuse frames larger than this (a wild length prefix is junk, not a
 #: request; reading it would balloon memory before failing anyway)

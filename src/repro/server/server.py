@@ -39,7 +39,7 @@ import itertools
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from repro.errors import (
     AdmissionError,
@@ -56,7 +56,9 @@ from repro.obs.trace import FRESH_CONTEXT, TraceContext
 from repro.relational.engine import Database, Result, Session
 from repro.server import protocol
 from repro.server.protocol import ProtocolError
-from repro.xnf.api import CompositeObject, XNFSession
+from repro.xnf.api import XNFSession
+from repro.xnf.semantic_rewrite import COInstance
+from repro.xnf.stream import encode_stream
 
 #: default cap on rows returned inline by QUERY/EXECUTE before the rest
 #: spills into a server-side fetch cursor
@@ -67,34 +69,28 @@ class _LRUHandles:
     """Bounded, LRU-ordered id → handle map for per-connection server state.
 
     The wire protocol hands out integer handles (prepared statements, fetch
-    cursors, composite objects, CO cursors) that live until the client closes
-    them — so a sloppy or long-lived client used to grow these maps without
-    bound.  Each map now caps at ``cap`` entries; inserting past the cap
-    evicts the least recently used handle (``on_evict`` does the per-kind
-    bookkeeping).  Evicted ids are remembered so a later access raises a
-    typed, **non-retryable** :class:`~repro.errors.HandleEvictedError`
-    (which survives the wire roundtrip) instead of the generic "unknown
-    handle" — the client learns it must re-create the handle, not retry.
+    cursors) that live until the session ends or, for a cursor, until it is
+    drained — so a sloppy or long-lived client used to grow these maps
+    without bound.  Each map now caps at ``cap`` entries; inserting past the
+    cap evicts the least recently used handle (``on_evict`` does the
+    per-kind bookkeeping).  Evicted ids are remembered so a later access
+    raises a typed, **non-retryable**
+    :class:`~repro.errors.HandleEvictedError` (which survives the wire
+    roundtrip) instead of the generic "unknown handle" — the client learns
+    it must re-create the handle, not retry.
     """
 
     def __init__(
         self,
         kind: str,
         cap: int,
-        on_evict: Optional[Callable[[int, Any], None]] = None,
+        on_evict: Callable[[int, Any], None],
     ):
         self.kind = kind
         self.cap = max(1, int(cap))
         self.on_evict = on_evict
-        self.evictions = 0
         self._items: "OrderedDict[int, Any]" = OrderedDict()
         self._evicted: set = set()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __contains__(self, key: int) -> bool:
-        return key in self._items
 
     def __setitem__(self, key: int, value: Any) -> None:
         self._items[key] = value
@@ -102,49 +98,28 @@ class _LRUHandles:
         while len(self._items) > self.cap:
             old_key, old_value = self._items.popitem(last=False)
             self._evicted.add(old_key)
-            self.evictions += 1
-            if self.on_evict is not None:
-                self.on_evict(old_key, old_value)
+            self.on_evict(old_key, old_value)
 
     def get(self, key: Any) -> Optional[Any]:
         """Fetch + LRU-touch; raises HandleEvictedError for evicted ids."""
         value = self._items.get(key)
         if value is None:
-            self.raise_if_evicted(key)
+            if key in self._evicted:
+                raise HandleEvictedError(
+                    f"{self.kind} {key!r} was evicted by the session handle "
+                    "cap; re-create it (the handle cannot be replayed)"
+                )
             return None
         self._items.move_to_end(key)
         return value
 
     def pop(self, key: Any, default: Any = None) -> Any:
-        """Plain removal (explicit close) — does NOT mark the id evicted."""
+        """Plain removal (drained cursor) — does NOT mark the id evicted."""
         return self._items.pop(key, default)
-
-    def evict(self, key: int) -> None:
-        """Forced eviction (cascade): removes, remembers, runs on_evict."""
-        value = self._items.pop(key, _ABSENT)
-        if value is _ABSENT:
-            return
-        self._evicted.add(key)
-        self.evictions += 1
-        if self.on_evict is not None:
-            self.on_evict(key, value)
-
-    def raise_if_evicted(self, key: Any) -> None:
-        if key in self._evicted:
-            raise HandleEvictedError(
-                f"{self.kind} {key!r} was evicted by the session handle cap; "
-                f"re-create it (the handle cannot be replayed)"
-            )
-
-    def items(self) -> List[Tuple[int, Any]]:
-        return list(self._items.items())
 
     def clear(self) -> None:
         self._items.clear()
         self._evicted.clear()
-
-
-_ABSENT = object()
 
 
 class _WireConnection:
@@ -178,9 +153,6 @@ class _WireConnection:
         )
         #: result-set cursors: id -> {"columns": [...], "rows": [...]}
         self.cursors = _LRUHandles("fetch cursor", cap, self._evicted_cursor)
-        self.cos = _LRUHandles("composite object", cap, self._evicted_co)
-        #: CO cursors: id -> (co_id, IndependentCursor)
-        self.co_cursors = _LRUHandles("CO cursor", cap, self._evicted_cursor)
 
     # -- handle eviction bookkeeping ------------------------------------------
 
@@ -190,15 +162,6 @@ class _WireConnection:
     def _evicted_cursor(self, handle_id: int, value: Any) -> None:
         self.stats.record(cursors_open=-1)
         self.server.db.network.inc("handles_evicted")
-
-    def _evicted_co(self, co_id: int, value: Any) -> None:
-        self.stats.record(cos_open=-1)
-        self.server.db.network.inc("handles_evicted")
-        # A CO's cursors are useless without it: cascade the eviction so a
-        # later CO_FETCH reports "evicted", not a dangling cursor.
-        for cid, (owner, _) in self.co_cursors.items():
-            if owner == co_id:
-                self.co_cursors.evict(cid)
 
     # -- helpers --------------------------------------------------------------
 
@@ -361,24 +324,20 @@ class _WireConnection:
     # -- XNF / composite objects ---------------------------------------------
 
     async def op_xnf(self, payload) -> Dict[str, Any]:
+        """Run one XNF statement.  A TAKE answers with the CO itself — its
+        schema header under ``co``, its heterogeneous stream as rows paged
+        like any long result — so the session keeps no CO state."""
         text = payload.get("text")
         if not isinstance(text, str):
             raise SQLError("XNF frame lacks 'text'")
         self.stats.record(statements=1)
-        result = await self.run_db(lambda: self.xnf.execute(text))
+        result = await self.run_db(lambda: self.xnf.execute_remote(text))
         self.stats.in_txn = self.session.in_transaction
-        if isinstance(result, CompositeObject):
-            co_id = self.next_id()
-            self.cos[co_id] = result
-            self.stats.record(cos_open=1)
-            return protocol.ok(
-                co=co_id,
-                nodes={name: len(result.node(name)) for name in result.nodes()},
-                edges={
-                    name: len(result.connections(name))
-                    for name in result.edges()
-                },
-            )
+        if isinstance(result, COInstance):
+            header, items = encode_stream(result)
+            response = self._result_payload(Result(rows=items), None)
+            response["co"] = header
+            return response
         if isinstance(result, int):
             return protocol.ok(rowcount=result)
         return protocol.ok()
@@ -390,76 +349,6 @@ class _WireConnection:
         self.stats.record(statements=1)
         rendered = await self.run_db(lambda: self.xnf.explain_analyze(text))
         return protocol.ok(text=rendered)
-
-    def _co(self, payload) -> CompositeObject:
-        co = self.cos.get(payload.get("co"))
-        if co is None:
-            raise CursorError(f"unknown composite object {payload.get('co')!r}")
-        return co
-
-    async def op_co_cursor(self, payload) -> Dict[str, Any]:
-        co = self._co(payload)
-        node = payload.get("node")
-        cursor = co.cursor(node)
-        cursor_id = self.next_id()
-        self.co_cursors[cursor_id] = (payload.get("co"), cursor)
-        self.stats.record(cursors_open=1)
-        return protocol.ok(cursor=cursor_id, node=node)
-
-    async def op_co_fetch(self, payload) -> Dict[str, Any]:
-        entry = self.co_cursors.get(payload.get("cursor"))
-        if entry is None:
-            raise CursorError(f"unknown CO cursor {payload.get('cursor')!r}")
-        _, cursor = entry
-        n = int(payload.get("n") or 100)
-        rows = []
-        more = True
-        for _ in range(n):
-            cached = cursor.fetch()
-            if cached is None:
-                more = False
-                self.co_cursors.pop(payload.get("cursor"), None)
-                self.stats.record(cursors_open=-1)
-                break
-            rows.append(cached.as_dict())
-        self.stats.record(rows_sent=len(rows))
-        return protocol.ok(rows=rows, more=more)
-
-    async def op_co_path(self, payload) -> Dict[str, Any]:
-        co = self._co(payload)
-        path = payload.get("path")
-        start = payload.get("start")
-        criteria = payload.get("criteria") or {}
-        if not isinstance(path, str) or not isinstance(start, str):
-            raise SQLError("CO_PATH frame needs 'start' (node) and 'path'")
-
-        def evaluate():
-            if criteria:
-                anchor = co.find(start, **criteria)
-                if anchor is None:
-                    raise ExecutionError(
-                        f"CO_PATH: no {start} tuple matches {criteria!r}"
-                    )
-                return co.path(anchor, path)
-            return co.path(start, path)
-
-        tuples = await self.run_db(evaluate)
-        rows = [{"node": t.node, "values": t.as_dict()} for t in tuples]
-        self.stats.record(rows_sent=len(rows))
-        return protocol.ok(rows=rows)
-
-    async def op_co_close(self, payload) -> Dict[str, Any]:
-        co_id = payload.get("co")
-        if self.cos.pop(co_id, None) is None:
-            self.cos.raise_if_evicted(co_id)
-            raise CursorError(f"unknown composite object {co_id!r}")
-        self.stats.record(cos_open=-1)
-        stale = [cid for cid, (owner, _) in self.co_cursors.items() if owner == co_id]
-        for cid in stale:
-            self.co_cursors.pop(cid)
-        if stale:
-            self.stats.record(cursors_open=-len(stale))
-        return protocol.ok()
 
     # -- observability --------------------------------------------------------
 
@@ -498,8 +387,6 @@ class _WireConnection:
                 pass
         self.prepared.clear()
         self.cursors.clear()
-        self.co_cursors.clear()
-        self.cos.clear()
 
 
 class XNFServer:
@@ -528,7 +415,7 @@ class XNFServer:
         self.fetch_size = fetch_size
         self.drain_timeout_s = drain_timeout_s
         #: per-kind cap on a connection's live handles (prepared statements,
-        #: fetch cursors, COs, CO cursors); LRU-evicted past the cap
+        #: fetch cursors); LRU-evicted past the cap
         self.max_session_handles = max_session_handles
         self.xnf_session_factory = xnf_session_factory
         self._server: Optional[asyncio.AbstractServer] = None

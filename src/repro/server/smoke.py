@@ -2,11 +2,12 @@
 
 Boots a wire server over the demo database, drives a scripted REPL
 session across loopback (DDL + queries + an E1 composite-object
-extraction), provokes and retries a genuine MVCC serialization conflict
-through the wire error frames, then shuts down gracefully and asserts no
-wire session leaked (``SYS_SESSIONS`` must be empty and the network
-counters must balance).  Exit code 0 means every stage passed — CI runs
-this as the ``server-smoke`` job.
+extraction, navigated client-side: take + cursor + path + close must cost
+exactly one request frame), provokes and retries a genuine MVCC
+serialization conflict through the wire error frames, then shuts down
+gracefully and asserts no wire session leaked (``SYS_SESSIONS`` must be
+empty and the network counters must balance).  Exit code 0 means every
+stage passed — CI runs this as the ``server-smoke`` job.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import threading
 from repro.errors import SerializationError
 from repro.client.client import WireClient
 from repro.client.repl import Repl
+from repro.relational.engine import Database
 from repro.server.bootstrap import demo_database
 from repro.server.server import ServerThread
 from repro.workloads.company import FIGURE1_CO
@@ -53,9 +55,14 @@ def scripted_repl(port: int) -> None:
     check("SeqScan" in transcript, "EXPLAIN passthrough rendered a plan")
 
 
-def composite_object(port: int) -> None:
+def composite_object(port: int, db: Database) -> None:
     print("* E1 composite-object extraction over the wire", flush=True)
+
+    def frames_in() -> int:
+        return db.execute("SELECT frames_in FROM SYS_STAT_NETWORK").scalar()
+
     with WireClient(port=port) as client:
+        before = frames_in()
         co = client.take(FIGURE1_CO)
         check(co.nodes.get("Xdept") == 3, "Xdept has the 3 Fig. 1 departments")
         check(co.nodes.get("Xemp") == 5, "e3 (employed by nobody) excluded")
@@ -65,6 +72,8 @@ def composite_object(port: int) -> None:
         names = sorted(row["sname"] for row in cursor)
         check("s2" not in names, "unreachable skill s2 excluded")
         co.close()
+        check(frames_in() - before == 1,
+              "take + cursor + path + close cost one request frame")
 
 
 def retryable_conflict(port: int) -> None:
@@ -131,7 +140,7 @@ def main() -> int:
         port = server.port
         print(f"server on 127.0.0.1:{port}", flush=True)
         scripted_repl(port)
-        composite_object(port)
+        composite_object(port, db)
         retryable_conflict(port)
         concurrent_sessions(port)
 

@@ -10,7 +10,7 @@ SQL applications (which need no change whatsoever).
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.errors import XNFError
 from repro.relational.engine import Database
@@ -21,9 +21,8 @@ from repro.xnf.lang import xast
 from repro.xnf.lang.parser import parse_xnf_statements
 from repro.xnf.manipulate import Manipulator
 from repro.xnf.monitor import install_monitor
-from repro.xnf.paths import evaluate_path
 from repro.xnf.restrict import apply_instance_restrictions
-from repro.xnf.semantic_rewrite import InstantiationStats, XNFCompiler
+from repro.xnf.semantic_rewrite import COInstance, InstantiationStats, XNFCompiler
 from repro.xnf.views import XNFViewCatalog, apply_take, resolve
 
 
@@ -78,14 +77,7 @@ class CompositeObject:
         self, start: Union[CachedTuple, str], path_text: str
     ) -> List[CachedTuple]:
         """Evaluate a path expression; *start* is a tuple or a node name."""
-        from repro.xnf.cursors import parse_path_steps
-
-        steps = parse_path_steps(path_text)
-        if isinstance(start, CachedTuple):
-            expr = xast.PathExpr(start.node, steps)
-            return evaluate_path(self.cache, expr, {start.node: start})
-        expr = xast.PathExpr(start, steps)
-        return evaluate_path(self.cache, expr)
+        return self.cache.path(start, path_text)
 
     # -- manipulation (section 3.7) ---------------------------------------------------
 
@@ -189,6 +181,21 @@ class XNFSession:
         Returns a :class:`CompositeObject` for TAKE queries, the affected
         tuple count for CO-level DELETE/UPDATE, and None for view DDL.
         """
+        return self._execute(source, self._run_take)
+
+    def execute_remote(
+        self, source: Union[str, xast.XNFStatement]
+    ) -> Union[COInstance, int, None]:
+        """:meth:`execute` for a wire client, which builds its own cache.
+
+        A TAKE returns the CO's :class:`COInstance`, instance restrictions
+        and TAKE projection applied, for the server to stream; no cache is
+        built here unless a restriction or projection needs one.
+        """
+        return self._execute(source, self._take_instance)
+
+    def _execute(self, source: Union[str, xast.XNFStatement],
+                 take: Callable[[xast.XNFQuery], Any]) -> Any:
         statements = (
             parse_xnf_statements(source) if isinstance(source, str) else [source]
         )
@@ -205,7 +212,7 @@ class XNFSession:
             return None
         assert isinstance(statement, xast.XNFQuery)
         if statement.action == "TAKE":
-            return self._run_take(statement)
+            return take(statement)
         if statement.action == "DELETE":
             return self._run_co_delete(statement)
         if statement.action == "UPDATE":
@@ -385,7 +392,17 @@ class XNFSession:
 
     def _instantiate(self, query: xast.XNFQuery) -> COCache:
         schema = resolve(query, self.views)
-        cache = COCache.load(self._extract(schema))
+        return self._restrict(COCache.load(self._extract(schema)), schema)
+
+    def _take_instance(self, query: xast.XNFQuery) -> COInstance:
+        schema = resolve(query, self.views)
+        instance = self._extract(schema)
+        if schema.instance_restrictions:  # the TAKE projection may wait on them too
+            return self._restrict(COCache.load(instance), schema).instance()
+        return instance
+
+    def _restrict(self, cache: COCache, schema) -> COCache:
+        """Apply *schema*'s instance restrictions and pending TAKE."""
         if schema.instance_restrictions:
             apply_instance_restrictions(cache, schema.instance_restrictions)
         pending_take = getattr(schema, "pending_take", None)
@@ -396,8 +413,7 @@ class XNFSession:
         return cache
 
     def _run_take(self, query: xast.XNFQuery) -> CompositeObject:
-        cache = self._instantiate(query)
-        return CompositeObject(self, cache)
+        return CompositeObject(self, self._instantiate(query))
 
     def _run_co_delete(self, query: xast.XNFQuery) -> int:
         """CO deletion (section 3.7): remove the target CO's tuples and

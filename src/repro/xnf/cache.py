@@ -13,7 +13,7 @@ the OO1-style benchmark (experiment E1).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import XNFError
 from repro.xnf.schema import COSchema
@@ -74,6 +74,8 @@ class CachedTuple:
         return tuple(self._values)
 
     def as_dict(self) -> Dict[str, Any]:
+        if self._cache.projections.get(self.node) is None:
+            return dict(zip(self._cache.columns[self.node], self._values))
         return {column: self[column] for column in self._cache.visible_columns(self.node)}
 
     # -- navigation (pointer dereferencing) ----------------------------------------
@@ -224,12 +226,31 @@ class COCache:
             cache.consume(item)
         return cache
 
+    def instance(self) -> COInstance:
+        """The live tuples and connections (what restrictions and
+        structural projection left) as a :class:`COInstance`."""
+        instance = COInstance(self.schema)
+        for name in self.schema.nodes:
+            instance.columns[name] = self.columns[name]
+            instance.rows[name] = [t.full_values() for t in self.node(name)]
+        for name in self.schema.edges:
+            attr_names = self.edge_attributes.get(name, [])
+            instance.connections[name] = [
+                (
+                    conn.parent.full_values(),
+                    tuple(p.full_values() for p in conn.child_partners()),
+                    tuple(conn.attributes.get(a) for a in attr_names),
+                )
+                for conn in self.connections_of(name)
+            ]
+        return instance
+
     def consume(self, item) -> None:
         if isinstance(item, SchemaItem):
             if item.kind == "node":
                 self.columns[item.component] = list(item.columns)
                 self._positions[item.component] = {
-                    col: pos for pos, col in enumerate(item.columns)
+                    col.upper(): pos for pos, col in enumerate(item.columns)
                 }
             else:
                 self.edge_attributes[item.component] = list(item.columns)
@@ -290,27 +311,22 @@ class COCache:
     # -- schema/metadata access ----------------------------------------------------------
 
     def position(self, node: str, column: str) -> int:
-        positions = self._positions.get(node)
-        if positions is None:
-            raise XNFError(f"unknown node {node!r}")
-        visible = self.visible_columns(node)
-        for name, pos in positions.items():
-            if name.upper() == column.upper():
-                if not any(v.upper() == column.upper() for v in visible):
-                    raise XNFError(
-                        f"column {column!r} of {node} is projected away"
-                    )
-                return pos
-        raise XNFError(f"node {node!r} has no column {column!r}")
+        pos = self.raw_position(node, column)
+        projection = self.projections.get(node)
+        if projection is not None and not any(
+            v.upper() == column.upper() for v in projection
+        ):
+            raise XNFError(f"column {column!r} of {node} is projected away")
+        return pos
 
     def raw_position(self, node: str, column: str) -> int:
         positions = self._positions.get(node)
         if positions is None:
             raise XNFError(f"unknown node {node!r}")
-        for name, pos in positions.items():
-            if name.upper() == column.upper():
-                return pos
-        raise XNFError(f"node {node!r} has no column {column!r}")
+        pos = positions.get(column.upper())
+        if pos is None:
+            raise XNFError(f"node {node!r} has no column {column!r}")
+        return pos
 
     def visible_columns(self, node: str) -> List[str]:
         projection = self.projections.get(node)
@@ -394,6 +410,18 @@ class COCache:
         from repro.xnf.cursors import DependentCursor
 
         return DependentCursor(self, parent_cursor, path)
+
+    def path(self, start: Union[CachedTuple, str], path_text: str) -> List[CachedTuple]:
+        """Evaluate a path expression; *start* is a tuple or a node name."""
+        from repro.xnf.cursors import parse_path_steps
+        from repro.xnf.lang import xast
+        from repro.xnf.paths import evaluate_path
+
+        steps = parse_path_steps(path_text)
+        if isinstance(start, CachedTuple):
+            expr = xast.PathExpr(start.node, steps)
+            return evaluate_path(self, expr, {start.node: start})
+        return evaluate_path(self, xast.PathExpr(start, steps))
 
     # -- maintenance used by restriction / projection / manipulation -------------------------
 

@@ -8,14 +8,16 @@ tuples are sent to the output as soon as they are computed.
 :func:`heterogeneous_stream` linearises a :class:`COInstance` into exactly
 that: tagged items, node tuples in parent-before-child (BFS from the roots)
 order, each node's connections following its tuples, so a single pass is
-enough to build the cache's pointer structures.
+enough to build the cache's pointer structures.  :func:`encode_stream` /
+:func:`decode_stream` carry the same stream across the wire protocol.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
+from repro.xnf.schema import COSchema, EdgeSchema, NodeSchema
 from repro.xnf.semantic_rewrite import COInstance
 
 #: stream item kinds
@@ -107,3 +109,57 @@ def heterogeneous_stream(instance: COInstance) -> Iterator[StreamItem]:
                         if child in remaining:
                             next_frontier.append(child)
         frontier = next_frontier
+
+
+def encode_stream(instance: COInstance) -> Tuple[Dict[str, Any], List[list]]:
+    """The stream's wire form: a schema header (node columns and projections;
+    edge partners, roles and attributes) and JSON-ready data items, ``[node,
+    row]`` or ``[edge, parent_row, child_rows, attributes]`` — component
+    names are unique.  Rows travel in full; the receiver applies projections.
+    """
+    schema = instance.schema
+    header: Dict[str, Any] = {"name": schema.name, "nodes": [], "edges": []}
+    items: List[list] = []
+    for item in heterogeneous_stream(instance):
+        if isinstance(item, TupleItem):
+            items.append([item.component, item.row])
+        elif isinstance(item, ConnectionItem):
+            items.append(
+                [item.component, item.parent_row, item.child_rows, item.attributes]
+            )
+        elif item.kind == "node":
+            projection = schema.nodes[item.component].projection
+            header["nodes"].append([item.component, item.columns, projection])
+        else:
+            edge = schema.edges[item.component]
+            header["edges"].append([
+                edge.name, edge.parent, edge.parent_role, edge.child,
+                edge.child_role, edge.extra_partners, item.columns,
+            ])
+    return header, items
+
+
+def decode_stream(
+    header: Dict[str, Any], items: Iterable[Sequence[Any]]
+) -> Tuple[COSchema, List[StreamItem]]:
+    """Invert :func:`encode_stream`.  The schema carries names, roles and
+    projections: enough to navigate, nothing to derive tuples from."""
+    schema = COSchema(header["name"])
+    stream: List[StreamItem] = []
+    for name, columns, projection in header["nodes"]:
+        schema.add_node(NodeSchema(name, projection=projection))
+        stream.append(SchemaItem("node", name, tuple(columns)))
+    for name, parent, parent_role, child, child_role, extra, attrs in header["edges"]:
+        schema.add_edge(EdgeSchema(
+            name, parent, child, parent_role=parent_role, child_role=child_role,
+            extra_partners=[(partner, role) for partner, role in extra],
+        ))
+        stream.append(SchemaItem("edge", name, tuple(attrs)))
+    for item in items:
+        if item[0] in schema.nodes:
+            stream.append(TupleItem(item[0], tuple(item[1])))
+        else:
+            stream.append(ConnectionItem(
+                item[0], tuple(item[1]), tuple(map(tuple, item[2])), tuple(item[3])
+            ))
+    return schema, stream

@@ -1,12 +1,12 @@
 """Per-connection handle caps: LRU eviction with a typed, non-retryable error.
 
-A wire session's prepared statements, fetch cursors, composite objects and
-CO cursors used to accumulate until disconnect.  With
-``max_session_handles`` set, the oldest handle of a kind is evicted when the
-cap is exceeded, and touching an evicted handle raises
-:class:`~repro.errors.HandleEvictedError` — distinguishable on the client
-from a plain unknown-handle :class:`CursorError`, and never retryable (the
-handle cannot be replayed; the client must re-create it).
+A wire session's prepared statements and fetch cursors used to accumulate
+until disconnect.  With ``max_session_handles`` set, the oldest handle of
+a kind is evicted when the cap is exceeded, and touching an evicted handle
+raises :class:`~repro.errors.HandleEvictedError` — distinguishable on the
+client from a plain unknown-handle :class:`CursorError`, and never
+retryable (the handle cannot be replayed; the client must re-create it).
+Composite objects hold no server handle: they live in the client.
 """
 
 import pytest
@@ -15,12 +15,6 @@ from repro.client.client import WireClient
 from repro.errors import CursorError, HandleEvictedError
 from repro.server.server import ServerThread
 from repro.workloads.company import figure1_database
-
-XNF_TAKE = """
-OUT OF Xdept AS DEPT, Xemp AS EMP,
- employment AS (RELATE Xdept, Xemp WHERE Xdept.dno = Xemp.edno)
-TAKE *
-"""
 
 
 @pytest.fixture
@@ -35,6 +29,13 @@ def tight_server():
 def client(tight_server):
     with WireClient(port=tight_server.port) as c:
         yield c
+
+
+def open_cursor(client: WireClient) -> int:
+    """A FETCH cursor over EMP: one row inline, the rest server-side."""
+    payload = client.request(op="QUERY", sql="SELECT * FROM EMP", max_rows=1)
+    assert payload["more"] is True
+    return payload["cursor"]
 
 
 class TestPreparedEviction:
@@ -61,29 +62,8 @@ class TestPreparedEviction:
         with pytest.raises(HandleEvictedError):
             client.request(op="EXECUTE", stmt=1, params=[])
         # and an id that never existed still reports the generic error
-        with pytest.raises(CursorError):
-            client.request(op="CO_FETCH", cursor=99999)
-
-
-class TestCOEviction:
-    def test_evicted_co_and_cascaded_cursors(self, client):
-        first = client.take(XNF_TAKE)
-        # open but do not drain: an exhausted cursor closes itself server-side
-        cursor = first.cursor("Xemp")
-        for _ in range(3):
-            client.take(XNF_TAKE)  # push the first CO out of the LRU
-        with pytest.raises(HandleEvictedError):
-            first.path("Xdept", "employment", dname="d1")
-        # the CO's cursor was cascaded out with it
-        with pytest.raises(HandleEvictedError):
-            client.request(op="CO_FETCH", cursor=cursor.cursor_id, n=10)
-
-    def test_explicit_close_still_reports_unknown(self, client):
-        co = client.take(XNF_TAKE)
-        co.close()
         with pytest.raises(CursorError) as exc:
-            client.request(op="CO_PATH", co=co.co_id, start="Xdept",
-                           path="employment")
+            client.request(op="FETCH", cursor=99999)
         assert not isinstance(exc.value, HandleEvictedError)
 
     def test_eviction_counter_visible_in_network_stats(self, tight_server):
@@ -92,6 +72,23 @@ class TestCOEviction:
                 c.prepare("SELECT * FROM DEPT")
         snap = tight_server.server.db.network.snapshot()
         assert snap.get("handles_evicted", 0) >= 2
+
+
+class TestFetchCursorEviction:
+    def test_oldest_fetch_cursor_evicted(self, client):
+        cursors = [open_cursor(client) for _ in range(4)]
+        with pytest.raises(HandleEvictedError) as exc:
+            client.request(op="FETCH", cursor=cursors[0])
+        assert exc.value.retryable is False
+        assert client.request(op="FETCH", cursor=cursors[3])["rows"]
+
+    def test_explicit_close_still_reports_unknown(self, client):
+        cursor = open_cursor(client)
+        # draining a cursor closes it: a plain removal, not an eviction
+        assert client.request(op="FETCH", cursor=cursor, n=100)["more"] is False
+        with pytest.raises(CursorError) as exc:
+            client.request(op="FETCH", cursor=cursor)
+        assert not isinstance(exc.value, HandleEvictedError)
 
 
 class TestDefaultCapIsRoomy:

@@ -123,15 +123,6 @@ class TestCompositeObjects:
         with pytest.raises(CursorError):
             co.path("Xdept", "employment")
 
-    def test_cos_tracked_in_sys_sessions(self, wire_server, client):
-        co = client.take(FIGURE1_CO)
-        row = client.execute(
-            "SELECT cos_open FROM SYS_SESSIONS "
-            f"WHERE session_id = {client.session_id}"
-        ).scalar()
-        assert row == 1
-        co.close()
-
 
 class TestSessionControls:
     def test_statement_timeout_is_per_session(self, wire_server):
