@@ -6,7 +6,9 @@ aggregates it into a small JSON-ready dict:
 
 * ``stages`` — the statement pipeline (parse, build_qgm, rewrite,
   optimize, execute) in milliseconds, plus the batch count when an
-  instrumented (EXPLAIN ANALYZE) execution recorded one;
+  instrumented (EXPLAIN ANALYZE) execution recorded one.  The compile
+  stages are spans; execute is the ``execute_ms`` attribute of each
+  ``sql.<kind>`` statement span (a bare ``execute`` span counts too);
 * ``scatter`` — per-shard durations of the XNF scatter/gather stage,
   keyed by shard id, with a ``skew`` ratio (slowest shard over mean)
   exposing stragglers;
@@ -59,10 +61,13 @@ def build_profile(
             scatter[shard] = scatter.get(shard, 0.0) + dur
         elif name == "xnf.fixpoint.round":
             rounds += 1
-        if span._attrs:
-            batches += span._attrs.get("batches") or 0
-            if error is None and "error" in span._attrs:
-                error = str(span._attrs["error"])
+        attrs = span._attrs
+        if attrs:
+            if "execute_ms" in attrs:
+                stages["execute"] = stages.get("execute", 0.0) + attrs["execute_ms"] / 1e3
+            batches += attrs.get("batches") or 0
+            if error is None and "error" in attrs:
+                error = str(attrs["error"])
     if root._attrs:
         rows = root._attrs.get("rows")
     profile: Dict[str, Any] = {

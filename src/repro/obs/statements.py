@@ -2,6 +2,8 @@
 
 The engine records one entry per executed statement into a bounded,
 thread-safe registry; ``SYS_STAT_STATEMENTS`` is a live view over it.
+The same record feeds the database-wide statement latency histogram, so
+a statement takes one lock for both.
 Statements that differ only in WHERE/JOIN literals share a fingerprint
 (the plan-cache normalizer produces it), so the registry aggregates the
 way pg_stat_statements does: per *statement shape*, not per SQL text.
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import Histogram
 
@@ -44,11 +46,13 @@ class StatementStat:
 
 
 class StatementStatsRegistry:
-    """Bounded LRU map fingerprint → :class:`StatementStat`.
+    """Bounded LRU map fingerprint → :class:`StatementStat`, plus the
+    database-wide :attr:`latency` histogram of every statement.
 
     Thread-safe (one lock per record), bounded at *capacity* fingerprints
     with least-recently-updated eviction; ``evicted`` counts casualties so
-    a snapshot can say how much history was shed.
+    a snapshot can say how much history was shed.  Disabling the registry
+    stops the per-fingerprint entries, not the latency histogram.
     """
 
     def __init__(self, capacity: int = 512, enabled: bool = True):
@@ -57,10 +61,11 @@ class StatementStatsRegistry:
         self._stats: "OrderedDict[str, StatementStat]" = OrderedDict()
         self._lock = threading.Lock()
         self.evicted = 0
+        self.latency = Histogram()
 
     def record(
         self,
-        fingerprint: str,
+        fingerprint: Optional[str],
         elapsed_s: float,
         rows: int = 0,
         cache_hit: bool = False,
@@ -68,9 +73,11 @@ class StatementStatsRegistry:
         session_id: Optional[int] = None,
         trace_id: Optional[int] = None,
     ) -> None:
-        if not self.enabled:
-            return
+        """Record one statement; *fingerprint* may be None while disabled."""
         with self._lock:
+            self.latency.observe(elapsed_s)
+            if not self.enabled or fingerprint is None:
+                return
             stats = self._stats
             stat = stats.get(fingerprint)
             if stat is None:
@@ -95,6 +102,10 @@ class StatementStatsRegistry:
             if trace_id is not None:
                 stat.last_trace_id = trace_id
             stat.latency.observe(elapsed_s)
+
+    def latency_snapshot(self) -> Dict[str, Any]:
+        with self._lock:
+            return self.latency.snapshot()
 
     def get(self, fingerprint: str) -> Optional[StatementStat]:
         with self._lock:

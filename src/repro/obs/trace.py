@@ -266,6 +266,22 @@ class _NullSpan(Span):
 NULL_SPAN = _NullSpan()
 
 
+class _ThreadSpans(threading.local):
+    """One thread's span stack and trace handoff state; every field exists
+    from the first read, so opening and closing a span never takes the
+    missing-attribute path of a bare ``threading.local``."""
+
+    def __init__(self) -> None:
+        self.stack: List[Span] = []
+        #: TraceContext adopted for root spans opened on this thread
+        self.inherited: Optional[TraceContext] = None
+        # thread names are fixed at pool-worker creation
+        self.is_worker = threading.current_thread().name.startswith(
+            _WORKER_THREAD_PREFIXES
+        )
+        self.exporting = False
+
+
 class Tracer:
     """Stack-based span collector; one tree per top-level operation.
 
@@ -291,7 +307,7 @@ class Tracer:
         # Each thread gets its own span stack so concurrent sessions build
         # independent trees instead of parenting into each other's spans.
         # last_trace/recent stay shared (guarded by _history_mutex).
-        self._local = threading.local()
+        self._local = _ThreadSpans()
         self._history_mutex = threading.Lock()
         self.last_trace: Optional[Span] = None
         self.recent: List[Span] = []
@@ -311,14 +327,6 @@ class Tracer:
         # reproducible keep/drop sequences for a given rate
         self._rng = random.Random(0x5EED)
 
-    @property
-    def _stack(self) -> List[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
-
     def span(self, name: str, **attrs: Any) -> Span:
         """Open a child span of whatever span is currently on the stack.
 
@@ -330,7 +338,8 @@ class Tracer:
         """
         if not self.enabled:
             return NULL_SPAN
-        stack = self._stack
+        local = self._local
+        stack = local.stack
         if stack:
             if not stack[0].sampled:
                 return NULL_SPAN  # unsampled tree: suppress children
@@ -346,7 +355,7 @@ class Tracer:
             return span
         span = Span(name, attrs or None)
         span._tracer = self
-        inherited = getattr(self._local, "inherited", None)
+        inherited = local.inherited
         if inherited is not None and inherited.trace_id:
             span.trace_id = inherited.trace_id
             span.parent_id = inherited.span_id
@@ -359,7 +368,8 @@ class Tracer:
         return span
 
     def current(self) -> Optional[Span]:
-        return self._stack[-1] if self._stack else None
+        stack = self._local.stack
+        return stack[-1] if stack else None
 
     def force_sample(self) -> None:
         """Late-sample the currently open tree.
@@ -369,7 +379,7 @@ class Tracer:
         the subtree about to run records normally.  No-op when nothing is
         open or the root is already sampled.
         """
-        stack = self._stack
+        stack = self._local.stack
         if stack and not stack[0].sampled:
             stack[0].sampled = True
             stack[0].annotate(sampled="late")
@@ -386,14 +396,16 @@ class Tracer:
 
     def annotate(self, **attrs: Any) -> None:
         """Attach attributes to the innermost open span (no-op when idle)."""
-        if self._stack:
-            self._stack[-1].annotate(**attrs)
+        stack = self._local.stack
+        if stack:
+            stack[-1].annotate(**attrs)
 
     def _pop(self, span: Span) -> None:
         span.finish()
         # Tolerate a stack disturbed by an exception unwinding several
         # spans at once: pop down to (and including) the span being closed.
-        stack = self._stack
+        local = self._local
+        stack = local.stack
         while stack:
             top = stack.pop()
             top.finish()
@@ -401,19 +413,10 @@ class Tracer:
                 break
         if stack:
             return
-        inherited = getattr(self._local, "inherited", None)
-        if inherited is None:
+        if local.inherited is None:
             # A root finished on a pool worker with no explicit handoff:
             # SYS_MONITOR's statement->spans path cannot reach this tree.
-            # The thread-name probe is cached per thread (names are fixed
-            # at pool-worker creation) — this branch runs once per root.
-            is_worker = getattr(self._local, "is_worker", None)
-            if is_worker is None:
-                is_worker = threading.current_thread().name.startswith(
-                    _WORKER_THREAD_PREFIXES
-                )
-                self._local.is_worker = is_worker
-            if is_worker:
+            if local.is_worker:
                 self.orphans += 1
                 if self.metrics is not None:
                     self.metrics.inc("trace.orphan_spans")
@@ -436,15 +439,15 @@ class Tracer:
             # An exporter IO error must not fail the traced statement —
             # and a misbehaving exporter that runs statements itself must
             # not recurse into another export (non-re-entrant guard).
-            if getattr(self._local, "exporting", False):
+            if local.exporting:
                 return
-            self._local.exporting = True
+            local.exporting = True
             try:
                 self.exporter.export(span)
             except Exception:
                 self.export_failures += 1
             finally:
-                self._local.exporting = False
+                local.exporting = False
 
 
 class _Adopt:
@@ -458,7 +461,7 @@ class _Adopt:
 
     def __enter__(self) -> TraceContext:
         local = self._tracer._local
-        self._saved = getattr(local, "inherited", None)
+        self._saved = local.inherited
         local.inherited = self._context
         return self._context
 

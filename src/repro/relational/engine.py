@@ -37,7 +37,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.network import NetworkStats, WireSessionRegistry
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.statements import StatementStatsRegistry
-from repro.obs.trace import TraceContext, Tracer
+from repro.obs.trace import NULL_SPAN, Span, TraceContext, Tracer
 from repro.relational.catalog import Catalog, Column, ShardedTable, Table
 from repro.relational.storage.sharded import PartitionSpec
 from repro.relational.executor.exprs import PlanContext
@@ -46,7 +46,6 @@ from repro.relational.plancache import (
     CacheEntry,
     NormalizedStatement,
     PlanCache,
-    StatementTemplate,
     normalize_statement,
     referenced_objects,
 )
@@ -73,6 +72,29 @@ def _sql_of(stmt: ast.Statement) -> str:
         return stmt.to_sql()
     except Exception:
         return repr(stmt)
+
+
+def _fingerprint_of(stmt: ast.Statement) -> str:
+    """Statement-stats key of a statement that ran without normalizing."""
+    try:
+        if isinstance(stmt, (ast.InsertStmt, *Database._TEMPLATED)):
+            return normalize_statement(stmt).fingerprint
+        return stmt.to_sql()
+    except Exception:
+        return type(stmt).__name__
+
+
+class _SessionState(threading.local):
+    """One thread's session state; every field exists from the first
+    read, so the per-statement reads never take the missing-attribute
+    path of a bare ``threading.local``."""
+
+    def __init__(self) -> None:
+        self.txn: Optional[Transaction] = None
+        self.isolation: Optional[IsolationLevel] = None
+        self.timeout_override: Optional[float] = None
+        self.session_id: Optional[int] = None
+        self.retry_wait = 0.0
 
 
 @dataclass
@@ -304,12 +326,12 @@ class Database:
                 "unsharded"
             )
         self.default_shards = shards if shards >= 2 else 0
-        # Per-thread session state: the current transaction, the session
-        # default isolation, and the last statement's fingerprint/cache-hit
-        # flags all live in a thread-local, so one Database instance can be
-        # shared by concurrent session threads (each thread runs its own
-        # statements against its own transaction).
-        self._tls = threading.local()
+        # Per-thread session state (the current transaction, the session's
+        # isolation, timeout override and wire-session id) lives in a
+        # thread-local, so one Database instance can be shared by
+        # concurrent session threads (each thread runs its own statements
+        # against its own transaction).
+        self._tls = _SessionState()
         self._default_isolation = IsolationLevel.REPEATABLE_READ
         self.last_timings: Dict[str, float] = {}
         self.statements_executed = 0
@@ -350,8 +372,6 @@ class Database:
         #: per-CO instantiation statistics (behind SYS_CO_STATS), fed by the
         #: XNF semantic-rewrite layer
         self.co_stats = COStatsRegistry()
-        self._last_fingerprint: Optional[str] = None
-        self._last_cache_hit = False
         #: wire-server frame/byte counters (behind SYS_STAT_NETWORK); zero
         #: forever unless a repro.server.XNFServer serves this database
         self.network = NetworkStats()
@@ -363,7 +383,7 @@ class Database:
 
     @property
     def _txn(self) -> Optional[Transaction]:
-        return getattr(self._tls, "txn", None)
+        return self._tls.txn
 
     @_txn.setter
     def _txn(self, value: Optional[Transaction]) -> None:
@@ -371,7 +391,7 @@ class Database:
 
     @property
     def isolation(self) -> IsolationLevel:
-        return getattr(self._tls, "isolation", None) or self._default_isolation
+        return self._tls.isolation or self._default_isolation
 
     @isolation.setter
     def isolation(self, value: Optional[IsolationLevel]) -> None:
@@ -384,7 +404,7 @@ class Database:
         A per-session override (installed by :class:`Session` /
         the wire server) wins over the database-wide default.
         """
-        override = getattr(self._tls, "timeout_override", None)
+        override = self._tls.timeout_override
         if override is not None:
             return override
         return self._default_statement_timeout_s
@@ -395,7 +415,7 @@ class Database:
 
     @property
     def _timeout_override(self) -> Optional[float]:
-        return getattr(self._tls, "timeout_override", None)
+        return self._tls.timeout_override
 
     @_timeout_override.setter
     def _timeout_override(self, value: Optional[float]) -> None:
@@ -404,7 +424,7 @@ class Database:
     @property
     def _session_id(self) -> Optional[int]:
         """Wire-session id of the active Session on this thread (if any)."""
-        return getattr(self._tls, "session_id", None)
+        return self._tls.session_id
 
     @_session_id.setter
     def _session_id(self, value: Optional[int]) -> None:
@@ -415,26 +435,10 @@ class Database:
         """Seconds this thread has slept in transparent retry backoff
         (statement IO retries + run_retryable serialization retries);
         monotonically growing, read as a delta around one statement."""
-        return getattr(self._tls, "retry_wait", 0.0)
+        return self._tls.retry_wait
 
     def _note_retry_sleep(self, seconds: float) -> None:
-        self._tls.retry_wait = getattr(self._tls, "retry_wait", 0.0) + seconds
-
-    @property
-    def _last_fingerprint(self) -> Optional[str]:
-        return getattr(self._tls, "fingerprint", None)
-
-    @_last_fingerprint.setter
-    def _last_fingerprint(self, value: Optional[str]) -> None:
-        self._tls.fingerprint = value
-
-    @property
-    def _last_cache_hit(self) -> bool:
-        return getattr(self._tls, "cache_hit", False)
-
-    @_last_cache_hit.setter
-    def _last_cache_hit(self, value: bool) -> None:
-        self._tls.cache_hit = value
+        self._tls.retry_wait += seconds
 
     # -- public API ----------------------------------------------------------
 
@@ -443,17 +447,19 @@ class Database:
 
         A statement whose template the plan cache holds is recognised from
         its tokens and runs without the parser (:meth:`PlanCache.match`);
-        any other text is parsed, and a single cacheable statement leaves
-        its template behind for the next time.
+        any other text is parsed under a ``statement`` span, and a single
+        cacheable statement leaves its template behind for the next time.
         """
-        with self.tracer.span("statement", sql=sql[:200]):
+        if self.plan_cache.capacity > 0 and not self.analyze_statements:
             start = time.perf_counter()
-            matched = None
-            if self.plan_cache.capacity > 0 and not self.analyze_statements:
-                matched = self.plan_cache.match(sql)
+            matched = self.plan_cache.match(sql)
             if matched is not None:
                 self.last_timings["parse"] = time.perf_counter() - start
-                return self._execute_template(sql, *matched)
+                template, values = matched
+                normalized = template.normalized
+                return self._run_statement(normalized.statement, normalized, values, sql)
+        with self.tracer.span("statement", sql=sql[:200]):
+            start = time.perf_counter()
             with self.tracer.span("parse"):
                 statements = parse_statements(sql)
             self.last_timings["parse"] = time.perf_counter() - start
@@ -471,26 +477,10 @@ class Database:
                 self.plan_cache.remember(sql, normalize_statement(stmt))
             return result
 
-    #: statements the plan cache keeps templates of: parameter-free queries
-    #: and UPDATE/DELETE (INSERT, DDL, EXPLAIN and the rest always parse)
+    #: statements that run on a cached plan and whose templates the plan
+    #: cache keeps: queries and UPDATE/DELETE (INSERT, DDL, EXPLAIN and the
+    #: rest always parse and dispatch on their tree)
     _TEMPLATED = (ast.SelectStmt, ast.SetOpStmt, ast.UpdateStmt, ast.DeleteStmt)
-
-    def _execute_template(
-        self, sql: str, template: StatementTemplate, values: List[Any]
-    ) -> Result:
-        """Run a statement recognised from its tokens, with the bookkeeping
-        of :meth:`execute_ast`; only a slow-log entry parses the text."""
-        normalized = template.normalized
-        stmt = normalized.statement
-
-        def run() -> Result:
-            if isinstance(stmt, (ast.UpdateStmt, ast.DeleteStmt)):
-                return self._run_guarded(lambda: self._do_write(normalized, values))
-            return self._run_plan(self._cached_plan(normalized), values)
-
-        return self._run_statement(
-            stmt, run, lambda: parse_statements(sql)[0].to_sql(), normalized.fingerprint
-        )
 
     def execute_script(self, sql: str) -> List[Result]:
         return [self.execute_ast(stmt) for stmt in parse_statements(sql)]
@@ -512,99 +502,108 @@ class Database:
         return name
 
     def execute_ast(self, stmt: ast.Statement) -> Result:
-        return self._run_statement(stmt, lambda: self._dispatch_ast(stmt), lambda: _sql_of(stmt))
+        return self._run_statement(stmt)
 
     def _run_statement(
         self,
         stmt: ast.Statement,
-        run: Callable[[], Result],
-        sql_text: Callable[[], str],
-        fingerprint: Optional[str] = None,
+        normalized: Optional[NormalizedStatement] = None,
+        values: Sequence[Any] = (),
+        sql: Optional[str] = None,
     ) -> Result:
-        """Per-statement bookkeeping around *run*: the statement count, its
-        span, statement stats and the slow log (which renders *sql_text*)."""
+        """Run one statement and keep its one record.
+
+        Every way a statement runs comes through here.  A token-template
+        hit (*sql* is its text) and :meth:`Prepared.execute` pass the
+        *normalized* statement with its whole parameter vector *values*;
+        the parsed tree path and XNF's generated statements pass the bare
+        *stmt*, normalized here when it runs on a cached plan.
+
+        The statement leaves one ``sql.<kind>`` span carrying ``sql``,
+        ``rows``, ``fingerprint``, ``plan_cache`` and ``execute_ms``; its
+        only children are the compile stages of a plan-cache miss.  The
+        outcome is one statement-stats record (which also feeds the
+        database-wide latency histogram) and, past the threshold, one
+        slow-log entry.
+        """
         self.statements_executed += 1
-        self._last_fingerprint = fingerprint
-        self._last_cache_hit = False
+        span = self.tracer.span(self._stmt_span_name(stmt))
         start = time.perf_counter()
-        with self.tracer.span(self._stmt_span_name(stmt)) as span:
-            try:
-                result = run()
-            except BaseException:
-                if self.statement_stats.enabled:
-                    self.statement_stats.record(
-                        self._fingerprint_of(stmt),
-                        time.perf_counter() - start,
-                        cache_hit=self._last_cache_hit,
-                        error=True,
-                        session_id=self._session_id,
-                        trace_id=span.trace_id or None,
-                    )
-                raise
-            if result.rowcount:
-                span.annotate(rows=result.rowcount)
-            if self.tracer.enabled and self.statement_stats.enabled:
-                span.annotate(fingerprint=self._fingerprint_of(stmt))
-        elapsed = time.perf_counter() - start
-        self.metrics.observe("sql.statement_seconds", elapsed)
-        if self.statement_stats.enabled:
-            self.statement_stats.record(
-                self._fingerprint_of(stmt),
-                elapsed,
-                rows=result.rowcount,
-                cache_hit=self._last_cache_hit,
-                session_id=self._session_id,
-                trace_id=span.trace_id or None,
-            )
-        if self.slow_query_log.enabled:
-            self._maybe_log_slow(sql_text, elapsed, span)
-        return result
-
-    def _fingerprint_of(self, stmt: ast.Statement) -> str:
-        """Normalized fingerprint of *stmt*, computed at most once per
-        statement (the cached-plan path pre-fills it for free)."""
-        if self._last_fingerprint is None:
-            try:
-                if isinstance(
-                    stmt,
-                    (
-                        ast.SelectStmt,
-                        ast.SetOpStmt,
-                        ast.InsertStmt,
-                        ast.UpdateStmt,
-                        ast.DeleteStmt,
-                    ),
-                ):
-                    self._last_fingerprint = normalize_statement(stmt).fingerprint
+        hit: Optional[bool] = None
+        result: Optional[Result] = None
+        error: Optional[BaseException] = None
+        try:
+            if normalized is None and isinstance(stmt, self._TEMPLATED) and (
+                isinstance(stmt, (ast.UpdateStmt, ast.DeleteStmt))
+                or (self.plan_cache.capacity > 0 and not self.analyze_statements)
+            ):
+                normalized = self._normalized(stmt)
+                values = normalized.lifted_values
+            if normalized is None:
+                result = self._dispatch_ast(stmt, span)
+            elif isinstance(stmt, ast.InsertStmt):
+                result = self._run_insert(stmt, span, values)
+            else:
+                plan, hit = self._cached_plan(normalized)
+                if isinstance(stmt, (ast.UpdateStmt, ast.DeleteStmt)):
+                    result = self._run_guarded(lambda: self._do_write(stmt, plan, values))
                 else:
-                    self._last_fingerprint = stmt.to_sql()
-            except Exception:
-                self._last_fingerprint = type(stmt).__name__
-        return self._last_fingerprint
+                    result = self._run_plan(plan, values, span)
+            return result
+        except BaseException as exc:
+            error = exc
+            raise
+        finally:
+            elapsed = time.perf_counter() - start
+            rows = result.rowcount if result is not None else 0
+            stats = self.statement_stats
+            fingerprint = None
+            if normalized is not None:
+                fingerprint = normalized.fingerprint
+            elif stats.enabled:
+                fingerprint = _fingerprint_of(stmt)
+            if span is not NULL_SPAN:
+                attrs = span.attrs
+                if sql is not None:
+                    attrs["sql"] = sql[:200]
+                if rows:
+                    attrs["rows"] = rows
+                if fingerprint is not None:
+                    attrs["fingerprint"] = fingerprint
+                if hit is not None:
+                    attrs["plan_cache"] = "hit" if hit else "miss"
+                span.__exit__(None if error is None else type(error), error, None)
+            session_id = self._tls.session_id
+            trace_id = span.trace_id or None
+            stats.record(
+                fingerprint, elapsed, rows, bool(hit), error is not None, session_id, trace_id
+            )
+            slow = self.slow_query_log
+            if slow.threshold_s is not None and elapsed >= slow.threshold_s:
+                slow.maybe_record(
+                    _sql_of(stmt) if sql is None else parse_statements(sql)[0].to_sql(),
+                    elapsed,
+                    trace=None if span is NULL_SPAN else span.to_dict(),
+                    timings={k: round(v, 6) for k, v in self.last_timings.items()},
+                    session_id=session_id,
+                    trace_id=trace_id,
+                )
+                self.metrics.inc("sql.slow_statements")
 
-    def _maybe_log_slow(self, sql_text: Callable[[], str], elapsed: float, span) -> None:
-        if (
-            self.slow_query_log.threshold_s is None
-            or elapsed < self.slow_query_log.threshold_s
-        ):
-            return
-        self.slow_query_log.maybe_record(
-            sql_text(),
-            elapsed,
-            trace=span.to_dict() if self.tracer.enabled else None,
-            timings={k: round(v, 6) for k, v in self.last_timings.items()},
-            session_id=self._session_id,
-            trace_id=span.trace_id or None,
-        )
-        self.metrics.inc("sql.slow_statements")
+    @staticmethod
+    def _normalized(stmt: ast.Statement) -> NormalizedStatement:
+        """Normalize a statement that runs without explicit parameters."""
+        normalized = normalize_statement(stmt)
+        if normalized.n_explicit:
+            raise SQLError("statement contains ? parameters; use Database.prepare()")
+        return normalized
 
-    def _dispatch_ast(self, stmt: ast.Statement) -> Result:
+    def _dispatch_ast(self, stmt: ast.Statement, span: Span) -> Result:
+        """Run a statement that does not run on a cached plan."""
         if isinstance(stmt, (ast.SelectStmt, ast.SetOpStmt)):
-            return self._run_query(stmt)
+            return self._run_query(stmt, span)
         if isinstance(stmt, ast.InsertStmt):
-            return self._run_insert(stmt)
-        if isinstance(stmt, (ast.UpdateStmt, ast.DeleteStmt)):
-            return self._run_write(normalize_statement(stmt))
+            return self._run_insert(stmt, span)
         if isinstance(stmt, ast.CreateTableStmt):
             return self._run_create_table(stmt)
         if isinstance(stmt, ast.CreateIndexStmt):
@@ -617,7 +616,7 @@ class Database:
             return self._run_analyze(stmt)
         if isinstance(stmt, ast.ExplainStmt):
             text = (
-                self._explain_analyze_text(stmt.query)
+                self._explain_analyze_text(stmt.query, span)
                 if stmt.analyze
                 else self._explain_text(stmt.query)
             )
@@ -649,7 +648,8 @@ class Database:
         start = time.perf_counter()
         query = self._single_query(sql)
         self.last_timings["parse"] = time.perf_counter() - start
-        return self._explain_analyze_text(query)
+        result = self._run_statement(ast.ExplainStmt(query, analyze=True))
+        return "\n".join(line for (line,) in result.rows)
 
     def _single_query(self, sql: str) -> ast.Query:
         statements = parse_statements(sql)
@@ -668,7 +668,7 @@ class Database:
         lines.append(self._plan_cache_line())
         return "\n".join(lines)
 
-    def _explain_analyze_text(self, query: ast.Query) -> str:
+    def _explain_analyze_text(self, query: ast.Query, span: Span) -> str:
         """EXPLAIN ANALYZE: run the query instrumented, render actuals.
 
         The plan is compiled outside the cache so the shadowed (counting)
@@ -676,15 +676,7 @@ class Database:
         """
         plan = self._analyze_compile(query)
         op_stats = instrument_plan(plan.op)
-        start = time.perf_counter()
-        with self.tracer.span("execute") as span:
-            rows = self._execute_plan(plan, None)
-            span.annotate(rows=len(rows))
-            batches = sum(stat.batches for stat in op_stats.values())
-            if batches:
-                span.annotate(batches=batches)
-        self.last_timings["execute"] = time.perf_counter() - start
-        self._record_estimates(op_stats)
+        rows = self._run_plan(plan, None, span, op_stats).rows
         lines = render_analyzed(plan.op, op_stats).splitlines()
         lines.append(f"actual rows: {len(rows)}")
         lines.append(self._stage_timings_line())
@@ -769,24 +761,21 @@ class Database:
         cached closures are rebound to the statement's constants.
         """
         if use_cache and self.plan_cache.capacity > 0:
-            normalized = normalize_statement(query)
-            if normalized.n_explicit:
-                raise SQLError(
-                    "query contains ? parameters; use Database.prepare()"
-                )
-            plan = self._cached_plan(normalized)
+            normalized = self._normalized(query)
+            plan = self._cached_plan(normalized)[0]
             plan.context.params[:] = normalized.lifted_values
             return plan
         return self._compile_statement(query)
 
-    def _cached_plan(self, normalized: NormalizedStatement) -> CompiledPlan:
-        """Look up (or compile and cache) the plan of a normalized query.
+    def _cached_plan(
+        self, normalized: NormalizedStatement
+    ) -> Tuple[CompiledPlan, bool]:
+        """Look up (or compile and cache) the plan of a normalized query;
+        returns it with whether the cache held it.
 
         The caller binds ``plan.context.params`` before executing.
         """
-        fingerprint = normalized.fingerprint
-        self._last_fingerprint = fingerprint
-        key = (fingerprint, self.enable_rewrite)
+        key = (normalized.fingerprint, self.enable_rewrite)
         entry = self.plan_cache.lookup(key, self.catalog)
         if entry is None:
             plan = self._compile_statement(normalized.statement)
@@ -797,14 +786,9 @@ class Database:
                 volatile=any(self.catalog.is_virtual(name) for name in deps),
             )
             self.plan_cache.store(key, entry)
-            self.tracer.annotate(plan_cache="miss")
-        else:
-            self._last_cache_hit = True
-            self.last_timings.update(
-                {"build_qgm": 0.0, "rewrite": 0.0, "optimize": 0.0}
-            )
-            self.tracer.annotate(plan_cache="hit")
-        return entry.plan
+            return plan, False
+        self.last_timings.update({"build_qgm": 0.0, "rewrite": 0.0, "optimize": 0.0})
+        return entry.plan, True
 
     def _compile_statement(self, stmt: ast.Statement) -> CompiledPlan:
         """Compile a query, or the row-finding plan of an UPDATE/DELETE."""
@@ -860,49 +844,42 @@ class Database:
             return box
         return Rewriter().rewrite(box)
 
-    def _run_query(self, query: ast.Query) -> Result:
+    def _run_query(self, query: ast.Query, span: Span) -> Result:
+        """Run a query off the statement's own cached-plan path: in analyze
+        mode (compiled uncached and instrumented, so the counting operators
+        stay private to this execution), with the plan cache disabled, or
+        as an INSERT's SELECT."""
         if self.analyze_statements:
-            # Analyze mode (XNF explain_analyze): bypass the cache so the
-            # instrumented operators stay private to this execution.
             plan = self._analyze_compile(query)
-            return self._run_plan(plan, None, instrument_plan(plan.op))
+            return self._run_plan(plan, None, span, instrument_plan(plan.op))
         if self.plan_cache.capacity > 0:
-            normalized = normalize_statement(query)
-            if normalized.n_explicit:
-                raise SQLError(
-                    "query contains ? parameters; use Database.prepare()"
-                )
-            return self._run_plan(
-                self._cached_plan(normalized), list(normalized.lifted_values)
-            )
-        return self._run_plan(self._compile_statement(query), None)
+            normalized = self._normalized(query)
+            plan = self._cached_plan(normalized)[0]
+            return self._run_plan(plan, normalized.lifted_values, span)
+        return self._run_plan(self._compile_statement(query), None, span)
 
     def _run_plan(
-        self, plan: CompiledPlan, values: Optional[List[Any]], op_stats=None
+        self,
+        plan: CompiledPlan,
+        values: Optional[Sequence[Any]],
+        span: Span,
+        op_stats=None,
     ) -> Result:
-        """Execute a query plan (binding *values* into a cached one) under
-        an ``execute`` span; *op_stats* come from an instrumented plan."""
+        """Execute a query plan (binding *values* into a cached one) and put
+        its execute time on the statement's *span*; an instrumented plan's
+        *op_stats* add the operator tree (``detail``) and batch count."""
         start = time.perf_counter()
-        with self.tracer.span("execute") as span:
-            rows = self._execute_plan(plan, values)
-            span.annotate(rows=len(rows))
-            if op_stats is not None:
-                batches = sum(stat.batches for stat in op_stats.values())
-                if batches:
-                    span.annotate(batches=batches)
-                span.annotate(detail=render_analyzed(plan.op, op_stats))
-        self.last_timings["execute"] = time.perf_counter() - start
+        rows = self._execute_plan(plan, values)
+        elapsed = self.last_timings["execute"] = time.perf_counter() - start
+        if span is not NULL_SPAN:
+            span.annotate(execute_ms=round(elapsed * 1e3, 4))
         if op_stats is not None:
+            batches = sum(stat.batches for stat in op_stats.values())
+            if batches:
+                span.annotate(batches=batches)
+            span.annotate(detail=render_analyzed(plan.op, op_stats))
             self._record_estimates(op_stats)
         return Result(plan.columns, rows, len(rows))
-
-    def _execute_prepared_query(
-        self, normalized: NormalizedStatement, values: List[Any]
-    ) -> Result:
-        """Run a prepared query: cached plan + (explicit ++ lifted) params."""
-        return self._run_plan(
-            self._cached_plan(normalized), values + list(normalized.lifted_values)
-        )
 
     @contextlib.contextmanager
     def snapshot_scope(self):
@@ -938,7 +915,7 @@ class Database:
                 mv.release(snap)
 
     def _execute_plan(
-        self, plan: CompiledPlan, values: Optional[List[Any]]
+        self, plan: CompiledPlan, values: Optional[Sequence[Any]]
     ) -> List[Tuple[Any, ...]]:
         """Bind parameters (when *values* is given — cached, shared plans)
         and collect rows under the plan's bind lock and this thread's
@@ -963,12 +940,9 @@ class Database:
           operator tree from scratch is safe.
         """
         backoff = self.io_retry_backoff_s
+        timeout = self.statement_timeout_s
         for attempt in range(self.io_retries + 1):
-            deadline = (
-                time.perf_counter() + self.statement_timeout_s
-                if self.statement_timeout_s is not None
-                else None
-            )
+            deadline = None if timeout is None else time.perf_counter() + timeout
             try:
                 rows: List[Tuple[Any, ...]] = []
                 # one transpose per batch instead of one generator hop per row
@@ -1054,23 +1028,12 @@ class Database:
             raise
 
     def _run_insert(
-        self, stmt: ast.InsertStmt, params: Optional[List[Any]] = None
+        self, stmt: ast.InsertStmt, span: Span, params: Optional[Sequence[Any]] = None
     ) -> Result:
-        return self._run_guarded(lambda: self._do_insert(stmt, params))
-
-    def _run_write(
-        self, normalized: NormalizedStatement, values: Sequence[Any] = ()
-    ) -> Result:
-        """Run a normalized UPDATE/DELETE with its explicit ``?`` *values*."""
-        if len(values) != normalized.n_explicit:
-            raise SQLError(
-                "statement contains ? parameters; use Database.prepare()"
-            )
-        params = list(values) + normalized.lifted_values
-        return self._run_guarded(lambda: self._do_write(normalized, params))
+        return self._run_guarded(lambda: self._do_insert(stmt, span, params))
 
     def _do_insert(
-        self, stmt: ast.InsertStmt, params: Optional[List[Any]] = None
+        self, stmt: ast.InsertStmt, span: Span, params: Optional[Sequence[Any]] = None
     ) -> Result:
         table = self.catalog.get_table(stmt.table)
         txn = self._txn
@@ -1081,7 +1044,7 @@ class Database:
             positions = list(range(len(table.columns)))
         incoming: List[Tuple[Any, ...]] = []
         if stmt.select is not None:
-            incoming = list(self._run_query(stmt.select).rows)
+            incoming = list(self._run_query(stmt.select, span).rows)
         else:
             planner = Planner(self.catalog, PlanContext(list(params or [])))
             compiler = planner.compiler({})
@@ -1105,19 +1068,20 @@ class Database:
             count += 1
         return Result(rowcount=count)
 
-    def _do_write(self, normalized: NormalizedStatement, params: List[Any]) -> Result:
-        """UPDATE/DELETE: run the cached row-finding plan
+    def _do_write(
+        self, stmt: ast.Statement, plan: CompiledPlan, params: Sequence[Any]
+    ) -> Result:
+        """UPDATE/DELETE: run the cached row-finding *plan*
         (:meth:`Planner.plan_write`), then write each row it found.
 
         Halloween protection is the materialised RID stream: every target
         row is found before the first write, so an update that moves a row
         into the probed index range never visits it twice.
         """
-        stmt = normalized.statement
         table = self.catalog.get_table(stmt.table)
         txn = self._txn
         self.txn_manager.locks.acquire(txn.txn_id, table.name)
-        found = self._execute_plan(self._cached_plan(normalized), params)
+        found = self._execute_plan(plan, params)
         width = len(table.columns) + 1
         for tagged in found:
             rid, old_row, new_row = tagged[0], tagged[1:width], tagged[width:]
@@ -1474,9 +1438,7 @@ class Database:
             "plan_cache": self.plan_cache.stats(),
             "statements": {
                 "executed": self.statements_executed,
-                "latency": self.metrics.histogram(
-                    "sql.statement_seconds"
-                ).snapshot(),
+                "latency": self.statement_stats.latency_snapshot(),
                 "slow_logged": self.slow_query_log.total_logged,
                 "slow_evicted": self.slow_query_log.evicted,
                 "tracked_fingerprints": len(self.statement_stats),
@@ -1552,37 +1514,9 @@ class Prepared:
                 f"prepared statement expects {self.n_params} parameters, "
                 f"got {len(values)}"
             )
-        stmt = self.statement
-        self.db.statements_executed += 1
-        if isinstance(stmt, (ast.SelectStmt, ast.SetOpStmt)):
-            return self._timed(
-                lambda: self.db._execute_prepared_query(self._normalized, values)
-            )
-        if isinstance(stmt, (ast.UpdateStmt, ast.DeleteStmt)):
-            return self._timed(lambda: self.db._run_write(self._normalized, values))
-        if isinstance(stmt, ast.InsertStmt):
-            full = values + list(self._normalized.lifted_values)
-            return self._timed(lambda: self.db._run_insert(stmt, params=full))
-        if self.n_params:
-            raise SQLError("this statement kind does not accept parameters")
-        return self.db.execute_ast(stmt)
-
-    def _timed(self, fn) -> Result:
-        """Run one prepared execution, recording per-fingerprint statement
-        stats (this path bypasses ``execute_ast``, which records them for
-        ordinary statements)."""
-        db = self.db
-        db._last_cache_hit = False
-        start = time.perf_counter()
-        result = fn()
-        if db.statement_stats.enabled and self._normalized is not None:
-            current = db.tracer.current()
-            db.statement_stats.record(
-                self._normalized.fingerprint,
-                time.perf_counter() - start,
-                rows=result.rowcount,
-                cache_hit=db._last_cache_hit,
-                session_id=db._session_id,
-                trace_id=(current.trace_id or None) if current else None,
-            )
-        return result
+        normalized = self._normalized
+        if normalized is None:
+            return self.db.execute_ast(self.statement)
+        return self.db._run_statement(
+            self.statement, normalized, values + normalized.lifted_values
+        )

@@ -21,7 +21,9 @@ The catalog of tables:
 ``SYS_LOCK_HOLDERS``     point-in-time (table, txn) write-lock grants
 ``SYS_SNAPSHOTS``        active MVCC snapshots + version-store / conflict /
                          vacuum counters (one counter-only row when idle)
-``SYS_TRACE_SPANS``      flattened recent span trees with parent_span_id
+``SYS_TRACE_SPANS``      flattened recent span trees with parent_span_id;
+                         a statement span's ``execute_ms`` is listed as
+                         its ``execute`` leaf (span_id = -parent's)
 ``SYS_CO_STATS``         per-CO node/edge cardinalities + fixpoint profile
 ``SYS_STAT_ESTIMATES``   optimizer estimate vs. actual rows with q-error
 ``SYS_SESSIONS``         live wire-server sessions (state, statements,
@@ -207,6 +209,12 @@ def _spans_provider(db) -> Callable[[], Iterable[Tuple]]:
                 span.thread_id,
                 attrs.get("shard"),
             ))
+            if "execute_ms" in attrs:
+                out.append((
+                    trace_id, -span.span_id, span.span_id, "execute", depth + 1,
+                    attrs["execute_ms"], attrs.get("rows"), None, None, None,
+                    attrs.get("batches"), span.thread_id, None,
+                ))
             for child in span.children:
                 emit(child, trace_id, span.span_id, depth + 1)
 

@@ -511,17 +511,21 @@ class VersionStore:
 # consult.  Thread-local by construction: each session thread reads under
 # its own snapshot.
 
-_AMBIENT = threading.local()
+class _Ambient(threading.local):
+    snapshot: Optional[Snapshot] = None
+
+
+_AMBIENT = _Ambient()
 
 
 def current_snapshot() -> Optional[Snapshot]:
-    return getattr(_AMBIENT, "snapshot", None)
+    return _AMBIENT.snapshot
 
 
 def set_ambient_snapshot(snap: Optional[Snapshot]) -> Optional[Snapshot]:
     """Install *snap* as this thread's ambient snapshot; returns the
     previous one so callers can restore it (stack discipline)."""
-    prev = getattr(_AMBIENT, "snapshot", None)
+    prev = _AMBIENT.snapshot
     _AMBIENT.snapshot = snap
     return prev
 

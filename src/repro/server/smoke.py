@@ -4,7 +4,9 @@ Boots a wire server over the demo database, drives a scripted REPL
 session across loopback (DDL + queries + an E1 composite-object
 extraction, navigated client-side: take + cursor + path + close must cost
 exactly one request frame), provokes and retries a genuine MVCC
-serialization conflict through the wire error frames, then shuts down
+serialization conflict through the wire error frames, profiles a cached
+query (one ``sql.select`` span under ``wire.query``, whose execute time
+the profile still reports as a stage), then shuts down
 gracefully and asserts no wire session leaked (``SYS_SESSIONS`` must be
 empty and the network counters must balance).  Exit code 0 means every
 stage passed — CI runs this as the ``server-smoke`` job.
@@ -76,6 +78,22 @@ def composite_object(port: int, db: Database) -> None:
               "take + cursor + path + close cost one request frame")
 
 
+def profiled_statement(port: int, db: Database) -> None:
+    print("* PROFILE of a cached query", flush=True)
+    sql = "SELECT dname FROM DEPT WHERE loc = 'NY'"
+    with WireClient(port=port) as client:
+        client.execute(sql)  # parses and leaves the statement's template
+        client.execute(sql)  # runs from the template and the cached plan
+        profile = client.profile()
+    check(profile is not None and "execute" in profile["stages"],
+          "the profile reports an execute stage")
+    [root] = [span for span in db.tracer.recent
+              if span.trace_id == profile["trace_id"]]
+    check(root.name == "wire.query", "the profiled tree is rooted at wire.query")
+    check([child.name for child in root.children] == ["sql.select"],
+          "a cached query is one sql.select span under wire.query")
+
+
 def retryable_conflict(port: int) -> None:
     """Two wire sessions race an UPDATE on the same row: first committer
     wins, the loser sees a retryable SerializationError *over the wire*
@@ -141,6 +159,7 @@ def main() -> int:
         print(f"server on 127.0.0.1:{port}", flush=True)
         scripted_repl(port)
         composite_object(port, db)
+        profiled_statement(port, db)
         retryable_conflict(port)
         concurrent_sessions(port)
 

@@ -13,6 +13,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.errors import XNFError
+from repro.obs.profile import PIPELINE_STAGES, build_profile
 from repro.relational.engine import Database
 from repro.xnf import closure as closure_mod
 from repro.xnf.cache import CachedTuple, COCache, Connection
@@ -272,13 +273,14 @@ class XNFSession:
         finally:
             db.tracer.enabled, db.analyze_statements, db.tracer.sample_rate = saved
         trace = wrapper
-        stages = {"parse": parse_s}
-        for name in ("build_qgm", "rewrite", "optimize", "execute"):
-            stages[name] = sum(span.duration_s for span in trace.find(name))
+        stages_ms = build_profile(trace)["stages"]
+        stages_ms["parse"] = parse_s * 1e3
         lines = trace.render().splitlines()
         lines.append(
             "stages: "
-            + " ".join(f"{k}={v * 1e3:.3f}ms" for k, v in stages.items())
+            + " ".join(
+                f"{name}={stages_ms.get(name, 0.0):.3f}ms" for name in PIPELINE_STAGES
+            )
         )
         lines.append(
             f"fixpoint rounds: {len(trace.find('xnf.fixpoint.round'))}  "

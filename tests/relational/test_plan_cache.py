@@ -11,7 +11,7 @@ repeated statement text skip the parser as well.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import CatalogError, SQLError
+from repro.errors import CatalogError, ExecutionError, SQLError
 from repro.relational import engine as engine_module
 from repro.relational.engine import Database
 from repro.relational.plancache import PlanCache, normalize_statement, referenced_objects
@@ -280,6 +280,46 @@ class TestPrepared:
         after = tdb.plan_cache.stats()
         assert after["misses"] == before["misses"] + 1
         assert after["invalidations"] == before["invalidations"] + 1
+
+    def test_prepared_selects_feed_latency_and_slow_log(self):
+        db = Database(slow_query_threshold_s=0.0)
+        db.execute("CREATE TABLE T (id INTEGER PRIMARY KEY, v INTEGER)")
+        db.execute("INSERT INTO T VALUES (1, 10), (2, 20)")
+        prepared = db.prepare("SELECT v FROM T WHERE id = ?")
+        latency = db.metrics_snapshot()["statements"]["latency"]["count"]
+        logged = db.slow_query_log.total_logged
+        assert [prepared.execute([pid]).scalar() for pid in (1, 2)] == [10, 20]
+        assert db.metrics_snapshot()["statements"]["latency"]["count"] == latency + 2
+        assert db.slow_query_log.total_logged == logged + 2
+        assert db.slow_query_log.entries()[-1].sql == "SELECT v FROM T WHERE (id = ?0)"
+
+    def test_prepared_execution_is_one_statement_span(self, tdb):
+        prepared = tdb.prepare("SELECT val FROM T WHERE id = ?")
+        prepared.execute([1])
+        root = tdb.tracer.last_trace
+        assert root.name == "sql.select" and not root.children
+        assert root.attrs["plan_cache"] == "hit" and root.attrs["rows"] == 1
+        assert root.attrs["fingerprint"] == "SELECT val FROM T WHERE (id = ?0)"
+        assert root.attrs["execute_ms"] >= 0.0
+
+    def test_failed_prepared_update_is_recorded_like_unprepared(self):
+        text = "UPDATE T SET val = 1 / ? WHERE id = 1"
+        errors = {}
+        for how in ("prepared", "unprepared"):
+            db = Database()
+            db.execute("CREATE TABLE T (id INTEGER PRIMARY KEY, val INTEGER)")
+            db.execute("INSERT INTO T VALUES (1, 10)")
+            with pytest.raises((ExecutionError, SQLError)):
+                if how == "prepared":
+                    db.prepare(text).execute([0])
+                else:
+                    db.execute(text)
+            errors[how] = db.execute(
+                "SELECT fingerprint, calls, errors FROM SYS_STAT_STATEMENTS "
+                "WHERE errors > 0"
+            ).rows
+        assert errors["prepared"] == errors["unprepared"]
+        assert [row[1:] for row in errors["prepared"]] == [(1, 1)]
 
 
 class TestExplainCounters:
@@ -1011,7 +1051,12 @@ class TestTemplates:
         assert tdb.statements_executed == executed + 1
         stat = tdb.statement_stats.get("SELECT val FROM T WHERE (id = ?0)")
         assert stat.calls == 2 and stat.plan_cache_hits == 1
-        assert tdb.tracer.last_trace.children[0].name == "sql.select"
+        # a hit is one statement span: no parse, no compile, no execute child
+        root = tdb.tracer.last_trace
+        assert root.name == "sql.select" and not root.children
+        assert root.attrs["plan_cache"] == "hit"
+        assert root.attrs["fingerprint"] == stat.fingerprint
+        assert root.attrs["sql"] == "SELECT val FROM T WHERE id = 2"
 
     def test_slow_log_renders_the_statement(self):
         db = Database(slow_query_threshold_s=0.0)
