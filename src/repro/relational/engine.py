@@ -46,6 +46,7 @@ from repro.relational.plancache import (
     CacheEntry,
     NormalizedStatement,
     PlanCache,
+    bind_values,
     normalize_statement,
     referenced_objects,
 )
@@ -501,8 +502,20 @@ class Database:
             name = self._SPAN_NAMES[type(stmt)] = f"sql.{kind}"
         return name
 
-    def execute_ast(self, stmt: ast.Statement) -> Result:
-        return self._run_statement(stmt)
+    def execute_ast(
+        self,
+        stmt: ast.Statement,
+        normalized: Optional[NormalizedStatement] = None,
+        values: Sequence[Any] = (),
+    ) -> Result:
+        """Run a statement tree.  An XNF program passes a generated query
+        *normalized* once, with its parameter *values*; where no cached plan
+        may run it (analyze mode, no plan cache) it runs as the tree they bind."""
+        if normalized is not None and (
+            self.analyze_statements or self.plan_cache.capacity <= 0
+        ):
+            return self._run_statement(bind_values(normalized.statement, values))
+        return self._run_statement(stmt, normalized, values)
 
     def _run_statement(
         self,
@@ -544,7 +557,7 @@ class Database:
             elif isinstance(stmt, ast.InsertStmt):
                 result = self._run_insert(stmt, span, values)
             else:
-                plan, hit = self._cached_plan(normalized)
+                plan, hit = self._cached_plan(normalized, values)
                 if isinstance(stmt, (ast.UpdateStmt, ast.DeleteStmt)):
                     result = self._run_guarded(lambda: self._do_write(stmt, plan, values))
                 else:
@@ -768,17 +781,22 @@ class Database:
         return self._compile_statement(query)
 
     def _cached_plan(
-        self, normalized: NormalizedStatement
+        self, normalized: NormalizedStatement, values: Optional[Sequence[Any]] = None
     ) -> Tuple[CompiledPlan, bool]:
         """Look up (or compile and cache) the plan of a normalized query;
-        returns it with whether the cache held it.
+        returns it with whether the cache held it.  A miss compiles with the
+        rows of the relation-valued slots in *values*, if given, for the
+        estimates (an XNF program's normalized queries hold no rows).
 
         The caller binds ``plan.context.params`` before executing.
         """
         key = (normalized.fingerprint, self.enable_rewrite)
         entry = self.plan_cache.lookup(key, self.catalog)
         if entry is None:
-            plan = self._compile_statement(normalized.statement)
+            stmt = normalized.statement
+            if values is not None:
+                stmt = bind_values(stmt, values, literals=False)
+            plan = self._compile_statement(stmt)
             deps = referenced_objects(normalized.statement, self.catalog)
             entry = CacheEntry(
                 plan,
@@ -834,10 +852,6 @@ class Database:
         return Planner(
             self.catalog, feedback=self.feedback if self.optimizer_feedback else None
         )
-
-    def compile_box(self, box: Box) -> CompiledPlan:
-        """Rewrite + optimize an externally-built QGM box (XNF path)."""
-        return self._planner().plan_statement(self._rewrite(box))
 
     def _rewrite(self, box: Box) -> Box:
         if not self.enable_rewrite:

@@ -33,11 +33,13 @@ harness can report hit rates across many Database instances.
 
 from __future__ import annotations
 
+import copy
+import re
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.relational.catalog import Catalog
@@ -222,14 +224,15 @@ def _norm_expr(
 Scanned = Tuple[Tuple[Any, ...], Sequence[str], Sequence[str], Sequence[str]]
 
 
-def scan_statement(sql: str) -> Optional[Scanned]:
-    """Key *sql* by its token stream; None when the text does not lex.
+def scan_statement(sql: str, tokens: "re.Pattern[str]" = SQL_TOKENS) -> Optional[Scanned]:
+    """Key *sql* by its token stream (scanned with *tokens*, the lexer's
+    SQL or XNF pattern); None when the text does not lex.
 
     The key holds every name and operator and, per token, whether it is a
     literal: literal values are not part of it.  Whitespace and comments
     are skipped, so only their placement at the very end shows in the key.
     """
-    names, literals, numbers, strings, ops, errors = zip(*SQL_TOKENS.findall(sql))
+    names, literals, numbers, strings, ops, errors = zip(*tokens.findall(sql))
     if any(errors):
         return None
     return (names, ops, tuple(map(bool, literals))), numbers, strings, literals
@@ -245,7 +248,7 @@ class StatementTemplate:
     """What the tree path derived from one statement text, keyed by its tokens.
 
     ``normalized`` is the statement with its literals lifted (its fingerprint
-    is computed once).  ``kept`` pins the literal tokens whose value shaped
+    is computed once), or the compiled CO program of an XNF TAKE.  ``kept`` pins the literal tokens whose value shaped
     that fingerprint — LIMIT/OFFSET, literals of SELECT lists, GROUP BY,
     HAVING and ORDER BY — as (token position, lexeme).  ``slots`` says
     where each lifted value comes from: (token position, sign) for a
@@ -282,17 +285,31 @@ class StatementTemplate:
         return values
 
 
+def _normalize_text(sql: str) -> NormalizedStatement:
+    """Parse and normalize one parameter-free statement."""
+    (stmt,) = SQLParser(sql).parse_statements()
+    normalized = normalize_statement(stmt)
+    if normalized.n_explicit:
+        raise ValueError("explicit parameters")
+    return normalized
+
+
 def record_template(
-    scanned: Scanned, normalized: NormalizedStatement
+    scanned: Scanned,
+    normalized: Any,
+    probe: Callable[[str], Any] = _normalize_text,
 ) -> Optional[StatementTemplate]:
-    """Derive the template of a scanned statement from its tree-path result.
+    """Derive the template of a scanned text from what the tree path
+    compiled it to: *normalized*, or anything else with a ``fingerprint``
+    and ``lifted_values`` that *probe* compiles a text to (an XNF TAKE's
+    CO program).
 
     Each literal token is swapped for a distinct sentinel and the text
-    re-parsed and normalized; a lifted value that is a sentinel (or its
-    negation) names the token that feeds its slot.  A literal token that
-    feeds no slot is kept: its lexeme becomes part of the match.  The
-    template is returned only when re-parsing reproduces *normalized*'s
-    fingerprint and binding the scanned tokens reproduces its lifted values.
+    re-probed; a lifted value that is a sentinel (or its negation) names
+    the token that feeds its slot.  A literal token that feeds no slot is
+    kept: its lexeme becomes part of the match.  The template is returned
+    only when re-probing reproduces *normalized*'s fingerprint and binding
+    the scanned tokens reproduces its lifted values.
     """
     key, numbers, strings, literals = scanned
     names, ops, _ = key
@@ -303,21 +320,18 @@ def record_template(
         for pos in at:
             parts[pos] = str(base + pos) if numbers[pos] else f"'\x00{pos}'"
         try:
-            (stmt,) = SQLParser(" ".join(parts)).parse_statements()
+            probed = probe(" ".join(parts))
         except (ReproError, ValueError):
             return None
-        probe = normalize_statement(stmt)
-        if probe.n_explicit:
-            return None
         slots: List[Tuple[int, Any]] = []
-        for value in probe.lifted_values:
+        for value in probed.lifted_values:
             if type(value) is int and base <= abs(value) < base + len(literals):
                 slots.append((abs(value) - base, 1 if value > 0 else -1))
             elif type(value) is str and value[:1] == "\x00":
                 slots.append((int(value[1:]), 0))
             else:
                 slots.append((-1, value))
-        return probe.fingerprint, slots
+        return probed.fingerprint, slots
 
     positions = [pos for pos, literal in enumerate(literals) if literal]
     if not positions:
@@ -344,6 +358,35 @@ def record_template(
     if bound is None or [(type(v), v) for v in bound] != [(type(v), v) for v in expected]:
         return None
     return template
+
+
+def bind_values(
+    stmt: ast.Statement, values: Sequence[Any], literals: bool = True
+) -> ast.Statement:
+    """A copy of the normalized query *stmt* with its parameter *values* put
+    back: each relation-valued slot gets its rows and, with *literals*, each
+    lifted parameter becomes a literal again, so the copy runs as a plain
+    tree.  The rows are shared with *values*, not copied."""
+    stmt = copy.deepcopy(stmt, {id(value): value for value in values})
+
+    def literal(node: ast.Expr) -> Optional[ast.Expr]:
+        return ast.Literal(values[node.index]) if isinstance(node, ast.Parameter) else None
+
+    for query in ast.queries(stmt):
+        if not isinstance(query, ast.SelectStmt):
+            continue
+        for ref in ast.table_refs(query):
+            if isinstance(ref, ast.RowsTable) and ref.param is not None:
+                ref.rows = values[ref.param]
+                ref.param = None if literals else ref.param
+            elif literals and isinstance(ref, ast.Join) and ref.condition is not None:
+                ref.condition = ast.map(ref.condition, literal)
+        if literals:
+            for item in query.select_items:
+                item.expr = ast.map(item.expr, literal)
+            if query.where is not None:
+                query.where = ast.map(query.where, literal)
+    return stmt
 
 
 # ===========================================================================
@@ -412,11 +455,14 @@ class PlanCache:
         self.invalidations = 0
         self.evictions = 0
         #: statement templates by token key, LRU, at most ``capacity`` in all
-        #: (one key holds a variant per differing kept-literal value)
+        #: (one key holds a variant per differing kept-literal value); XNF's
+        #: compiled CO programs share the map under (scope, token key)
         self._templates: "OrderedDict[Any, Tuple[StatementTemplate, ...]]" = OrderedDict()
         self._template_count = 0
         #: lookups whose statement was recognised from its tokens, unparsed
         self.token_lookups = 0
+        self.program_hits = 0
+        self.program_misses = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -447,11 +493,49 @@ class PlanCache:
             return
         scanned = scan_statement(sql)
         template = None if scanned is None else record_template(scanned, normalized)
-        if template is None:
-            return
-        key = scanned[0]
+        if template is not None:
+            self._add(scanned[0], template)
+
+    def match_program(
+        self, scanned: Scanned, scope: Any, catalog: Catalog
+    ) -> Optional[Tuple[Any, List[Any]]]:
+        """The compiled CO program of a TAKE text whose shape *scope* (the
+        XNF session's view-catalog version and settings) has seen before,
+        and the literal values bound from its tokens; None on a miss.  A
+        program whose referenced tables changed catalog version is dropped."""
+        key = (scope, scanned[0])
         with self._mutex:
-            self._templates[key] = (template,) + self._templates.pop(key, ())
+            variants = self._templates.get(key, ())
+            live = tuple(t for t in variants if not t.normalized.stale(catalog))
+            if len(live) < len(variants):
+                self._template_count -= len(variants) - len(live)
+                del self._templates[key]
+            if live:
+                self._templates[key] = live
+                self._templates.move_to_end(key)
+        for template in live:
+            values = template.bind(scanned)
+            if values is not None:
+                with self._mutex:
+                    self.program_hits += 1
+                return template.normalized, values
+        return None
+
+    def remember_program(
+        self, scanned: Scanned, scope: Any, program: Any, probe: Callable[[str], Any]
+    ) -> None:
+        """Keep the *program* a TAKE text just compiled to for
+        :meth:`match_program`, as the template :func:`record_template`
+        derives with *probe*, which compiles a text to its program."""
+        with self._mutex:
+            self.program_misses += 1
+        template = None if self.capacity <= 0 else record_template(scanned, program, probe)
+        if template is not None:
+            self._add((scope, scanned[0]), template)
+
+    def _add(self, key: Any, variant: Any) -> None:
+        with self._mutex:
+            self._templates[key] = (variant,) + self._templates.pop(key, ())
             self._template_count += 1
             while self._template_count > self.capacity:
                 oldest, variants = next(iter(self._templates.items()))
@@ -520,14 +604,22 @@ class PlanCache:
 
     def stats(self) -> Dict[str, int]:
         with self._mutex:
+            programs = sum(
+                not isinstance(template.normalized, NormalizedStatement)
+                for variants in self._templates.values()
+                for template in variants
+            )
             return {
                 "hits": self.hits,
                 "misses": self.misses,
                 "invalidations": self.invalidations,
                 "evictions": self.evictions,
                 "entries": len(self._entries),
-                "templates": self._template_count,
+                "templates": self._template_count - programs,
                 "token_lookups": self.token_lookups,
+                "programs": programs,
+                "program_hits": self.program_hits,
+                "program_misses": self.program_misses,
                 "volatile_entries": sum(
                     1 for entry in self._entries.values() if entry.volatile
                 ),

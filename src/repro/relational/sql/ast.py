@@ -498,6 +498,9 @@ class ExplainStmt:
     query: "Query"
     analyze: bool = False
 
+    def to_sql(self) -> str:
+        return ("EXPLAIN ANALYZE " if self.analyze else "EXPLAIN ") + self.query.to_sql()
+
 
 @dataclass
 class AnalyzeStmt:

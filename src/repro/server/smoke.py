@@ -3,7 +3,8 @@
 Boots a wire server over the demo database, drives a scripted REPL
 session across loopback (DDL + queries + an E1 composite-object
 extraction, navigated client-side: take + cursor + path + close must cost
-exactly one request frame), provokes and retries a genuine MVCC
+exactly one request frame; a second take of the same shape runs the
+compiled program of the first), provokes and retries a genuine MVCC
 serialization conflict through the wire error frames, profiles a cached
 query (one ``sql.select`` span under ``wire.query``, whose execute time
 the profile still reports as a stage), then shuts down
@@ -76,6 +77,21 @@ def composite_object(port: int, db: Database) -> None:
         co.close()
         check(frames_in() - before == 1,
               "take + cursor + path + close cost one request frame")
+
+
+def repeated_take(port: int, db: Database) -> None:
+    print("* a repeated TAKE runs its compiled program", flush=True)
+    text = FIGURE1_CO.replace("Xdept AS DEPT", "Xdept AS (SELECT * FROM DEPT WHERE dno < {n})")
+    with WireClient(port=port) as client:
+        client.take(text.format(n=3)).close()
+        hits = db.plan_cache.stats()["program_hits"]
+        co = client.take(text.format(n=9))
+        check(co.nodes.get("Xdept") == 3, "the second take binds its own literal")
+        co.close()
+    check(db.plan_cache.stats()["program_hits"] == hits + 1,
+          "a second TAKE of the same shape is a program hit")
+    spans = [span for root in db.tracer.recent for span in root.find("xnf.instantiate")]
+    check(spans[-1].attrs["program"] == "hit", "its xnf.instantiate span says program=hit")
 
 
 def profiled_statement(port: int, db: Database) -> None:
@@ -159,6 +175,7 @@ def main() -> int:
         print(f"server on 127.0.0.1:{port}", flush=True)
         scripted_repl(port)
         composite_object(port, db)
+        repeated_take(port, db)
         profiled_statement(port, db)
         retryable_conflict(port)
         concurrent_sessions(port)

@@ -15,6 +15,8 @@ from typing import Any, Callable, Dict, List, Optional, Union
 from repro.errors import XNFError
 from repro.obs.profile import PIPELINE_STAGES, build_profile
 from repro.relational.engine import Database
+from repro.relational.plancache import Scanned, scan_statement
+from repro.relational.sql.lexer import XNF_TOKENS
 from repro.xnf import closure as closure_mod
 from repro.xnf.cache import CachedTuple, COCache, Connection
 from repro.xnf.cursors import DependentCursor, IndependentCursor
@@ -23,7 +25,12 @@ from repro.xnf.lang.parser import parse_xnf_statements
 from repro.xnf.manipulate import Manipulator
 from repro.xnf.monitor import install_monitor
 from repro.xnf.restrict import apply_instance_restrictions
-from repro.xnf.semantic_rewrite import COInstance, InstantiationStats, XNFCompiler
+from repro.xnf.semantic_rewrite import (
+    COInstance,
+    COProgram,
+    InstantiationStats,
+    XNFCompiler,
+)
 from repro.xnf.views import XNFViewCatalog, apply_take, resolve
 
 
@@ -196,7 +203,18 @@ class XNFSession:
         return self._execute(source, self._take_instance)
 
     def _execute(self, source: Union[str, xast.XNFStatement],
-                 take: Callable[[xast.XNFQuery], Any]) -> Any:
+                 take: Callable[[COProgram, Optional[List[Any]]], Any]) -> Any:
+        """Run one statement.  A TAKE text of a shape this session ran
+        before (the same tokens but for literal values) runs the compiled
+        program the plan cache kept, its literals bound from the tokens."""
+        scanned = None
+        if isinstance(source, str):
+            scanned = scan_statement(source, XNF_TOKENS)
+            found = scanned and self.db.plan_cache.match_program(
+                scanned, self._scope(), self.db.catalog
+            )
+            if found:
+                return take(*found)
         statements = (
             parse_xnf_statements(source) if isinstance(source, str) else [source]
         )
@@ -213,7 +231,7 @@ class XNFSession:
             return None
         assert isinstance(statement, xast.XNFQuery)
         if statement.action == "TAKE":
-            return take(statement)
+            return take(self._compile(resolve(statement, self.views), scanned), None)
         if statement.action == "DELETE":
             return self._run_co_delete(statement)
         if statement.action == "UPDATE":
@@ -268,7 +286,7 @@ class XNFSession:
                 if not wrapper.sampled:  # adopted an unsampled context
                     wrapper.sampled = True
                     wrapper.annotate(sampled="late")
-                self._run_take(statements[0])
+                self._run_take(self._compile(resolve(statements[0], self.views)), None)
             total_s = time.perf_counter() - begin
         finally:
             db.tracer.enabled, db.analyze_statements, db.tracer.sample_rate = saved
@@ -327,7 +345,7 @@ class XNFSession:
         if stored is None:
             raise XNFError(f"unknown XNF view {view_name!r}")
         schema = resolve(stored, self.views, view_name)
-        instance = self._extract(schema)
+        instance = self._extract(self._compile(schema))
         name = (snapshot_name or f"SNAP_{view_name}").upper().replace("-", "_")
         if name in self._snapshots:
             raise XNFError(f"snapshot {name} already exists")
@@ -374,12 +392,12 @@ class XNFSession:
 
     # -- internals -------------------------------------------------------------------
 
-    def _extract(self, schema):
-        """Instantiate *schema* from one database state: every generated
-        query of the extraction reads the same snapshot (the open
-        transaction's, else one taken for this statement), so a commit
-        landing between fixpoint rounds cannot tear the CO."""
-        compiler = XNFCompiler(
+    def _scope(self) -> Any:
+        """What besides its tokens a TAKE text's program depends on."""
+        return self.views.version, self.reuse_common
+
+    def _compiler(self) -> XNFCompiler:
+        return XNFCompiler(
             self.db,
             reuse_common=self.reuse_common,
             semi_naive=self.semi_naive,
@@ -387,20 +405,38 @@ class XNFSession:
             max_rows=self.max_rows,
             timeout_s=self.timeout_s,
         )
+
+    def _compile(self, schema, scanned: Optional[Scanned] = None) -> COProgram:
+        """Compile *schema*; the program of a TAKE text (*scanned*, its
+        token scan) goes to the plan cache for the next text of its shape."""
+        compiler = self._compiler()
+        program = compiler.compile(schema)
+        if scanned is not None:
+
+            def probe(text: str):
+                (query,) = parse_xnf_statements(text)
+                return compiler.compile(resolve(query, self.views), program.columns)
+
+            self.db.plan_cache.remember_program(scanned, self._scope(), program, probe)
+        return program
+
+    def _extract(self, program: COProgram, literals: Optional[List[Any]] = None):
+        """Instantiate *program* from one database state: every generated
+        query of the extraction reads the same snapshot (the open
+        transaction's, else one taken for this statement), so a commit
+        landing between fixpoint rounds cannot tear the CO."""
+        compiler = self._compiler()
         with self.db.snapshot_scope():
-            instance = compiler.instantiate(schema)
+            instance = compiler.instantiate(program.schema, program, literals)
         self.last_stats = compiler.stats
         return instance
 
-    def _instantiate(self, query: xast.XNFQuery) -> COCache:
-        schema = resolve(query, self.views)
-        return self._restrict(COCache.load(self._extract(schema)), schema)
-
-    def _take_instance(self, query: xast.XNFQuery) -> COInstance:
-        schema = resolve(query, self.views)
-        instance = self._extract(schema)
-        if schema.instance_restrictions:  # the TAKE projection may wait on them too
-            return self._restrict(COCache.load(instance), schema).instance()
+    def _take_instance(
+        self, program: COProgram, literals: Optional[List[Any]]
+    ) -> COInstance:
+        instance = self._extract(program, literals)
+        if program.schema.instance_restrictions:  # the TAKE projection may wait on them too
+            return self._restrict(COCache.load(instance), program.schema).instance()
         return instance
 
     def _restrict(self, cache: COCache, schema) -> COCache:
@@ -414,13 +450,17 @@ class XNFSession:
             cache.project(projected)
         return cache
 
-    def _run_take(self, query: xast.XNFQuery) -> CompositeObject:
-        return CompositeObject(self, self._instantiate(query))
+    def _run_take(
+        self, program: COProgram, literals: Optional[List[Any]]
+    ) -> CompositeObject:
+        cache = COCache.load(self._extract(program, literals))
+        cache.program = program
+        return CompositeObject(self, self._restrict(cache, program.schema))
 
     def _run_co_delete(self, query: xast.XNFQuery) -> int:
         """CO deletion (section 3.7): remove the target CO's tuples and
         connections from their base tables."""
-        co = CompositeObject(self, self._instantiate(query))
+        co = self._run_take(self._compile(resolve(query, self.views)), None)
         manipulator = co.manipulator
         removed = 0
         # Link rows of M:N relationships go first.
@@ -448,7 +488,7 @@ class XNFSession:
     def _run_co_update(self, query: xast.XNFQuery) -> int:
         from repro.xnf.paths import eval_instance_expr
 
-        co = CompositeObject(self, self._instantiate(query))
+        co = self._run_take(self._compile(resolve(query, self.views)), None)
         node = query.update_node
         if node not in co.cache.tuples:
             raise XNFError(f"CO UPDATE: unknown node {node!r}")

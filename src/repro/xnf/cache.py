@@ -16,8 +16,9 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import XNFError
+from repro.xnf.lang import xast
 from repro.xnf.schema import COSchema
-from repro.xnf.semantic_rewrite import COInstance
+from repro.xnf.semantic_rewrite import COInstance, COProgram
 from repro.xnf.stream import (
     ConnectionItem,
     SchemaItem,
@@ -215,6 +216,9 @@ class COCache:
         self._column_indexes: Dict[Tuple[str, str], Dict[Any, List[CachedTuple]]] = {}
         #: pointer hops performed (benchmark counter)
         self.navigations = 0
+        #: the compiled program this CO was extracted by; it memoizes the
+        #: parsed path expressions the CO is navigated with
+        self.program: Optional[COProgram] = None
 
     # -- loading ---------------------------------------------------------------------
 
@@ -413,15 +417,21 @@ class COCache:
 
     def path(self, start: Union[CachedTuple, str], path_text: str) -> List[CachedTuple]:
         """Evaluate a path expression; *start* is a tuple or a node name."""
-        from repro.xnf.cursors import parse_path_steps
-        from repro.xnf.lang import xast
         from repro.xnf.paths import evaluate_path
 
-        steps = parse_path_steps(path_text)
+        steps = self.path_steps(path_text)
         if isinstance(start, CachedTuple):
             expr = xast.PathExpr(start.node, steps)
             return evaluate_path(self, expr, {start.node: start})
         return evaluate_path(self, xast.PathExpr(start, steps))
+
+    def path_steps(self, path_text: str) -> List[xast.PathStep]:
+        """The parsed steps of a path fragment, memoized by the program."""
+        if self.program is not None:
+            return self.program.path_steps(path_text)
+        from repro.xnf.cursors import parse_path_steps
+
+        return parse_path_steps(path_text)
 
     # -- maintenance used by restriction / projection / manipulation -------------------------
 

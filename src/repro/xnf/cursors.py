@@ -127,7 +127,7 @@ class DependentCursor(Cursor):
         super().__init__(cache)
         self.parent = parent
         self.path_text = path
-        self.steps = parse_path_steps(path)
+        self.steps = cache.path_steps(path)
 
     def _compute_tuples(self) -> List[CachedTuple]:
         anchor = self.parent.current

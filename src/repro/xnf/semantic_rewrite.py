@@ -34,12 +34,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.errors import ResourceExhaustedError
+from repro.errors import ResourceExhaustedError, SQLError
+from repro.relational.catalog import Catalog
 from repro.relational.engine import Database
+from repro.relational.plancache import (
+    NormalizedStatement,
+    normalize_statement,
+    referenced_objects,
+)
 from repro.relational.sql import ast as sql_ast
 from repro.xnf import sharding
+from repro.xnf.lang import xast
 from repro.xnf.schema import COSchema, EdgeSchema, NodeSchema
 
 Row = Tuple[Any, ...]
@@ -79,6 +86,74 @@ class COInstance:
         return sum(len(conns) for conns in self.connections.values())
 
 
+class _Rows:
+    """A relation-valued slot of a program's query: the parent's delta
+    (``name`` None) or a node's candidate or reachable rows, bound at run
+    time.  Normalization lifts it where it would lift the rows."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: Optional[str]):
+        self.name = name
+
+
+class GeneratedQuery(NamedTuple):
+    """A program's query, normalized once; *layout* holds, per lifted
+    value, its index in the literals or the :class:`_Rows` bound there."""
+
+    normalized: NormalizedStatement
+    layout: Tuple[Any, ...]
+
+    def values(self, literals: List[Any], sets: Any) -> List[Any]:
+        return [
+            literals[slot] if type(slot) is int else sets[slot.name]
+            for slot in self.layout
+        ]
+
+
+@dataclass
+class COProgram:
+    """A CO schema compiled into the queries its extraction runs (section
+    4.3: one per node or relationship, compiled once, run many times).
+
+    ``lifted_values`` are the literals of the text it was compiled from;
+    the plan cache's template of that text binds another text's from its
+    tokens.  A program memoizes the paths its COs are navigated with and
+    holds no extracted rows.
+    """
+
+    schema: COSchema
+    columns: Dict[str, List[str]]
+    queries: Dict[Any, GeneratedQuery]
+    lifted_values: List[Any]
+    #: catalog version of every object the queries reference
+    dependencies: Dict[str, int]
+    #: at most this many memoized paths (the plan cache's capacity)
+    path_limit: int
+    paths: Dict[str, List[xast.PathStep]] = field(default_factory=dict)
+
+    @property
+    def fingerprint(self) -> Tuple[str, ...]:
+        return tuple(query.normalized.fingerprint for query in self.queries.values())
+
+    def stale(self, catalog: Catalog) -> bool:
+        return any(
+            catalog.object_version(name) != version
+            for name, version in self.dependencies.items()
+        )
+
+    def path_steps(self, text: str) -> List[xast.PathStep]:
+        steps = self.paths.get(text)
+        if steps is None:
+            from repro.xnf import cursors
+
+            steps = cursors.parse_path_steps(text)
+            # racing threads at worst parse a path twice; the steps are equal
+            if len(self.paths) < self.path_limit:
+                self.paths[text] = steps
+        return steps
+
+
 class XNFCompiler:
     """Instantiates a :class:`COSchema` against a relational database."""
 
@@ -113,7 +188,16 @@ class XNFCompiler:
 
     # -- public ------------------------------------------------------------------
 
-    def instantiate(self, schema: COSchema) -> COInstance:
+    def instantiate(
+        self,
+        schema: COSchema,
+        program: Optional[COProgram] = None,
+        literals: Optional[List[Any]] = None,
+    ) -> COInstance:
+        """Extract *schema*'s instance by running *program*, its compiled
+        queries (compiled here when not given).  *literals* are the values
+        a cached program bound from a TAKE text of its shape (a hit);
+        without them it runs on the literals it was compiled from."""
         self._current_schema = schema
         schema.validate()
         self.db.metrics.inc("xnf.fixpoint.instantiations")
@@ -123,8 +207,12 @@ class XNFCompiler:
         # ambient snapshot (XNFSession opens one per XNF statement), so the
         # CO is snapshot-consistent while writers proceed concurrently.
         with self.db.tracer.span(
-            "xnf.instantiate", co=schema.name or "<anonymous>"
+            "xnf.instantiate",
+            co=schema.name or "<anonymous>",
+            program="miss" if literals is None else "hit",
         ) as span:
+            self.program = program or self.compile(schema)
+            self.literals = self.program.lifted_values if literals is None else literals
             instance = self._instantiate(schema)
             span.annotate(
                 rounds=self.stats.iterations,
@@ -133,6 +221,37 @@ class XNFCompiler:
             )
             self._record_co_stats(schema, instance, time.perf_counter() - started)
             return instance
+
+    def compile(
+        self, schema: COSchema, columns: Optional[Dict[str, List[str]]] = None
+    ) -> COProgram:
+        """Compile *schema* into its :class:`COProgram` (*columns* are the
+        node headers, when already known)."""
+        if columns is None:
+            columns = {
+                name: self._node_columns(node) for name, node in schema.nodes.items()
+            }
+        catalog = self.db.catalog
+        queries: Dict[Any, GeneratedQuery] = {}
+        literals: List[Any] = []
+        dependencies: Dict[str, int] = {}
+        for key, query in self._generate(schema, columns).items():
+            normalized = normalize_statement(query)
+            if normalized.n_explicit:
+                raise SQLError("statement contains ? parameters; use Database.prepare()")
+            layout: List[Any] = []
+            for value in normalized.lifted_values:
+                if isinstance(value, _Rows):
+                    layout.append(value)
+                else:
+                    layout.append(len(literals))
+                    literals.append(value)
+            queries[key] = GeneratedQuery(normalized, tuple(layout))
+            for name in referenced_objects(normalized.statement, catalog):
+                dependencies[name] = catalog.object_version(name)
+        return COProgram(
+            schema, columns, queries, literals, dependencies, self.db.plan_cache.capacity
+        )
 
     def _record_co_stats(
         self, schema: COSchema, instance: COInstance, duration_s: float
@@ -173,9 +292,10 @@ class XNFCompiler:
         return query
 
     def _run_candidates(self, node: NodeSchema) -> Tuple[List[str], List[Row]]:
-        query = self.candidate_query(node)
+        query = self.program.queries[node.name]
+        values = query.values(self.literals, None)
         if self.scatter:
-            scattered = sharding.scatter_candidates(self.db, query)
+            scattered = sharding.scatter_candidates(self.db, query.normalized, values)
             if scattered is not None:
                 columns, rows, per_shard, _pruned = scattered
                 self.stats.queries_issued += len(per_shard)
@@ -185,14 +305,26 @@ class XNFCompiler:
                     for shard_id, count in per_shard.items():
                         sink[shard_id] = sink.get(shard_id, 0) + count
                 if columns is None:
-                    # every shard was pruned; derive the header statically
-                    columns = self._node_columns(node)
+                    # every shard was pruned; the header is the program's
+                    columns = self.program.columns[node.name]
                 return columns, list(dict.fromkeys(rows))
-        result = self.db.execute_ast(query)
-        self.stats.queries_issued += 1
+        result = self._execute(node.name)
         self.stats.candidate_queries_run += 1
         unique: Dict[Row, None] = dict.fromkeys(result.rows)
         return result.columns, list(unique)
+
+    def _execute(self, key: Any, sets: Any = None) -> Any:
+        """Run the program's query *key*, its row-set slots bound from
+        *sets* (name -> rows); every generated query counts as issued."""
+        query = self.program.queries[key]
+        normalized = query.normalized
+        result = self.db.execute_ast(
+            normalized.statement,
+            normalized=normalized,
+            values=query.values(self.literals, sets),
+        )
+        self.stats.queries_issued += 1
+        return result
 
     def _node_columns(self, node: NodeSchema) -> List[str]:
         """Column names of a node without running its query."""
@@ -211,13 +343,11 @@ class XNFCompiler:
 
     def _instantiate(self, schema: COSchema) -> COInstance:
         instance = COInstance(schema, stats=self.stats)
-        # Column layouts are derived without executing anything; node
-        # queries run lazily — roots eagerly (their rows seed reachability),
-        # non-root candidate sets only when (and if) an edge needs them.
-        columns: Dict[str, List[str]] = {}
-        for name, node in schema.nodes.items():
-            columns[name] = self._node_columns(node)
-            instance.columns[name] = columns[name]
+        # Node queries run lazily — roots eagerly (their rows seed
+        # reachability), non-root candidate sets only when (and if) an edge
+        # needs them.
+        for name, columns in self.program.columns.items():
+            instance.columns[name] = list(columns)
         candidates: Dict[str, Tuple[List[str], List[Row]]] = {}
 
         # Reachability: ordered sets per node, seeded from the root tables.
@@ -253,9 +383,7 @@ class XNFCompiler:
                     )
                     if not source:
                         continue
-                    derived = self._derive_children(
-                        edge, columns, candidates, list(source)
-                    )
+                    derived = self._derive_children(edge, candidates, list(source))
                     for child_name, rows in derived.items():
                         target = reachable[child_name]
                         pending = new_delta[child_name]
@@ -316,38 +444,87 @@ class XNFCompiler:
 
     # -- generated queries ------------------------------------------------------------
 
-    def _derive_children(
-        self,
-        edge: EdgeSchema,
-        columns: Dict[str, List[str]],
-        candidates: Dict[str, Tuple[List[str], List[Row]]],
-        parent_rows: List[Row],
-    ) -> Dict[str, List[Row]]:
-        """SQL for: children of *parent_rows* via *edge* (reachability join).
-
-        One generated query per child partner (one for a binary edge); every
-        query joins the delta with *all* child partners plus the USING
-        tables, because the relationship predicate mentions all of them.
-        """
-        from_tables: List[sql_ast.TableRef] = [
-            sql_ast.RowsTable(columns[edge.parent], parent_rows, edge.parent_binding),
-        ]
-        for child_name, binding in zip(edge.child_names(), edge.child_bindings()):
-            from_tables.append(self._node_reference(child_name, candidates, binding))
-        from_tables.extend(
-            sql_ast.NamedTable(u.table, u.alias) for u in edge.using
-        )
-        derived: Dict[str, List[Row]] = {}
-        for child_name, binding in zip(edge.child_names(), edge.child_bindings()):
-            query = sql_ast.SelectStmt(
-                [sql_ast.SelectItem(sql_ast.Star(binding))],
-                list(from_tables),
+    def _generate(
+        self, schema: COSchema, columns: Dict[str, List[str]]
+    ) -> Dict[Any, sql_ast.Query]:
+        """Every query an extraction of *schema* may run: a node's
+        candidates (keyed by node name), an edge's children through each
+        child partner (``(edge, binding)``) and its connections (edge
+        name).  The sets the fixpoint computes enter as relation-valued
+        FROM items whose rows are :class:`_Rows` slots."""
+        queries: Dict[Any, sql_ast.Query] = {
+            name: self.candidate_query(node) for name, node in schema.nodes.items()
+        }
+        for edge in schema.edges.values():
+            partners = list(zip(edge.child_names(), edge.child_bindings()))
+            using = [sql_ast.NamedTable(u.table, u.alias) for u in edge.using]
+            # the reachability join of the parent's delta: one query per
+            # child partner, each joining all partners plus the USING tables,
+            # because the relationship predicate mentions all of them
+            from_tables: List[sql_ast.TableRef] = [
+                sql_ast.RowsTable(columns[edge.parent], _Rows(None), edge.parent_binding),
+                *(
+                    self._node_reference(schema.nodes[name], columns[name], binding)
+                    for name, binding in partners
+                ),
+                *using,
+            ]
+            for _, binding in partners:
+                queries[edge.name, binding] = sql_ast.SelectStmt(
+                    [sql_ast.SelectItem(sql_ast.Star(binding))],
+                    list(from_tables),
+                    where=edge.predicate,
+                    distinct=True,
+                )
+            # connection instances over the reachable sets (another shared
+            # subexpression): parent row, child rows, attribute values
+            partners.insert(0, (edge.parent, edge.parent_binding))
+            items = [sql_ast.SelectItem(sql_ast.Star(b)) for _, b in partners]
+            items += [sql_ast.SelectItem(expr, name) for name, expr in edge.attributes]
+            queries[edge.name] = sql_ast.SelectStmt(
+                items,
+                [sql_ast.RowsTable(columns[n], _Rows(n), b) for n, b in partners] + using,
                 where=edge.predicate,
                 distinct=True,
             )
-            result = self.db.execute_ast(query)
-            self.stats.queries_issued += 1
-            derived.setdefault(child_name, []).extend(result.rows)
+        return queries
+
+    def _node_reference(
+        self, node: NodeSchema, columns: List[str], binding: str
+    ) -> sql_ast.TableRef:
+        """A node's candidate set in a generated query: a bare base table
+        directly (so the optimizer can use its indexes), else the set
+        computed once and bound as a relation, or, without common
+        subexpressions, the inlined defining query (experiment E3)."""
+        if self._is_trivial(node):
+            return sql_ast.NamedTable(node.table, binding)
+        if self.reuse_common:
+            return sql_ast.RowsTable(columns, _Rows(node.name), binding)
+        return sql_ast.DerivedTable(self.candidate_query(node), binding)
+
+    def _derive_children(
+        self,
+        edge: EdgeSchema,
+        candidates: Dict[str, Tuple[List[str], List[Row]]],
+        parent_rows: List[Row],
+    ) -> Dict[str, List[Row]]:
+        """Children of *parent_rows* via *edge* (the reachability join)."""
+        sets: Dict[Optional[str], List[Row]] = {None: parent_rows}
+        for name in edge.child_names():
+            node = self._current_schema.nodes[name]
+            if self._is_trivial(node):
+                continue
+            if not self.reuse_common:
+                # the ablation re-runs the inlined defining query at every use
+                self.stats.candidate_queries_run += 1
+                continue
+            if name not in candidates:
+                candidates[name] = self._run_candidates(node)
+            sets[name] = candidates[name][1]
+        derived: Dict[str, List[Row]] = {}
+        for name, binding in zip(edge.child_names(), edge.child_bindings()):
+            result = self._execute((edge.name, binding), sets)
+            derived.setdefault(name, []).extend(result.rows)
         return derived
 
     def _derive_connections(
@@ -355,28 +532,9 @@ class XNFCompiler:
         edge: EdgeSchema,
         instance: COInstance,
     ) -> List[Tuple[Row, Tuple[Row, ...], Row]]:
-        child_names = edge.child_names()
-        partners = [
-            (edge.parent, edge.parent_binding),
-            *zip(child_names, edge.child_bindings()),
-        ]
-        select_items = [sql_ast.SelectItem(sql_ast.Star(b)) for _, b in partners]
-        from_tables: List[sql_ast.TableRef] = [
-            sql_ast.RowsTable(instance.columns[name], instance.rows[name], binding)
-            for name, binding in partners
-        ]
-        for attr_name, attr_expr in edge.attributes:
-            select_items.append(sql_ast.SelectItem(attr_expr, attr_name))
-        from_tables.extend(
-            sql_ast.NamedTable(u.table, u.alias) for u in edge.using
-        )
-        query = sql_ast.SelectStmt(
-            select_items, from_tables, where=edge.predicate, distinct=True
-        )
-        result = self.db.execute_ast(query)
-        self.stats.queries_issued += 1
+        result = self._execute(edge.name, instance.rows)
         parent_width = len(instance.columns[edge.parent])
-        child_widths = [len(instance.columns[name]) for name in child_names]
+        child_widths = [len(instance.columns[name]) for name in edge.child_names()]
         connections: List[Tuple[Row, Tuple[Row, ...], Row]] = []
         for row in result.rows:
             child_rows = []
@@ -386,32 +544,6 @@ class XNFCompiler:
                 offset += width
             connections.append((row[:parent_width], tuple(child_rows), row[offset:]))
         return connections
-
-    def _node_reference(
-        self,
-        node_name: str,
-        candidates: Dict[str, Tuple[List[str], List[Row]]],
-        binding: str,
-    ) -> sql_ast.TableRef:
-        """Reference a node's candidate set in a generated query.
-
-        With common-subexpression reuse this is the set computed once and
-        bound as a relation; without it the node's defining query is
-        inlined and recomputed."""
-        node = self._current_schema.nodes[node_name]
-        if self._is_trivial(node):
-            # Bare base table: reference it directly so the plan optimizer
-            # can pick its indexes (both modes — there is nothing to share).
-            return sql_ast.NamedTable(node.table, binding)
-        if self.reuse_common:
-            if node_name not in candidates:
-                candidates[node_name] = self._run_candidates(node)
-            columns, rows = candidates[node_name]
-            return sql_ast.RowsTable(columns, rows, binding)
-        # Without reuse, the node's defining query is rebuilt and re-run at
-        # every use — the ablation's whole point (experiment E3).
-        self.stats.candidate_queries_run += 1
-        return sql_ast.DerivedTable(self.candidate_query(node), binding)
 
 
 def instantiate(

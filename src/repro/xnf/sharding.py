@@ -18,9 +18,10 @@ instances).
 from __future__ import annotations
 
 import copy
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.relational.catalog import ShardedTable
+from repro.relational.plancache import NormalizedStatement
 from repro.relational.sql import ast as sql_ast
 
 Row = Tuple[Any, ...]
@@ -111,9 +112,11 @@ def _column_pos(
     return None
 
 
-def _literal(expr: Any) -> Tuple[bool, Any]:
+def _literal(expr: Any, params: Sequence[Any]) -> Tuple[bool, Any]:
     if isinstance(expr, sql_ast.Literal):
         return True, expr.value
+    if isinstance(expr, sql_ast.Parameter):
+        return True, params[expr.index]
     return False, None
 
 
@@ -196,8 +199,10 @@ def shard_may_match(
     shard_id: int,
     conjuncts: List[Any],
     binding: str,
+    params: Sequence[Any],
 ) -> bool:
-    """False only when some conjunct provably matches nothing on the shard."""
+    """False only when some conjunct of the normalized query provably
+    matches nothing on the shard; *params* binds its parameters."""
     for conjunct in conjuncts:
         pos: Optional[int] = None
         verdict: Optional[bool] = None
@@ -205,11 +210,11 @@ def shard_may_match(
             if isinstance(conjunct, sql_ast.BinaryOp):
                 op = conjunct.op
                 pos = _column_pos(table, binding, conjunct.left)
-                ok, value = _literal(conjunct.right)
+                ok, value = _literal(conjunct.right, params)
                 if pos is None or not ok:
                     # literal OP column — mirror the operator
                     pos = _column_pos(table, binding, conjunct.right)
-                    ok, value = _literal(conjunct.left)
+                    ok, value = _literal(conjunct.left, params)
                     op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
                 if pos is None or not ok or value is None:
                     continue
@@ -222,8 +227,8 @@ def shard_may_match(
                     verdict = _comparison_satisfiable(op, known[1], value)
             elif isinstance(conjunct, sql_ast.Between) and not conjunct.negated:
                 pos = _column_pos(table, binding, conjunct.operand)
-                lo_ok, lo = _literal(conjunct.low)
-                hi_ok, hi = _literal(conjunct.high)
+                lo_ok, lo = _literal(conjunct.low, params)
+                hi_ok, hi = _literal(conjunct.high, params)
                 if pos is None or not lo_ok or not hi_ok:
                     continue
                 known = _shard_interval(table, shard_id, pos)
@@ -238,7 +243,7 @@ def shard_may_match(
                 pos = _column_pos(table, binding, conjunct.operand)
                 values = []
                 for item in conjunct.items:
-                    ok, value = _literal(item)
+                    ok, value = _literal(item, params)
                     if not ok:
                         values = None
                         break
@@ -286,15 +291,18 @@ def _rewrite_for_shard(
 
 
 def scatter_candidates(
-    db: Any, query: Any
+    db: Any, normalized: NormalizedStatement, values: Sequence[Any]
 ) -> Optional[Tuple[Optional[List[str]], List[Row], Dict[int, int], int]]:
     """Run a candidate query shard-wise, pruning non-matching shards.
 
-    Returns ``(columns, rows, rows_per_shard, shards_pruned)`` with rows in
-    shard order, or None when the query does not read exactly one sharded
-    table (caller falls back to the facade plan).  ``columns`` is None when
-    every shard was pruned (no query ran to report a header).
+    The query is a compiled program's *normalized* one, bound by its
+    parameter *values*.  Returns ``(columns, rows, rows_per_shard,
+    shards_pruned)`` with rows in shard order, or None when the query does
+    not read exactly one sharded table (caller falls back to the facade
+    plan).  ``columns`` is None when every shard was pruned (no query ran
+    to report a header).
     """
+    query = normalized.statement
     hit = find_scatter_target(db, query)
     if hit is None:
         return None
@@ -305,7 +313,7 @@ def scatter_candidates(
     shard_ids = [
         shard_id
         for shard_id in range(table.partition.num_shards)
-        if shard_may_match(table, shard_id, conjuncts, binding)
+        if shard_may_match(table, shard_id, conjuncts, binding, values)
     ]
     pruned = table.partition.num_shards - len(shard_ids)
     if pruned:
@@ -318,8 +326,13 @@ def scatter_candidates(
         shard_query = _rewrite_for_shard(
             query, table.name, table.shard_view_name(shard_id)
         )
+        shard_normalized = NormalizedStatement(
+            shard_query, list(values), normalized.n_explicit
+        )
         with db.tracer.span("xnf.scatter.shard", shard=shard_id) as span:
-            result = db.execute_ast(shard_query)
+            result = db.execute_ast(
+                shard_query, normalized=shard_normalized, values=values
+            )
             span.annotate(rows=len(result.rows))
         if columns is None:
             columns = result.columns

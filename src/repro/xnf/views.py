@@ -28,12 +28,17 @@ class XNFViewCatalog:
 
     def __init__(self):
         self._views: Dict[str, xast.XNFQuery] = {}
+        #: a new token at every CREATE and DROP; compiled CO programs are
+        #: keyed by it, so none outlives the views it was resolved against
+        #: (and tokens of different catalogs never compare equal)
+        self.version = object()
 
     def create(self, name: str, query: xast.XNFQuery) -> None:
         key = name.upper()
         if key in self._views:
             raise SchemaGraphError(f"XNF view {name} already exists")
         self._views[key] = query
+        self.version = object()
 
     def drop(self, name: str, if_exists: bool = False) -> None:
         key = name.upper()
@@ -42,6 +47,7 @@ class XNFViewCatalog:
                 return
             raise SchemaGraphError(f"no XNF view named {name}")
         del self._views[key]
+        self.version = object()
 
     def get(self, name: str) -> Optional[xast.XNFQuery]:
         return self._views.get(name.upper())

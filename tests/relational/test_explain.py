@@ -39,6 +39,19 @@ class TestExplainStatement:
         with pytest.raises(Exception):
             people_db.execute("EXPLAIN DELETE FROM PEOPLE")
 
+    def test_each_explained_query_keeps_its_own_stats_row(self, people_db):
+        people_db.execute("EXPLAIN ANALYZE SELECT name FROM PEOPLE WHERE id = 1")
+        people_db.explain_analyze("SELECT age FROM PEOPLE WHERE city = 'NY'")
+        people_db.execute("EXPLAIN SELECT name FROM PEOPLE")
+        rows = people_db.execute(
+            "SELECT fingerprint, calls FROM SYS_STAT_STATEMENTS"
+        ).rows
+        assert sorted(row for row in rows if row[0].startswith("EXPLAIN")) == [
+            ("EXPLAIN ANALYZE SELECT age FROM PEOPLE WHERE (city = 'NY')", 1),
+            ("EXPLAIN ANALYZE SELECT name FROM PEOPLE WHERE (id = 1)", 1),
+            ("EXPLAIN SELECT name FROM PEOPLE", 1),
+        ]
+
 
 class TestOrderByAggregate:
     def test_order_by_count_star(self, people_db):

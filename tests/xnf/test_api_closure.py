@@ -174,8 +174,8 @@ class TestOneStatementOneSnapshot:
         issued = [0]
         run_query = db.execute_ast
 
-        def execute_ast(stmt):
-            result = run_query(stmt)
+        def execute_ast(stmt, **kwargs):
+            result = run_query(stmt, **kwargs)
             issued[0] += 1
             if issued[0] == k:
                 writer.begin()

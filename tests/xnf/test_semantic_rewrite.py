@@ -216,9 +216,9 @@ class TestExtractionIsARead:
         seen = []
         execute = company_db.execute_ast
 
-        def watching(stmt):
+        def watching(stmt, **kwargs):
             seen.append(set(company_db.catalog.tables))
-            return execute(stmt)
+            return execute(stmt, **kwargs)
 
         monkeypatch.setattr(company_db, "execute_ast", watching)
         return company_db, seen
