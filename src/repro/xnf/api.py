@@ -231,7 +231,7 @@ class XNFSession:
             return None
         assert isinstance(statement, xast.XNFQuery)
         if statement.action == "TAKE":
-            return take(self._compile(resolve(statement, self.views), scanned), None)
+            return take(self._compile(statement, scanned), None)
         if statement.action == "DELETE":
             return self._run_co_delete(statement)
         if statement.action == "UPDATE":
@@ -286,7 +286,7 @@ class XNFSession:
                 if not wrapper.sampled:  # adopted an unsampled context
                     wrapper.sampled = True
                     wrapper.annotate(sampled="late")
-                self._run_take(self._compile(resolve(statements[0], self.views)), None)
+                self._run_take(self._compile(statements[0]), None)
             total_s = time.perf_counter() - begin
         finally:
             db.tracer.enabled, db.analyze_statements, db.tracer.sample_rate = saved
@@ -344,13 +344,13 @@ class XNFSession:
         stored = self.views.get(view_name)
         if stored is None:
             raise XNFError(f"unknown XNF view {view_name!r}")
-        schema = resolve(stored, self.views, view_name)
-        instance = self._extract(self._compile(schema))
+        program = self._compile(stored, name=view_name)
+        instance = self._extract(program)
         name = (snapshot_name or f"SNAP_{view_name}").upper().replace("-", "_")
         if name in self._snapshots:
             raise XNFError(f"snapshot {name} already exists")
         handle = mat.store_instance(self.db, name, view_name, instance)
-        self._snapshots[name] = (handle, schema)
+        self._snapshots[name] = (handle, program.schema)
         return handle
 
     def load_snapshot(self, name: str) -> CompositeObject:
@@ -406,16 +406,19 @@ class XNFSession:
             timeout_s=self.timeout_s,
         )
 
-    def _compile(self, schema, scanned: Optional[Scanned] = None) -> COProgram:
-        """Compile *schema*; the program of a TAKE text (*scanned*, its
-        token scan) goes to the plan cache for the next text of its shape."""
+    def _compile(
+        self, query: xast.XNFQuery, scanned: Optional[Scanned] = None, name: str = ""
+    ) -> COProgram:
+        """Resolve and compile *query*; the program of a TAKE text
+        (*scanned*, its token scan) goes to the plan cache for the next
+        text of its shape."""
         compiler = self._compiler()
-        program = compiler.compile(schema)
+        program = compiler.compile(resolve(query, self.views, name))
         if scanned is not None:
 
             def probe(text: str):
-                (query,) = parse_xnf_statements(text)
-                return compiler.compile(resolve(query, self.views), program.columns)
+                (probed,) = parse_xnf_statements(text)
+                return compiler.compile(resolve(probed, self.views), program.columns)
 
             self.db.plan_cache.remember_program(scanned, self._scope(), program, probe)
         return program
@@ -460,7 +463,7 @@ class XNFSession:
     def _run_co_delete(self, query: xast.XNFQuery) -> int:
         """CO deletion (section 3.7): remove the target CO's tuples and
         connections from their base tables."""
-        co = self._run_take(self._compile(resolve(query, self.views)), None)
+        co = self._run_take(self._compile(query), None)
         manipulator = co.manipulator
         removed = 0
         # Link rows of M:N relationships go first.
@@ -488,7 +491,7 @@ class XNFSession:
     def _run_co_update(self, query: xast.XNFQuery) -> int:
         from repro.xnf.paths import eval_instance_expr
 
-        co = self._run_take(self._compile(resolve(query, self.views)), None)
+        co = self._run_take(self._compile(query), None)
         node = query.update_node
         if node not in co.cache.tuples:
             raise XNFError(f"CO UPDATE: unknown node {node!r}")

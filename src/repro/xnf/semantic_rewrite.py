@@ -198,7 +198,6 @@ class XNFCompiler:
         queries (compiled here when not given).  *literals* are the values
         a cached program bound from a TAKE text of its shape (a hit);
         without them it runs on the literals it was compiled from."""
-        self._current_schema = schema
         schema.validate()
         self.db.metrics.inc("xnf.fixpoint.instantiations")
         started = time.perf_counter()
@@ -511,7 +510,7 @@ class XNFCompiler:
         """Children of *parent_rows* via *edge* (the reachability join)."""
         sets: Dict[Optional[str], List[Row]] = {None: parent_rows}
         for name in edge.child_names():
-            node = self._current_schema.nodes[name]
+            node = self.program.schema.nodes[name]
             if self._is_trivial(node):
                 continue
             if not self.reuse_common:
