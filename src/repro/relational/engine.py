@@ -46,9 +46,10 @@ from repro.relational.plancache import (
     CacheEntry,
     NormalizedStatement,
     PlanCache,
-    bind_values,
+    bind_rows,
     normalize_statement,
     referenced_objects,
+    scan_statement,
 )
 from repro.relational.qgm.build import QGMBuilder
 from repro.relational.qgm.model import Box
@@ -451,13 +452,15 @@ class Database:
         any other text is parsed under a ``statement`` span, and a single
         cacheable statement leaves its template behind for the next time.
         """
+        scanned = None
         if self.plan_cache.capacity > 0 and not self.analyze_statements:
             start = time.perf_counter()
-            matched = self.plan_cache.match(sql)
-            if matched is not None:
+            scanned = scan_statement(sql)
+            matched = scanned and self.plan_cache.match(scanned)
+            if matched:
                 self.last_timings["parse"] = time.perf_counter() - start
                 template, values = matched
-                normalized = template.normalized
+                normalized = template.compiled
                 return self._run_statement(normalized.statement, normalized, values, sql)
         with self.tracer.span("statement", sql=sql[:200]):
             start = time.perf_counter()
@@ -469,13 +472,8 @@ class Database:
             result = Result()
             for stmt in statements:
                 result = self.execute_ast(stmt)
-            if (
-                len(statements) == 1
-                and isinstance(stmt, self._TEMPLATED)
-                and self.plan_cache.capacity > 0
-                and not self.analyze_statements
-            ):
-                self.plan_cache.remember(sql, normalize_statement(stmt))
+            if scanned and len(statements) == 1 and isinstance(stmt, self._TEMPLATED):
+                self.plan_cache.remember(scanned, normalize_statement(stmt))
             return result
 
     #: statements that run on a cached plan and whose templates the plan
@@ -509,12 +507,7 @@ class Database:
         values: Sequence[Any] = (),
     ) -> Result:
         """Run a statement tree.  An XNF program passes a generated query
-        *normalized* once, with its parameter *values*; where no cached plan
-        may run it (analyze mode, no plan cache) it runs as the tree they bind."""
-        if normalized is not None and (
-            self.analyze_statements or self.plan_cache.capacity <= 0
-        ):
-            return self._run_statement(bind_values(normalized.statement, values))
+        *normalized* once, with its parameter *values*."""
         return self._run_statement(stmt, normalized, values)
 
     def _run_statement(
@@ -556,6 +549,8 @@ class Database:
                 result = self._dispatch_ast(stmt, span)
             elif isinstance(stmt, ast.InsertStmt):
                 result = self._run_insert(stmt, span, values)
+            elif self.analyze_statements and isinstance(stmt, (ast.SelectStmt, ast.SetOpStmt)):
+                result = self._run_query(normalized.statement, span, values)
             else:
                 plan, hit = self._cached_plan(normalized, values)
                 if isinstance(stmt, (ast.UpdateStmt, ast.DeleteStmt)):
@@ -696,14 +691,19 @@ class Database:
         lines.append(self._plan_cache_line())
         return "\n".join(lines)
 
-    def _analyze_compile(self, query: ast.Query) -> CompiledPlan:
+    def _analyze_compile(
+        self, query: ast.Query, values: Optional[Sequence[Any]] = None
+    ) -> CompiledPlan:
         """Uncached, instrumentable compile over the *normalized* statement.
 
         Normalizing first makes the feedback keys recorded from this run
         (parameter markers where literals stood) line up with the keys that
         cached compiles of literal-differing statements produce, so EXPLAIN
-        ANALYZE observations transfer to later re-planning.
+        ANALYZE observations transfer to later re-planning.  A query that
+        comes normalized, with its parameter *values*, is compiled as it is.
         """
+        if values is not None:
+            return self._compile_statement(bind_rows(query, values))
         normalized = normalize_statement(query)
         if normalized.n_explicit:
             return self._compile_statement(query)
@@ -794,9 +794,7 @@ class Database:
         entry = self.plan_cache.lookup(key, self.catalog)
         if entry is None:
             stmt = normalized.statement
-            if values is not None:
-                stmt = bind_values(stmt, values, literals=False)
-            plan = self._compile_statement(stmt)
+            plan = self._compile_statement(stmt if values is None else bind_rows(stmt, values))
             deps = referenced_objects(normalized.statement, self.catalog)
             entry = CacheEntry(
                 plan,
@@ -858,14 +856,17 @@ class Database:
             return box
         return Rewriter().rewrite(box)
 
-    def _run_query(self, query: ast.Query, span: Span) -> Result:
+    def _run_query(
+        self, query: ast.Query, span: Span, values: Optional[Sequence[Any]] = None
+    ) -> Result:
         """Run a query off the statement's own cached-plan path: in analyze
         mode (compiled uncached and instrumented, so the counting operators
-        stay private to this execution), with the plan cache disabled, or
-        as an INSERT's SELECT."""
+        stay private to this execution; a normalized query comes with its
+        parameter *values*), with the plan cache disabled, or as an INSERT's
+        SELECT."""
         if self.analyze_statements:
-            plan = self._analyze_compile(query)
-            return self._run_plan(plan, None, span, instrument_plan(plan.op))
+            plan = self._analyze_compile(query, values)
+            return self._run_plan(plan, values, span, instrument_plan(plan.op))
         if self.plan_cache.capacity > 0:
             normalized = self._normalized(query)
             plan = self._cached_plan(normalized)[0]

@@ -96,14 +96,17 @@ class NormalizedStatement:
 class _Lifter:
     """One normalization pass; assigns parameter slots after the explicit ones."""
 
-    def __init__(self, n_explicit: int):
+    def __init__(self, n_explicit: int, sources: Optional[List[Any]]):
         self.next_index = n_explicit
         self.values: List[Any] = []
+        self.sources = sources
 
-    def lift(self, value: Any) -> ast.Parameter:
+    def lift(self, value: Any, source: Any) -> ast.Parameter:
         param = ast.Parameter(self.next_index)
         self.next_index += 1
         self.values.append(value)
+        if self.sources is not None:
+            self.sources.append(source)
         return param
 
 
@@ -118,14 +121,18 @@ def count_explicit_parameters(stmt: ast.Statement) -> int:
     return highest + 1
 
 
-def normalize_statement(stmt: ast.Statement) -> NormalizedStatement:
+def normalize_statement(
+    stmt: ast.Statement, sources: Optional[List[Any]] = None
+) -> NormalizedStatement:
     """Lift WHERE/JOIN/SET literals of a query or DML statement into parameters.
 
     The input is not mutated; unaffected sub-trees are shared with the copy.
     Statements that are neither queries nor DML are returned unchanged.
+    *sources*, if given, receives the node each lifted value came from (its
+    :class:`ast.Literal` or :class:`ast.RowsTable`), in slot order.
     """
     n_explicit = count_explicit_parameters(stmt)
-    lifter = _Lifter(n_explicit)
+    lifter = _Lifter(n_explicit, sources)
     if isinstance(stmt, (ast.SelectStmt, ast.SetOpStmt)):
         normalized: ast.Statement = _norm_query(stmt, lifter)
     elif isinstance(stmt, ast.UpdateStmt):
@@ -174,7 +181,7 @@ def _norm_query(q: ast.Query, lifter: _Lifter) -> ast.Query:
 
 def _norm_table_ref(ref: ast.TableRef, lifter: _Lifter) -> ast.TableRef:
     if isinstance(ref, ast.RowsTable):
-        slot = lifter.lift(ref.rows).index
+        slot = lifter.lift(ref.rows, ref).index
         return ast.RowsTable(ref.columns, ref.rows, ref.alias, slot)
     if isinstance(ref, ast.DerivedTable):
         return ast.DerivedTable(_norm_query(ref.subquery, lifter), ref.alias)
@@ -205,7 +212,7 @@ def _norm_expr(
             # repetitions.
             if not lift_literals or node.value is None:
                 return node
-            return lifter.lift(node.value)
+            return lifter.lift(node.value, node)
         if not isinstance(node, (ast.InSubquery, ast.Exists, ast.ScalarSubquery)):
             return None
         # the operand (IN) first, so its literals keep their slots
@@ -245,25 +252,32 @@ def _number(text: str) -> Any:
 
 @dataclass
 class StatementTemplate:
-    """What the tree path derived from one statement text, keyed by its tokens.
+    """What compiling one text derived from it, keyed by its tokens.
 
-    ``normalized`` is the statement with its literals lifted (its fingerprint
-    is computed once), or the compiled CO program of an XNF TAKE.  ``kept`` pins the literal tokens whose value shaped
-    that fingerprint — LIMIT/OFFSET, literals of SELECT lists, GROUP BY,
-    HAVING and ORDER BY — as (token position, lexeme).  ``slots`` says
-    where each lifted value comes from: (token position, sign) for a
+    ``compiled`` is the statement with its literals lifted (its fingerprint
+    is computed once), or the CO program of an XNF TAKE; None marks a shape
+    whose template was rejected.  ``kept`` pins the literal tokens whose
+    value shaped that fingerprint — LIMIT/OFFSET, literals of SELECT lists,
+    GROUP BY, HAVING and ORDER BY — as (token position, lexeme).  ``slots``
+    says where each lifted value comes from: (token position, sign) for a
     literal token, with sign 1 or -1 for a number (the parser folds unary
     minus into it) and 0 for a string; (-1, value) for a constant such as
     TRUE, whose token is part of the key.
     """
 
-    normalized: NormalizedStatement
+    compiled: Any
     kept: Tuple[Tuple[int, str], ...]
     slots: Tuple[Tuple[int, Any], ...]
+
+    def stale(self, catalog: Catalog) -> bool:
+        """A CO program whose tables changed catalog version."""
+        return self.compiled is not None and self.compiled.stale(catalog)
 
     def bind(self, scanned: Scanned) -> Optional[List[Any]]:
         """The lifted values of a text with this template's key, or None
         when a kept literal differs or a slot holds the other literal kind."""
+        if self.compiled is None:
+            return None
         _, numbers, strings, literals = scanned
         for pos, lexeme in self.kept:
             if literals[pos] != lexeme:
@@ -296,19 +310,18 @@ def _normalize_text(sql: str) -> NormalizedStatement:
 
 def record_template(
     scanned: Scanned,
-    normalized: Any,
+    compiled: Any,
     probe: Callable[[str], Any] = _normalize_text,
 ) -> Optional[StatementTemplate]:
-    """Derive the template of a scanned text from what the tree path
-    compiled it to: *normalized*, or anything else with a ``fingerprint``
-    and ``lifted_values`` that *probe* compiles a text to (an XNF TAKE's
-    CO program).
+    """Derive the template of a scanned text from what *probe* compiled it
+    to: anything with a ``fingerprint`` and ``lifted_values`` (a normalized
+    statement, an XNF TAKE's CO program).
 
     Each literal token is swapped for a distinct sentinel and the text
     re-probed; a lifted value that is a sentinel (or its negation) names
     the token that feeds its slot.  A literal token that feeds no slot is
     kept: its lexeme becomes part of the match.  The template is returned
-    only when re-probing reproduces *normalized*'s fingerprint and binding
+    only when re-probing reproduces *compiled*'s fingerprint and binding
     the scanned tokens reproduces its lifted values.
     """
     key, numbers, strings, literals = scanned
@@ -336,7 +349,7 @@ def record_template(
     positions = [pos for pos, literal in enumerate(literals) if literal]
     if not positions:
         return StatementTemplate(
-            normalized, (), tuple((-1, value) for value in normalized.lifted_values)
+            compiled, (), tuple((-1, value) for value in compiled.lifted_values)
         )
     probed = slots_with_sentinels(positions)
     if probed is None:
@@ -349,43 +362,34 @@ def record_template(
         if probed is None or probed[1] != slots:
             return None
         fingerprint = probed[0]
-    if fingerprint != normalized.fingerprint:
+    if fingerprint != compiled.fingerprint:
         return None
     kept = tuple((pos, literals[pos]) for pos in positions if pos not in fed)
-    template = StatementTemplate(normalized, kept, tuple(slots))
+    template = StatementTemplate(compiled, kept, tuple(slots))
     bound = template.bind(scanned)
-    expected = normalized.lifted_values
+    expected = compiled.lifted_values
     if bound is None or [(type(v), v) for v in bound] != [(type(v), v) for v in expected]:
         return None
     return template
 
 
-def bind_values(
-    stmt: ast.Statement, values: Sequence[Any], literals: bool = True
-) -> ast.Statement:
-    """A copy of the normalized query *stmt* with its parameter *values* put
-    back: each relation-valued slot gets its rows and, with *literals*, each
-    lifted parameter becomes a literal again, so the copy runs as a plain
-    tree.  The rows are shared with *values*, not copied."""
+def bind_rows(stmt: ast.Statement, values: Sequence[Any]) -> ast.Statement:
+    """The normalized query *stmt* with the rows of its relation-valued
+    slots put back from its parameter *values*, for the optimizer's
+    estimates: a copy (sharing the rows) when it has such slots, else *stmt*."""
+    if not any(
+        isinstance(ref, ast.RowsTable) and ref.param is not None
+        for query in ast.queries(stmt)
+        if isinstance(query, ast.SelectStmt)
+        for ref in ast.table_refs(query)
+    ):
+        return stmt
     stmt = copy.deepcopy(stmt, {id(value): value for value in values})
-
-    def literal(node: ast.Expr) -> Optional[ast.Expr]:
-        return ast.Literal(values[node.index]) if isinstance(node, ast.Parameter) else None
-
     for query in ast.queries(stmt):
-        if not isinstance(query, ast.SelectStmt):
-            continue
-        for ref in ast.table_refs(query):
-            if isinstance(ref, ast.RowsTable) and ref.param is not None:
-                ref.rows = values[ref.param]
-                ref.param = None if literals else ref.param
-            elif literals and isinstance(ref, ast.Join) and ref.condition is not None:
-                ref.condition = ast.map(ref.condition, literal)
-        if literals:
-            for item in query.select_items:
-                item.expr = ast.map(item.expr, literal)
-            if query.where is not None:
-                query.where = ast.map(query.where, literal)
+        if isinstance(query, ast.SelectStmt):
+            for ref in ast.table_refs(query):
+                if isinstance(ref, ast.RowsTable) and ref.param is not None:
+                    ref.rows = values[ref.param]
     return stmt
 
 
@@ -454,96 +458,91 @@ class PlanCache:
         self.misses = 0
         self.invalidations = 0
         self.evictions = 0
-        #: statement templates by token key, LRU, at most ``capacity`` in all
-        #: (one key holds a variant per differing kept-literal value); XNF's
-        #: compiled CO programs share the map under (scope, token key)
+        #: templates by (scope, token key), LRU, at most ``capacity`` in all
+        #: (one key holds a variant per differing kept-literal value): SQL
+        #: statements under scope None, XNF TAKEs' CO programs under theirs
         self._templates: "OrderedDict[Any, Tuple[StatementTemplate, ...]]" = OrderedDict()
         self._template_count = 0
+        self._program_count = 0
         #: lookups whose statement was recognised from its tokens, unparsed
         self.token_lookups = 0
+        #: TAKEs that ran a kept CO program, and TAKEs compiled
         self.program_hits = 0
         self.program_misses = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def match(self, sql: str) -> Optional[Tuple[StatementTemplate, List[Any]]]:
-        """The template of a statement text seen before, and its lifted
-        values bound from the tokens; None sends the text to the parser."""
-        scanned = scan_statement(sql)
-        if scanned is None:
-            return None
+    def match(
+        self, scanned: Scanned, scope: Any = None, catalog: Optional[Catalog] = None
+    ) -> Optional[Tuple[StatementTemplate, List[Any]]]:
+        """The template of a text whose shape was seen before, and its lifted
+        values bound from the *scanned* tokens; None sends the text to the
+        compiler.  *scope* is None for SQL text and, for an XNF TAKE, what its
+        CO program depends on besides its tokens.  With *catalog*, a variant
+        compiled against an older version of a table in it is dropped."""
+        key = (scope, scanned[0])
         with self._mutex:
-            variants = self._templates.get(scanned[0])
+            variants = self._templates.get(key)
             if variants is None:
                 return None
-            self._templates.move_to_end(scanned[0])
+            if catalog is not None:
+                live = tuple(t for t in variants if not t.stale(catalog))
+                if len(live) < len(variants):
+                    self._count(key, len(live) - len(variants))
+                    del self._templates[key]
+                    if not live:
+                        return None
+                    variants = self._templates[key] = live
+            self._templates.move_to_end(key)
         for template in variants:
             values = template.bind(scanned)
             if values is not None:
                 with self._mutex:
-                    self.token_lookups += 1
+                    if scope is None:
+                        self.token_lookups += 1
+                    else:
+                        self.program_hits += 1
                 return template, values
         return None
 
-    def remember(self, sql: str, normalized: NormalizedStatement) -> None:
-        """Record the template of *sql*, a single statement the tree path
-        just ran as *normalized* (parameter-free), for :meth:`match`."""
-        if self.capacity <= 0:
-            return
-        scanned = scan_statement(sql)
-        template = None if scanned is None else record_template(scanned, normalized)
-        if template is not None:
-            self._add(scanned[0], template)
-
-    def match_program(
-        self, scanned: Scanned, scope: Any, catalog: Catalog
-    ) -> Optional[Tuple[Any, List[Any]]]:
-        """The compiled CO program of a TAKE text whose shape *scope* (the
-        XNF session's view-catalog version and settings) has seen before,
-        and the literal values bound from its tokens; None on a miss.  A
-        program whose referenced tables changed catalog version is dropped."""
+    def remember(
+        self,
+        scanned: Scanned,
+        compiled: Any,
+        probe: Callable[[str], Any] = _normalize_text,
+        scope: Any = None,
+    ) -> None:
+        """Keep what the text *scanned* was just *compiled* to (by *probe*:
+        a parameter-free statement normalized, or an XNF TAKE's CO program
+        under *scope*) as the template :meth:`match` finds.  A shape whose
+        template :func:`record_template` rejected is not probed again."""
         key = (scope, scanned[0])
         with self._mutex:
-            variants = self._templates.get(key, ())
-            live = tuple(t for t in variants if not t.normalized.stale(catalog))
-            if len(live) < len(variants):
-                self._template_count -= len(variants) - len(live)
-                del self._templates[key]
-            if live:
-                self._templates[key] = live
-                self._templates.move_to_end(key)
-        for template in live:
-            values = template.bind(scanned)
-            if values is not None:
-                with self._mutex:
-                    self.program_hits += 1
-                return template.normalized, values
-        return None
-
-    def remember_program(
-        self, scanned: Scanned, scope: Any, program: Any, probe: Callable[[str], Any]
-    ) -> None:
-        """Keep the *program* a TAKE text just compiled to for
-        :meth:`match_program`, as the template :func:`record_template`
-        derives with *probe*, which compiles a text to its program."""
+            if scope is not None:
+                self.program_misses += 1
+            if self.capacity <= 0 or any(
+                t.compiled is None for t in self._templates.get(key, ())
+            ):
+                return
+        template = record_template(scanned, compiled, probe) or StatementTemplate(
+            None, (), ()
+        )
         with self._mutex:
-            self.program_misses += 1
-        template = None if self.capacity <= 0 else record_template(scanned, program, probe)
-        if template is not None:
-            self._add((scope, scanned[0]), template)
-
-    def _add(self, key: Any, variant: Any) -> None:
-        with self._mutex:
-            self._templates[key] = (variant,) + self._templates.pop(key, ())
-            self._template_count += 1
+            self._templates[key] = (template,) + self._templates.pop(key, ())
+            self._count(key, 1)
             while self._template_count > self.capacity:
                 oldest, variants = next(iter(self._templates.items()))
                 if len(variants) > 1:
                     self._templates[oldest] = variants[:-1]
                 else:
                     del self._templates[oldest]
-                self._template_count -= 1
+                self._count(oldest, -1)
+
+    def _count(self, key: Any, change: int) -> None:
+        self._template_count += change
+        if key[0] is not None:
+            self._program_count += change
 
     def lookup(self, key: CacheKey, catalog: Catalog) -> Optional[CacheEntry]:
         """Return a still-valid entry for *key*, counting hit or miss.
@@ -584,7 +583,7 @@ class PlanCache:
         with self._mutex:
             self._entries.clear()
             self._templates.clear()
-            self._template_count = 0
+            self._template_count = self._program_count = 0
 
     def invalidate_all(self) -> int:
         """Drop every entry, counting each as an invalidation.
@@ -597,27 +596,22 @@ class PlanCache:
             dropped = len(self._entries)
             self._entries.clear()
             self._templates.clear()
-            self._template_count = 0
+            self._template_count = self._program_count = 0
             self.invalidations += dropped
             GLOBAL_STATS["invalidations"] += dropped
             return dropped
 
     def stats(self) -> Dict[str, int]:
         with self._mutex:
-            programs = sum(
-                not isinstance(template.normalized, NormalizedStatement)
-                for variants in self._templates.values()
-                for template in variants
-            )
             return {
                 "hits": self.hits,
                 "misses": self.misses,
                 "invalidations": self.invalidations,
                 "evictions": self.evictions,
                 "entries": len(self._entries),
-                "templates": self._template_count - programs,
+                "templates": self._template_count - self._program_count,
                 "token_lookups": self.token_lookups,
-                "programs": programs,
+                "programs": self._program_count,
                 "program_hits": self.program_hits,
                 "program_misses": self.program_misses,
                 "volatile_entries": sum(

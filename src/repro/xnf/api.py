@@ -25,12 +25,7 @@ from repro.xnf.lang.parser import parse_xnf_statements
 from repro.xnf.manipulate import Manipulator
 from repro.xnf.monitor import install_monitor
 from repro.xnf.restrict import apply_instance_restrictions
-from repro.xnf.semantic_rewrite import (
-    COInstance,
-    COProgram,
-    InstantiationStats,
-    XNFCompiler,
-)
+from repro.xnf.semantic_rewrite import COInstance, COProgram, InstantiationStats, XNFCompiler
 from repro.xnf.views import XNFViewCatalog, apply_take, resolve
 
 
@@ -48,7 +43,13 @@ class CompositeObject:
 
     @property
     def schema(self):
-        return self.cache.schema
+        """The CO's schema.  A CO a kept program extracted for a text of its
+        shape gets that text's literals in it at the first read."""
+        cache = self.cache
+        if cache.literals is not None:
+            cache.schema = cache.program.bind_schema(cache.schema, cache.literals)
+            cache.literals = None
+        return cache.schema
 
     def nodes(self) -> List[str]:
         return self.cache.node_names()
@@ -204,17 +205,17 @@ class XNFSession:
 
     def _execute(self, source: Union[str, xast.XNFStatement],
                  take: Callable[[COProgram, Optional[List[Any]]], Any]) -> Any:
-        """Run one statement.  A TAKE text of a shape this session ran
-        before (the same tokens but for literal values) runs the compiled
+        """Run one statement.  A TAKE text of a shape run before in this
+        scope (the same tokens but for literal values) runs the compiled
         program the plan cache kept, its literals bound from the tokens."""
         scanned = None
         if isinstance(source, str):
             scanned = scan_statement(source, XNF_TOKENS)
-            found = scanned and self.db.plan_cache.match_program(
-                scanned, self._scope(), self.db.catalog
+            found = scanned and self.db.plan_cache.match(
+                scanned, self._scope(scanned), self.db.catalog
             )
             if found:
-                return take(*found)
+                return take(found[0].compiled, found[1])
         statements = (
             parse_xnf_statements(source) if isinstance(source, str) else [source]
         )
@@ -392,9 +393,13 @@ class XNFSession:
 
     # -- internals -------------------------------------------------------------------
 
-    def _scope(self) -> Any:
-        """What besides its tokens a TAKE text's program depends on."""
-        return self.views.version, self.reuse_common
+    def _scope(self, scanned: Scanned) -> Any:
+        """What besides its tokens a TAKE text's program depends on: the
+        view catalog's version when a name in it is a view here (so sessions
+        share only programs that read no view), and common-set reuse."""
+        if any(name and self.views.get(name.strip('"')) for name in scanned[0][0]):
+            return self.views.version, self.reuse_common
+        return None, self.reuse_common
 
     def _compiler(self) -> XNFCompiler:
         return XNFCompiler(
@@ -420,7 +425,7 @@ class XNFSession:
                 (probed,) = parse_xnf_statements(text)
                 return compiler.compile(resolve(probed, self.views), program.columns)
 
-            self.db.plan_cache.remember_program(scanned, self._scope(), program, probe)
+            self.db.plan_cache.remember(scanned, program, probe, self._scope(scanned))
         return program
 
     def _extract(self, program: COProgram, literals: Optional[List[Any]] = None):
@@ -439,7 +444,9 @@ class XNFSession:
     ) -> COInstance:
         instance = self._extract(program, literals)
         if program.schema.instance_restrictions:  # the TAKE projection may wait on them too
-            return self._restrict(COCache.load(instance), program.schema).instance()
+            instance = self._restrict(COCache.load(instance), program.schema).instance()
+        if literals is not None:
+            instance.schema = program.bind_schema(instance.schema, literals)
         return instance
 
     def _restrict(self, cache: COCache, schema) -> COCache:
@@ -457,7 +464,7 @@ class XNFSession:
         self, program: COProgram, literals: Optional[List[Any]]
     ) -> CompositeObject:
         cache = COCache.load(self._extract(program, literals))
-        cache.program = program
+        cache.program, cache.literals = program, literals
         return CompositeObject(self, self._restrict(cache, program.schema))
 
     def _run_co_delete(self, query: xast.XNFQuery) -> int:

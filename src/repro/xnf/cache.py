@@ -219,6 +219,8 @@ class COCache:
         #: the compiled program this CO was extracted by; it memoizes the
         #: parsed path expressions the CO is navigated with
         self.program: Optional[COProgram] = None
+        #: the literals a kept program ran on, not yet in ``schema``
+        self.literals: Optional[List[Any]] = None
 
     # -- loading ---------------------------------------------------------------------
 

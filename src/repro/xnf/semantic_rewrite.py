@@ -32,8 +32,9 @@ plan cache keys on ``(VALUES ?n) AS alias(...)`` whatever the rows are.
 
 from __future__ import annotations
 
+import copy
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ResourceExhaustedError, SQLError
@@ -86,15 +87,12 @@ class COInstance:
         return sum(len(conns) for conns in self.connections.values())
 
 
-class _Rows:
-    """A relation-valued slot of a program's query: the parent's delta
-    (``name`` None) or a node's candidate or reachable rows, bound at run
-    time.  Normalization lifts it where it would lift the rows."""
+class _Rows(NamedTuple):
+    """A relation-valued slot of a program's query, bound at run time: the
+    parent's delta (``name`` None) or a node's candidate or reachable rows.
+    Normalization lifts it where it would lift the rows."""
 
-    __slots__ = ("name",)
-
-    def __init__(self, name: Optional[str]):
-        self.name = name
+    name: Optional[str]
 
 
 class GeneratedQuery(NamedTuple):
@@ -130,6 +128,9 @@ class COProgram:
     dependencies: Dict[str, int]
     #: at most this many memoized paths (the plan cache's capacity)
     path_limit: int
+    #: (component, literal node, index) of each ``lifted_values`` entry
+    #: that comes from a literal of the schema
+    sites: List[Tuple[str, sql_ast.Literal, int]] = field(default_factory=list)
     paths: Dict[str, List[xast.PathStep]] = field(default_factory=dict)
 
     @property
@@ -141,6 +142,19 @@ class COProgram:
             catalog.object_version(name) != version
             for name, version in self.dependencies.items()
         )
+
+    def bind_schema(self, schema: COSchema, literals: List[Any]) -> COSchema:
+        """*schema* (the program's, or its TAKE projection) with a hit's
+        *literals* in place of the program's: the components holding one
+        are copied."""
+        memo = {id(site): replace(site, value=literals[i]) for _, site, i in self.sites}
+        holders = {component for component, _, _ in self.sites}
+        bound = copy.copy(schema)
+        bound.nodes = {n: copy.deepcopy(c, memo) if n in holders else c
+                       for n, c in schema.nodes.items()}
+        bound.edges = {n: copy.deepcopy(c, memo) if n in holders else c
+                       for n, c in schema.edges.items()}
+        return bound
 
     def path_steps(self, text: str) -> List[xast.PathStep]:
         steps = self.paths.get(text)
@@ -234,22 +248,27 @@ class XNFCompiler:
         queries: Dict[Any, GeneratedQuery] = {}
         literals: List[Any] = []
         dependencies: Dict[str, int] = {}
+        sites: Dict[int, Tuple[str, sql_ast.Literal, int]] = {}
         for key, query in self._generate(schema, columns).items():
-            normalized = normalize_statement(query)
+            sources: List[Any] = []
+            normalized = normalize_statement(query, sources)
             if normalized.n_explicit:
                 raise SQLError("statement contains ? parameters; use Database.prepare()")
             layout: List[Any] = []
-            for value in normalized.lifted_values:
+            for value, source in zip(normalized.lifted_values, sources):
                 if isinstance(value, _Rows):
                     layout.append(value)
                 else:
+                    component = key if isinstance(key, str) else key[0]
+                    sites.setdefault(id(source), (component, source, len(literals)))
                     layout.append(len(literals))
                     literals.append(value)
             queries[key] = GeneratedQuery(normalized, tuple(layout))
             for name in referenced_objects(normalized.statement, catalog):
                 dependencies[name] = catalog.object_version(name)
         return COProgram(
-            schema, columns, queries, literals, dependencies, self.db.plan_cache.capacity
+            schema, columns, queries, literals, dependencies,
+            self.db.plan_cache.capacity, list(sites.values()),
         )
 
     def _record_co_stats(

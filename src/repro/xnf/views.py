@@ -28,9 +28,9 @@ class XNFViewCatalog:
 
     def __init__(self):
         self._views: Dict[str, xast.XNFQuery] = {}
-        #: a new token at every CREATE and DROP; compiled CO programs are
-        #: keyed by it, so none outlives the views it was resolved against
-        #: (and tokens of different catalogs never compare equal)
+        #: a new token at every CREATE and DROP; compiled CO programs that
+        #: read a view are keyed by it, so none outlives the views it was
+        #: resolved against (and tokens of different catalogs never compare equal)
         self.version = object()
 
     def create(self, name: str, query: xast.XNFQuery) -> None:

@@ -14,7 +14,12 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import CatalogError, ExecutionError, SQLError
 from repro.relational import engine as engine_module
 from repro.relational.engine import Database
-from repro.relational.plancache import PlanCache, normalize_statement, referenced_objects
+from repro.relational.plancache import (
+    PlanCache,
+    normalize_statement,
+    referenced_objects,
+    scan_statement,
+)
 from repro.relational.sql import ast
 from repro.relational.sql.parser import parse_statements
 
@@ -869,13 +874,13 @@ def _typed(values):
 def _assert_template_is_tree(db, sql):
     """The template the token path uses for *sql* derives exactly what
     parse + normalize derive from it."""
-    matched = db.plan_cache.match(sql)
+    matched = db.plan_cache.match(scan_statement(sql))
     assert matched is not None, sql
     template, values = matched
     tree = normalize_statement(_one(sql))
-    assert template.normalized.fingerprint == tree.fingerprint
+    assert template.compiled.fingerprint == tree.fingerprint
     assert _typed(values) == _typed(tree.lifted_values)
-    assert template.normalized.n_explicit == tree.n_explicit == 0
+    assert template.compiled.n_explicit == tree.n_explicit == 0
 
 
 #: (recorded text, then a text with the same tokens but other literals,
@@ -973,11 +978,11 @@ def test_fingerprint_corpus_token_path(sql):
     cache = PlanCache()
     if tree.n_explicit or not isinstance(stmt, Database._TEMPLATED):
         return  # ``?`` statements and INSERTs always take the tree path
-    cache.remember(sql, tree)
+    cache.remember(scan_statement(sql), tree)
     assert cache.stats()["templates"] == 1
-    matched = cache.match(sql)
+    matched = cache.match(scan_statement(sql))
     assert matched is not None
-    assert matched[0].normalized.fingerprint == tree.fingerprint
+    assert matched[0].compiled.fingerprint == tree.fingerprint
     assert _typed(matched[1]) == _typed(tree.lifted_values)
 
 
@@ -1008,10 +1013,27 @@ class TestTemplates:
     def test_literal_kind_is_part_of_a_folded_slot(self):
         cache = PlanCache()
         sql = "SELECT a FROM T WHERE b = -1"
-        cache.remember(sql, normalize_statement(_one(sql)))
-        assert cache.match("SELECT a FROM T WHERE b = -7")[1] == [-7]
-        assert cache.match("SELECT a FROM T WHERE b = -'1'") is None
-        assert cache.match("SELECT a FROM T WHERE b = -1 -") is None
+        cache.remember(scan_statement(sql), normalize_statement(_one(sql)))
+        assert cache.match(scan_statement("SELECT a FROM T WHERE b = -7"))[1] == [-7]
+        assert cache.match(scan_statement("SELECT a FROM T WHERE b = -'1'")) is None
+        assert cache.match(scan_statement("SELECT a FROM T WHERE b = -1 -")) is None
+
+    def test_a_rejected_shape_is_not_probed_again(self):
+        """A text whose template is rejected keeps a marker in its key's
+        place: later texts of its shape compile, but are not re-probed."""
+        cache = PlanCache()
+        probes = []
+
+        def probe(text):
+            probes.append(text)
+            raise ValueError("no template")
+
+        for n in (1, 2, 3):
+            sql = f"SELECT a FROM T WHERE b = {n}"
+            cache.remember(scan_statement(sql), normalize_statement(_one(sql)), probe)
+            assert cache.match(scan_statement(sql)) is None
+        assert len(probes) == 1
+        assert cache.stats()["templates"] == 1  # the marker holds an LRU slot
 
     def test_zero_capacity_and_analyze_mode_always_parse(self, monkeypatch):
         db = Database(plan_cache_capacity=0)

@@ -24,6 +24,13 @@ from repro.xnf.lang import xast
 from repro.xnf.lang.parser import parse_xnf_statements
 
 
+def cold_statement(text):
+    """*text* parsed: a session compiles a statement given as a tree, as
+    no program is looked up for it."""
+    (statement,) = parse_xnf_statements(text)
+    return statement
+
+
 def outcome(session, text):
     """What running *text* shows: the instance and the fixpoint's
     statistics, or the error it raised."""
@@ -121,7 +128,7 @@ def test_a_change_between_two_takes_acts_as_a_cold_compile(name):
 
     fresh = XNFSession(db)
     (setup_fresh or (lambda s: create_view(s, 1)))(fresh)
-    assert warm == outcome(fresh, text)
+    assert warm == outcome(fresh, cold_statement(text))
     if name in ("view-redefined", "table-recreated-wider"):
         assert warm != before
 
@@ -136,6 +143,24 @@ def test_views_of_two_sessions_never_share_a_program():
     fresh = XNFSession(db)
     create_view(fresh, 3)
     assert outcome(two, VIEW_TEXT) == outcome(fresh, VIEW_TEXT)
+
+
+def test_sessions_share_programs_that_read_no_view():
+    """A program that reads no view depends on nothing of the session that
+    compiled it: another session's first TAKE of its shape is a hit."""
+    db = small_db()
+    outcome(XNFSession(db), TEXT.format(n=1))
+    hits = db.plan_cache.stats()["program_hits"]
+    other = XNFSession(db)
+    create_view(other, 1)
+    assert outcome(other, TEXT.format(n=2)) == outcome(other, cold_statement(TEXT.format(n=2)))
+    assert db.plan_cache.stats()["program_hits"] == hits + 1
+    outcome(other, VIEW_TEXT)
+    misses = db.plan_cache.stats()["program_misses"]
+    third = XNFSession(db)
+    create_view(third, 1)
+    outcome(third, VIEW_TEXT)  # a view of its own: compiled here
+    assert db.plan_cache.stats()["program_misses"] == misses + 1
 
 
 def test_concurrent_sessions_bind_their_own_literals():
@@ -318,7 +343,7 @@ def test_token_key_matches_the_tree_path_over_every_take():
             got = outcome(warm, variant)
             assert as_sets(got) == as_sets(outcome(cold, variant)), (fixture, variant)
             fresh = session_on(fixture, db=warm.db)
-            assert got == outcome(fresh, variant), (fixture, variant)
+            assert got == outcome(fresh, cold_statement(variant)), (fixture, variant)
         hits[fixture] = warm.db.plan_cache.stats()["program_hits"] - hits_before
     assert ran >= 40, ran
     assert all(hits.values()), hits
@@ -337,3 +362,52 @@ def test_literal_edge_cases_hit_the_program():
     misses = warm.db.plan_cache.stats()["program_misses"]
     outcome(warm, text.replace("7 AS seven", "8 AS seven"))
     assert warm.db.plan_cache.stats()["program_misses"] == misses + 1
+
+
+def schema_sql(schema):
+    """Every SQL text *schema* holds, by component."""
+
+    def sql(expr):
+        return None if expr is None else expr.to_sql()
+
+    nodes = {
+        name: (sql(node.query), node.table, node.projection,
+               [(alias, sql(predicate)) for alias, predicate in node.restrictions])
+        for name, node in schema.nodes.items()
+    }
+    edges = {
+        name: (sql(edge.predicate), [(attr, sql(expr)) for attr, expr in edge.attributes])
+        for name, edge in schema.edges.items()
+    }
+    return schema.name, nodes, edges
+
+
+#: TAKE texts of one shape on the Fig. 1 company database, with literals
+#: in node queries, pushed restrictions and relationship predicates
+SCHEMA_PAIRS = EDGE_CASES + [
+    tuple(
+        company.FIGURE1_CO.replace("TAKE *", f"WHERE Xemp e SUCH THAT e.sal < {n} TAKE *")
+        .replace("Xemp.edno", f"Xemp.edno AND Xdept.budget > {n - 500}")
+        for n in (550, 650)
+    ),
+]
+
+
+def test_a_hit_shows_the_schema_of_its_own_text():
+    """A CO a kept program extracted shows the schema a cold compile of its
+    text shows, and the CO the program was compiled for keeps its own."""
+    session = session_on("company")
+    for first_text, text in SCHEMA_PAIRS:
+        first = session.query(first_text)
+        hits = session.db.plan_cache.stats()["program_hits"]
+        co = session.query(text)
+        assert session.db.plan_cache.stats()["program_hits"] == hits + 1, text
+        cold = session.query(cold_statement(text))
+        assert schema_sql(co.schema) == schema_sql(cold.schema), text
+        assert schema_sql(first.schema) == schema_sql(
+            session.query(cold_statement(first_text)).schema
+        )
+        remote = session.execute_remote(text)
+        assert schema_sql(remote.schema) == schema_sql(
+            session.execute_remote(cold_statement(text)).schema
+        ), text
