@@ -48,6 +48,7 @@ from repro.relational.plancache import (
     PlanCache,
     bind_rows,
     normalize_statement,
+    record_template,
     referenced_objects,
     scan_statement,
 )
@@ -473,7 +474,9 @@ class Database:
             for stmt in statements:
                 result = self.execute_ast(stmt)
             if scanned and len(statements) == 1 and isinstance(stmt, self._TEMPLATED):
-                self.plan_cache.remember(scanned, normalize_statement(stmt))
+                self.plan_cache.remember(
+                    scanned, lambda: record_template(scanned, normalize_statement(stmt))
+                )
             return result
 
     #: statements that run on a cached plan and whose templates the plan

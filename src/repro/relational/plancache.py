@@ -33,13 +33,12 @@ harness can report hit rates across many Database instances.
 
 from __future__ import annotations
 
-import copy
 import re
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ReproError
 from repro.relational.catalog import Catalog
@@ -299,30 +298,17 @@ class StatementTemplate:
         return values
 
 
-def _normalize_text(sql: str) -> NormalizedStatement:
-    """Parse and normalize one parameter-free statement."""
-    (stmt,) = SQLParser(sql).parse_statements()
-    normalized = normalize_statement(stmt)
-    if normalized.n_explicit:
-        raise ValueError("explicit parameters")
-    return normalized
-
-
 def record_template(
-    scanned: Scanned,
-    compiled: Any,
-    probe: Callable[[str], Any] = _normalize_text,
+    scanned: Scanned, normalized: NormalizedStatement
 ) -> Optional[StatementTemplate]:
-    """Derive the template of a scanned text from what *probe* compiled it
-    to: anything with a ``fingerprint`` and ``lifted_values`` (a normalized
-    statement, an XNF TAKE's CO program).
+    """Derive the template of a scanned statement from its tree-path result.
 
     Each literal token is swapped for a distinct sentinel and the text
-    re-probed; a lifted value that is a sentinel (or its negation) names
-    the token that feeds its slot.  A literal token that feeds no slot is
-    kept: its lexeme becomes part of the match.  The template is returned
-    only when re-probing reproduces *compiled*'s fingerprint and binding
-    the scanned tokens reproduces its lifted values.
+    re-parsed and normalized; a lifted value that is a sentinel (or its
+    negation) names the token that feeds its slot.  A literal token that
+    feeds no slot is kept: its lexeme becomes part of the match.  The
+    template is returned only when re-parsing reproduces *normalized*'s
+    fingerprint and binding the scanned tokens reproduces its lifted values.
     """
     key, numbers, strings, literals = scanned
     names, ops, _ = key
@@ -333,23 +319,26 @@ def record_template(
         for pos in at:
             parts[pos] = str(base + pos) if numbers[pos] else f"'\x00{pos}'"
         try:
-            probed = probe(" ".join(parts))
+            (stmt,) = SQLParser(" ".join(parts)).parse_statements()
         except (ReproError, ValueError):
             return None
+        probe = normalize_statement(stmt)
+        if probe.n_explicit:
+            return None
         slots: List[Tuple[int, Any]] = []
-        for value in probed.lifted_values:
+        for value in probe.lifted_values:
             if type(value) is int and base <= abs(value) < base + len(literals):
                 slots.append((abs(value) - base, 1 if value > 0 else -1))
             elif type(value) is str and value[:1] == "\x00":
                 slots.append((int(value[1:]), 0))
             else:
                 slots.append((-1, value))
-        return probed.fingerprint, slots
+        return probe.fingerprint, slots
 
     positions = [pos for pos, literal in enumerate(literals) if literal]
     if not positions:
         return StatementTemplate(
-            compiled, (), tuple((-1, value) for value in compiled.lifted_values)
+            normalized, (), tuple((-1, value) for value in normalized.lifted_values)
         )
     probed = slots_with_sentinels(positions)
     if probed is None:
@@ -362,35 +351,67 @@ def record_template(
         if probed is None or probed[1] != slots:
             return None
         fingerprint = probed[0]
-    if fingerprint != compiled.fingerprint:
+    if fingerprint != normalized.fingerprint:
         return None
     kept = tuple((pos, literals[pos]) for pos in positions if pos not in fed)
-    template = StatementTemplate(compiled, kept, tuple(slots))
+    return _verified(StatementTemplate(normalized, kept, tuple(slots)), scanned)
+
+
+def token_template(
+    scanned: Scanned, compiled: Any, positions: Sequence[Optional[int]], pinned: Set[int]
+) -> Optional[StatementTemplate]:
+    """The template of a scanned text whose compiler reported, for each of
+    *compiled*'s lifted values, the position of the literal token it was
+    parsed from (None: not from one), so no sentinel probe is needed.
+
+    A token in *pinned* is kept whatever it feeds, and so is a token whose
+    value a constant slot also holds: that slot may be a copy of it.
+    """
+    _, numbers, strings, literals = scanned
+
+    def value(pos: int) -> Any:
+        return _number(numbers[pos]) if numbers[pos] else strings[pos][1:-1].replace("''", "'")
+
+    values = compiled.lifted_values
+    constants = {v for v, pos in zip(values, positions) if pos is None}
+    pinned = pinned | {pos for pos, lit in enumerate(literals) if lit and value(pos) in constants}
+    slots: List[Tuple[int, Any]] = []
+    for v, pos in zip(values, positions):
+        if pos is None or pos in pinned:
+            slots.append((-1, v))
+        else:
+            slots.append((pos, 0 if strings[pos] else 1 if v == value(pos) else -1))
+    fed = {pos for pos, _ in slots if pos >= 0}
+    kept = tuple((pos, lit) for pos, lit in enumerate(literals) if lit and pos not in fed)
+    return _verified(StatementTemplate(compiled, kept, tuple(slots)), scanned)
+
+
+def _verified(template: StatementTemplate, scanned: Scanned) -> Optional[StatementTemplate]:
+    """*template*, if binding *scanned* gives back, typed, the lifted values
+    it was derived from."""
     bound = template.bind(scanned)
-    expected = compiled.lifted_values
+    expected = template.compiled.lifted_values
     if bound is None or [(type(v), v) for v in bound] != [(type(v), v) for v in expected]:
         return None
     return template
 
 
 def bind_rows(stmt: ast.Statement, values: Sequence[Any]) -> ast.Statement:
-    """The normalized query *stmt* with the rows of its relation-valued
-    slots put back from its parameter *values*, for the optimizer's
-    estimates: a copy (sharing the rows) when it has such slots, else *stmt*."""
-    if not any(
-        isinstance(ref, ast.RowsTable) and ref.param is not None
-        for query in ast.queries(stmt)
-        if isinstance(query, ast.SelectStmt)
-        for ref in ast.table_refs(query)
+    """The normalized query *stmt* with the rows of its relation-valued FROM
+    items put back from its parameter *values*, for the optimizer's
+    estimates: a shallow copy when it has such items (XNF's generated
+    queries, which hold them at the top level), else *stmt*."""
+    if not isinstance(stmt, ast.SelectStmt) or not any(
+        isinstance(ref, ast.RowsTable) and ref.param is not None for ref in stmt.from_tables
     ):
         return stmt
-    stmt = copy.deepcopy(stmt, {id(value): value for value in values})
-    for query in ast.queries(stmt):
-        if isinstance(query, ast.SelectStmt):
-            for ref in ast.table_refs(query):
-                if isinstance(ref, ast.RowsTable) and ref.param is not None:
-                    ref.rows = values[ref.param]
-    return stmt
+    tables = [
+        replace(ref, rows=values[ref.param])
+        if isinstance(ref, ast.RowsTable) and ref.param is not None
+        else ref
+        for ref in stmt.from_tables
+    ]
+    return replace(stmt, from_tables=tables)
 
 
 # ===========================================================================
@@ -509,14 +530,13 @@ class PlanCache:
     def remember(
         self,
         scanned: Scanned,
-        compiled: Any,
-        probe: Callable[[str], Any] = _normalize_text,
+        derive: Callable[[], Optional[StatementTemplate]],
         scope: Any = None,
     ) -> None:
-        """Keep what the text *scanned* was just *compiled* to (by *probe*:
-        a parameter-free statement normalized, or an XNF TAKE's CO program
-        under *scope*) as the template :meth:`match` finds.  A shape whose
-        template :func:`record_template` rejected is not probed again."""
+        """Keep the template *derive* makes of the text *scanned* just
+        compiled (a SQL statement under scope None, an XNF TAKE's CO program
+        under its scope) for :meth:`match`.  A shape whose template was
+        rejected leaves a marker and is not derived again."""
         key = (scope, scanned[0])
         with self._mutex:
             if scope is not None:
@@ -525,9 +545,7 @@ class PlanCache:
                 t.compiled is None for t in self._templates.get(key, ())
             ):
                 return
-        template = record_template(scanned, compiled, probe) or StatementTemplate(
-            None, (), ()
-        )
+        template = derive() or StatementTemplate(None, (), ())
         with self._mutex:
             self._templates[key] = (template,) + self._templates.pop(key, ())
             self._count(key, 1)

@@ -18,7 +18,7 @@ the OUT OF / RELATE / TAKE constructs on top.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ParseError
 from repro.relational.sql import ast
@@ -52,6 +52,9 @@ class SQLParser:
         self.toks = tokenize(source, hyphen_idents=self.hyphen_idents)
         self.pos = 0
         self._param_count = 0  # ordinal for ? placeholders, per batch
+        #: when a dict: each literal node parsed from a NUMBER or STRING
+        #: token, by id, with that token's position
+        self.literal_tokens: Optional[Dict[int, Tuple[ast.Literal, int]]] = None
 
     # -- token helpers -------------------------------------------------------
 
@@ -421,23 +424,31 @@ class SQLParser:
             if isinstance(operand, ast.Literal) and isinstance(
                 operand.value, (int, float)
             ):
-                return ast.Literal(-operand.value)
+                return self._literal(-operand.value, operand)
             return ast.UnaryOp("-", operand)
         if self.at_op("+"):
             self.advance()
             return self._parse_unary()
         return self.parse_primary()
 
+    def _literal(self, value: Any, folded: Optional[ast.Literal] = None) -> ast.Literal:
+        """A literal of the token just read, or of *folded*'s token."""
+        node = ast.Literal(value)
+        tokens = self.literal_tokens
+        if tokens is not None and (folded is None or id(folded) in tokens):
+            tokens[id(node)] = (node, self.pos - 1 if folded is None else tokens[id(folded)][1])
+        return node
+
     def parse_primary(self) -> ast.Expr:
         tok = self.peek()
         if tok.kind == NUMBER:
             self.advance()
             if "." in tok.text or "e" in tok.text.lower():
-                return ast.Literal(float(tok.text))
-            return ast.Literal(int(tok.text))
+                return self._literal(float(tok.text))
+            return self._literal(int(tok.text))
         if tok.kind == STRING:
             self.advance()
-            return ast.Literal(tok.text)
+            return self._literal(tok.text)
         if tok.kind == OP and tok.text == "?":
             self.advance()
             param = ast.Parameter(self._param_count)

@@ -208,16 +208,21 @@ class XNFSession:
         """Run one statement.  A TAKE text of a shape run before in this
         scope (the same tokens but for literal values) runs the compiled
         program the plan cache kept, its literals bound from the tokens."""
-        scanned = None
+        scanned: Optional[Scanned] = None
+        scope: Any = None
+        literal_tokens: Optional[Dict[int, Any]] = None
         if isinstance(source, str):
             scanned = scan_statement(source, XNF_TOKENS)
-            found = scanned and self.db.plan_cache.match(
-                scanned, self._scope(scanned), self.db.catalog
-            )
-            if found:
-                return take(found[0].compiled, found[1])
+            if scanned is not None:
+                scope = self._scope(scanned)
+                found = self.db.plan_cache.match(scanned, scope, self.db.catalog)
+                if found:
+                    return take(found[0].compiled, found[1])
+                literal_tokens = {}
         statements = (
-            parse_xnf_statements(source) if isinstance(source, str) else [source]
+            parse_xnf_statements(source, literal_tokens)
+            if isinstance(source, str)
+            else [source]
         )
         if len(statements) != 1:
             raise XNFError("execute() takes exactly one XNF statement")
@@ -232,7 +237,12 @@ class XNFSession:
             return None
         assert isinstance(statement, xast.XNFQuery)
         if statement.action == "TAKE":
-            return take(self._compile(statement, scanned), None)
+            program = self._compile(statement)
+            if literal_tokens is not None:
+                self.db.plan_cache.remember(
+                    scanned, lambda: program.template(scanned, literal_tokens), scope
+                )
+            return take(program, None)
         if statement.action == "DELETE":
             return self._run_co_delete(statement)
         if statement.action == "UPDATE":
@@ -411,22 +421,8 @@ class XNFSession:
             timeout_s=self.timeout_s,
         )
 
-    def _compile(
-        self, query: xast.XNFQuery, scanned: Optional[Scanned] = None, name: str = ""
-    ) -> COProgram:
-        """Resolve and compile *query*; the program of a TAKE text
-        (*scanned*, its token scan) goes to the plan cache for the next
-        text of its shape."""
-        compiler = self._compiler()
-        program = compiler.compile(resolve(query, self.views, name))
-        if scanned is not None:
-
-            def probe(text: str):
-                (probed,) = parse_xnf_statements(text)
-                return compiler.compile(resolve(probed, self.views), program.columns)
-
-            self.db.plan_cache.remember(scanned, program, probe, self._scope(scanned))
-        return program
+    def _compile(self, query: xast.XNFQuery, name: str = "") -> COProgram:
+        return self._compiler().compile(resolve(query, self.views, name))
 
     def _extract(self, program: COProgram, literals: Optional[List[Any]] = None):
         """Instantiate *program* from one database state: every generated

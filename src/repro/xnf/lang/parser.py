@@ -17,7 +17,7 @@ notation; inside XNF text write subtraction with surrounding spaces.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ParseError
 from repro.relational.sql import ast as sql_ast
@@ -340,5 +340,12 @@ def parse_xnf(source: str) -> xast.XNFStatement:
     return statements[0]
 
 
-def parse_xnf_statements(source: str) -> List[xast.XNFStatement]:
-    return XNFParser(source).parse_xnf_statements()
+def parse_xnf_statements(
+    source: str, literal_tokens: Optional[Dict[int, Tuple[Any, int]]] = None
+) -> List[xast.XNFStatement]:
+    """Parse *source*; *literal_tokens*, if given, receives each literal
+    node parsed from a literal token, with its position (see
+    :attr:`SQLParser.literal_tokens`)."""
+    parser = XNFParser(source)
+    parser.literal_tokens = literal_tokens
+    return parser.parse_xnf_statements()

@@ -42,8 +42,11 @@ from repro.relational.catalog import Catalog
 from repro.relational.engine import Database
 from repro.relational.plancache import (
     NormalizedStatement,
+    Scanned,
+    StatementTemplate,
     normalize_statement,
     referenced_objects,
+    token_template,
 )
 from repro.relational.sql import ast as sql_ast
 from repro.xnf import sharding
@@ -128,14 +131,9 @@ class COProgram:
     dependencies: Dict[str, int]
     #: at most this many memoized paths (the plan cache's capacity)
     path_limit: int
-    #: (component, literal node, index) of each ``lifted_values`` entry
-    #: that comes from a literal of the schema
-    sites: List[Tuple[str, sql_ast.Literal, int]] = field(default_factory=list)
+    #: the schema component and literal node each of ``lifted_values`` is from
+    sources: List[Tuple[str, sql_ast.Literal]] = field(default_factory=list)
     paths: Dict[str, List[xast.PathStep]] = field(default_factory=dict)
-
-    @property
-    def fingerprint(self) -> Tuple[str, ...]:
-        return tuple(query.normalized.fingerprint for query in self.queries.values())
 
     def stale(self, catalog: Catalog) -> bool:
         return any(
@@ -147,14 +145,33 @@ class COProgram:
         """*schema* (the program's, or its TAKE projection) with a hit's
         *literals* in place of the program's: the components holding one
         are copied."""
-        memo = {id(site): replace(site, value=literals[i]) for _, site, i in self.sites}
-        holders = {component for component, _, _ in self.sites}
+        memo = {id(node): replace(node, value=value)
+                for (_, node), value in zip(self.sources, literals)}
+        holders = {component for component, _ in self.sources}
         bound = copy.copy(schema)
         bound.nodes = {n: copy.deepcopy(c, memo) if n in holders else c
                        for n, c in schema.nodes.items()}
         bound.edges = {n: copy.deepcopy(c, memo) if n in holders else c
                        for n, c in schema.edges.items()}
         return bound
+
+    def template(
+        self, scanned: Scanned, literal_tokens: Dict[int, Tuple[Any, int]]
+    ) -> Optional[StatementTemplate]:
+        """The plan-cache template of the text *scanned* that compiled to
+        this program, its parse having put each literal node's token in
+        *literal_tokens*.  A literal left in a query (a SELECT-list
+        constant, say) pins its token: its value is in the plans."""
+        positions = [literal_tokens.get(id(node), (None, None))[1] for _, node in self.sources]
+        pinned = {
+            literal_tokens[id(node)][1]
+            for query in self.queries.values()
+            for block in sql_ast.queries(query.normalized.statement)
+            for expr in sql_ast.clause_exprs(block)
+            for node in sql_ast.walk(expr)
+            if id(node) in literal_tokens
+        }
+        return token_template(scanned, self, positions, pinned)
 
     def path_steps(self, text: str) -> List[xast.PathStep]:
         steps = self.paths.get(text)
@@ -235,40 +252,33 @@ class XNFCompiler:
             self._record_co_stats(schema, instance, time.perf_counter() - started)
             return instance
 
-    def compile(
-        self, schema: COSchema, columns: Optional[Dict[str, List[str]]] = None
-    ) -> COProgram:
-        """Compile *schema* into its :class:`COProgram` (*columns* are the
-        node headers, when already known)."""
-        if columns is None:
-            columns = {
-                name: self._node_columns(node) for name, node in schema.nodes.items()
-            }
+    def compile(self, schema: COSchema) -> COProgram:
+        """Compile *schema* into its :class:`COProgram`."""
+        columns = {name: self._node_columns(node) for name, node in schema.nodes.items()}
         catalog = self.db.catalog
         queries: Dict[Any, GeneratedQuery] = {}
         literals: List[Any] = []
         dependencies: Dict[str, int] = {}
-        sites: Dict[int, Tuple[str, sql_ast.Literal, int]] = {}
+        sources: List[Tuple[str, sql_ast.Literal]] = []
         for key, query in self._generate(schema, columns).items():
-            sources: List[Any] = []
-            normalized = normalize_statement(query, sources)
+            lifted_from: List[Any] = []
+            normalized = normalize_statement(query, lifted_from)
             if normalized.n_explicit:
                 raise SQLError("statement contains ? parameters; use Database.prepare()")
             layout: List[Any] = []
-            for value, source in zip(normalized.lifted_values, sources):
+            for value, source in zip(normalized.lifted_values, lifted_from):
                 if isinstance(value, _Rows):
                     layout.append(value)
                 else:
-                    component = key if isinstance(key, str) else key[0]
-                    sites.setdefault(id(source), (component, source, len(literals)))
                     layout.append(len(literals))
                     literals.append(value)
+                    sources.append((key if isinstance(key, str) else key[0], source))
             queries[key] = GeneratedQuery(normalized, tuple(layout))
             for name in referenced_objects(normalized.statement, catalog):
                 dependencies[name] = catalog.object_version(name)
         return COProgram(
             schema, columns, queries, literals, dependencies,
-            self.db.plan_cache.capacity, list(sites.values()),
+            self.db.plan_cache.capacity, sources,
         )
 
     def _record_co_stats(

@@ -17,8 +17,10 @@ from repro.relational.engine import Database
 from repro.relational.plancache import (
     PlanCache,
     normalize_statement,
+    record_template,
     referenced_objects,
     scan_statement,
+    token_template,
 )
 from repro.relational.sql import ast
 from repro.relational.sql.parser import parse_statements
@@ -867,6 +869,12 @@ class _ParseCounter:
         monkeypatch.setattr(engine_module, "parse_statements", counted)
 
 
+def remember(cache, sql, tree):
+    """Keep the template of *sql*, which the tree path ran as *tree*."""
+    scanned = scan_statement(sql)
+    cache.remember(scanned, lambda: record_template(scanned, tree))
+
+
 def _typed(values):
     return [(type(value), value) for value in values]
 
@@ -978,7 +986,7 @@ def test_fingerprint_corpus_token_path(sql):
     cache = PlanCache()
     if tree.n_explicit or not isinstance(stmt, Database._TEMPLATED):
         return  # ``?`` statements and INSERTs always take the tree path
-    cache.remember(scan_statement(sql), tree)
+    remember(cache, sql, tree)
     assert cache.stats()["templates"] == 1
     matched = cache.match(scan_statement(sql))
     assert matched is not None
@@ -1013,27 +1021,46 @@ class TestTemplates:
     def test_literal_kind_is_part_of_a_folded_slot(self):
         cache = PlanCache()
         sql = "SELECT a FROM T WHERE b = -1"
-        cache.remember(scan_statement(sql), normalize_statement(_one(sql)))
+        remember(cache, sql, normalize_statement(_one(sql)))
         assert cache.match(scan_statement("SELECT a FROM T WHERE b = -7"))[1] == [-7]
         assert cache.match(scan_statement("SELECT a FROM T WHERE b = -'1'")) is None
         assert cache.match(scan_statement("SELECT a FROM T WHERE b = -1 -")) is None
 
-    def test_a_rejected_shape_is_not_probed_again(self):
+    def test_a_rejected_shape_is_not_derived_again(self):
         """A text whose template is rejected keeps a marker in its key's
-        place: later texts of its shape compile, but are not re-probed."""
+        place: later texts of its shape compile, but no template is derived
+        for them again."""
         cache = PlanCache()
-        probes = []
+        derived = []
 
-        def probe(text):
-            probes.append(text)
-            raise ValueError("no template")
+        def reject(sql):
+            derived.append(sql)
+            return None
 
         for n in (1, 2, 3):
             sql = f"SELECT a FROM T WHERE b = {n}"
-            cache.remember(scan_statement(sql), normalize_statement(_one(sql)), probe)
+            cache.remember(scan_statement(sql), lambda: reject(sql))
             assert cache.match(scan_statement(sql)) is None
-        assert len(probes) == 1
+        assert len(derived) == 1
         assert cache.stats()["templates"] == 1  # the marker holds an LRU slot
+
+    def test_token_template_keeps_tokens_it_cannot_trust(self):
+        """A template from the parser's literal tokens: a pinned token is
+        kept whatever it feeds, and so is a token whose value a slot no
+        token was reported for holds (that slot may be a copy of it)."""
+        sql = "SELECT a FROM T WHERE b = 5 AND c = 6 AND d = 5"
+        scanned = scan_statement(sql)
+        tree = normalize_statement(_one(sql))
+        five, six, five_again = [pos for pos, lexeme in enumerate(scanned[3]) if lexeme]
+        template = token_template(scanned, tree, [five, six, five_again], set())
+        assert (template.kept, template.slots) == ((), ((five, 1), (six, 1), (five_again, 1)))
+        template = token_template(scanned, tree, [five, six, five_again], {six})
+        assert template.kept == ((six, "6"),)
+        assert template.slots == ((five, 1), (-1, 6), (five_again, 1))
+        # the first slot may copy either 5: both are kept
+        template = token_template(scanned, tree, [None, six, five_again], set())
+        assert template.kept == ((five, "5"), (five_again, "5"))
+        assert template.slots == ((-1, 5), (six, 1), (-1, 5))
 
     def test_zero_capacity_and_analyze_mode_always_parse(self, monkeypatch):
         db = Database(plan_cache_capacity=0)

@@ -163,6 +163,24 @@ def test_sessions_share_programs_that_read_no_view():
     assert db.plan_cache.stats()["program_misses"] == misses + 1
 
 
+def test_a_literal_also_left_in_a_plan_pins_its_token():
+    """A relationship attribute's literal reaches the generated queries
+    twice: in the SELECT list, where it stays, and through a SUCH THAT on
+    the attribute, where it is lifted.  Its token is kept, so a text with
+    another value compiles instead of binding it into only one place."""
+    text = (
+        "OUT OF Xp AS P, Xc AS C, has AS (RELATE Xp, Xc WITH ATTRIBUTES Xc.w * {k} AS ww"
+        " WHERE Xp.pid = Xc.cp) WHERE has (p, c) SUCH THAT ww > 11 TAKE *"
+    )
+    db = small_db()
+    session = XNFSession(db)
+    outcome(session, text.format(k=2))
+    misses = db.plan_cache.stats()["program_misses"]
+    warm = outcome(session, text.format(k=3))
+    assert db.plan_cache.stats()["program_misses"] == misses + 1
+    assert warm == outcome(session, cold_statement(text.format(k=3)))
+
+
 def test_concurrent_sessions_bind_their_own_literals():
     """Sessions on several threads share the plan cache and the generated
     queries' plans; each TAKE still binds its own text's literals."""
