@@ -453,16 +453,17 @@ class Database:
         any other text is parsed under a ``statement`` span, and a single
         cacheable statement leaves its template behind for the next time.
         """
-        scanned = None
         if self.plan_cache.capacity > 0 and not self.analyze_statements:
             start = time.perf_counter()
             scanned = scan_statement(sql)
-            matched = scanned and self.plan_cache.match(scanned)
-            if matched:
+            matched = None if scanned is None else self.plan_cache.match(scanned)
+            if matched is not None:
                 self.last_timings["parse"] = time.perf_counter() - start
                 template, values = matched
                 normalized = template.compiled
                 return self._run_statement(normalized.statement, normalized, values, sql)
+        else:
+            scanned = None
         with self.tracer.span("statement", sql=sql[:200]):
             start = time.perf_counter()
             with self.tracer.span("parse"):

@@ -254,8 +254,7 @@ class StatementTemplate:
     """What compiling one text derived from it, keyed by its tokens.
 
     ``compiled`` is the statement with its literals lifted (its fingerprint
-    is computed once), or the CO program of an XNF TAKE; None marks a shape
-    whose template was rejected.  ``kept`` pins the literal tokens whose
+    is computed once), or the CO program of an XNF TAKE.  ``kept`` pins the literal tokens whose
     value shaped that fingerprint — LIMIT/OFFSET, literals of SELECT lists,
     GROUP BY, HAVING and ORDER BY — as (token position, lexeme).  ``slots``
     says where each lifted value comes from: (token position, sign) for a
@@ -270,13 +269,11 @@ class StatementTemplate:
 
     def stale(self, catalog: Catalog) -> bool:
         """A CO program whose tables changed catalog version."""
-        return self.compiled is not None and self.compiled.stale(catalog)
+        return self.compiled.stale(catalog)
 
     def bind(self, scanned: Scanned) -> Optional[List[Any]]:
         """The lifted values of a text with this template's key, or None
         when a kept literal differs or a slot holds the other literal kind."""
-        if self.compiled is None:
-            return None
         _, numbers, strings, literals = scanned
         for pos, lexeme in self.kept:
             if literals[pos] != lexeme:
@@ -480,7 +477,8 @@ class PlanCache:
         self.invalidations = 0
         self.evictions = 0
         #: templates by (scope, token key), LRU, at most ``capacity`` in all
-        #: (one key holds a variant per differing kept-literal value): SQL
+        #: (one key holds a variant per differing kept-literal value; a
+        #: shape whose template was rejected holds none, in one slot): SQL
         #: statements under scope None, XNF TAKEs' CO programs under theirs
         self._templates: "OrderedDict[Any, Tuple[StatementTemplate, ...]]" = OrderedDict()
         self._template_count = 0
@@ -536,18 +534,21 @@ class PlanCache:
         """Keep the template *derive* makes of the text *scanned* just
         compiled (a SQL statement under scope None, an XNF TAKE's CO program
         under its scope) for :meth:`match`.  A shape whose template was
-        rejected leaves a marker and is not derived again."""
+        rejected, and that holds no other variant, keeps an empty entry (one
+        LRU slot) and is not derived again."""
         key = (scope, scanned[0])
         with self._mutex:
             if scope is not None:
                 self.program_misses += 1
-            if self.capacity <= 0 or any(
-                t.compiled is None for t in self._templates.get(key, ())
-            ):
+            if self.capacity <= 0 or self._templates.get(key) == ():
                 return
-        template = derive() or StatementTemplate(None, (), ())
+        template = derive()
         with self._mutex:
-            self._templates[key] = (template,) + self._templates.pop(key, ())
+            variants = self._templates.pop(key, ())
+            if template is None and variants:
+                self._templates[key] = variants  # its other kept-literal values still match
+                return
+            self._templates[key] = () if template is None else (template,) + variants
             self._count(key, 1)
             while self._template_count > self.capacity:
                 oldest, variants = next(iter(self._templates.items()))
