@@ -101,12 +101,8 @@ class RemoteCO:
     """
 
     def __init__(self, client: "WireClient", payload: Dict[str, Any]):
-        schema, stream = decode_stream(
-            payload["co"], WireResult(client, payload).rows()
-        )
-        cache = COCache(schema)
-        for item in stream:  # the same loader as an in-process TAKE's
-            cache.consume(item)
+        # the same loader as an in-process TAKE's
+        cache = COCache.load(decode_stream(payload["co"], WireResult(client, payload).rows()))
         self._cache: Optional[COCache] = cache
         #: node name -> tuple count (as extracted)
         self.nodes: Dict[str, int] = {

@@ -509,6 +509,28 @@ class Table:
             return [(rid,) + row for rid, row in found]
         return [row for _rid, row in found]
 
+    def probe_many(
+        self,
+        keys: Sequence[Any],
+        rid_lists: Sequence[Sequence[RID]],
+        verify: Callable[[Tuple[Any, ...], Any], bool],
+    ) -> List[List[Tuple[Any, ...]]]:
+        """:meth:`probe` of each ``(key, rids)`` pair of a batch of index
+        probes, reading every RID in page order with one ``fetch_rows`` —
+        one pin per page per batch — and checking the version entries once,
+        lock-free, after that read.  Clean, each key's rows pass through as
+        read, in its RIDs' order.  On a versioned table, or when a row left
+        the heap after the index search, each key is probed on its own."""
+        wanted = sorted({rid for rids in rid_lists for rid in rids})
+        try:
+            read = dict(zip(wanted, self.heap.fetch_rows(wanted)))
+        except (ExecutionError, PageNotFoundError):
+            read = None  # a row left the heap after the index search
+        # lock-free clean check after the read (see VersionStore.dirty)
+        if read is not None and not self._catalog.mvcc.store._tables.get(self.mvcc_name):
+            return [[read[rid] for rid in rids] for rids in rid_lists]
+        return [self.probe(rids, verify, key) for key, rids in zip(keys, rid_lists)]
+
     def _fetch_or_none(self, rid: RID) -> Optional[Tuple[Any, ...]]:
         try:
             return self.heap.fetch_row(rid)

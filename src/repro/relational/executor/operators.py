@@ -360,7 +360,9 @@ class HashJoin(PlanOp):
 
 
 class IndexNLJoin(PlanOp):
-    """Index nested-loop join: per outer row, probe an inner-table index."""
+    """Index nested-loop join: per outer batch, one probe of an inner-table
+    index with the batch's distinct keys; each outer row then joins its
+    key's inner rows, in RID order."""
 
     def __init__(
         self,
@@ -390,21 +392,32 @@ class IndexNLJoin(PlanOp):
         if inner_filter is not None:
             self.label += f" filter {inner_filter_text}"
 
+    def _inner_rows(self, values: Sequence[Any], env: Env) -> Dict[Any, List[Row]]:
+        """Each distinct non-NULL key of *values* -> its filtered inner rows
+        (keys that compare equal, such as 1 and 1.0, share one entry)."""
+        distinct = list(dict.fromkeys(value for value in values if value is not None))
+        if not distinct:
+            return {}
+        keys = [(value,) for value in distinct]
+        found = self.table.probe_many(keys, self.index.search_many(keys), self._verify)
+        inner_filter = self.inner_filter
+        if inner_filter is not None:
+            found = [[row for row in rows if inner_filter(row, env) is True] for rows in found]
+        return dict(zip(distinct, found))
+
     def batches(self, env: Env) -> Iterator[Batch]:
-        residual, inner_filter = self.residual, self.inner_filter
+        residual = self.residual
         pad = (None,) * self.right_width
         left_join = self.kind == "LEFT"
-        probe, search, verify = self.table.probe, self.index.search, self._verify
         out: List[Row] = []
         append = out.append
         for batch in self.left.batches(env):
-            for value, left_row in zip(_join_keys([self.key_fn], batch, env), batch.to_rows()):
+            values = _join_keys([self.key_fn], batch, env)
+            inner = self._inner_rows(values, env)
+            for value, left_row in zip(values, batch.to_rows()):
                 matched = False
                 if value is not None:
-                    key = (value,)
-                    for row in probe(search(key), verify, key):
-                        if inner_filter is not None and inner_filter(row, env) is not True:
-                            continue
+                    for row in inner[value]:
                         combined = left_row + row
                         if residual is None or residual(combined, env) is True:
                             matched = True

@@ -97,6 +97,11 @@ class Index:
     def search(self, key: Key) -> List[RID]:
         raise NotImplementedError
 
+    def search_many(self, keys: Sequence[Key]) -> List[List[RID]]:
+        """:meth:`search` of each of *keys* under one latch acquisition."""
+        with self._latch:
+            return [self.search(key) for key in keys]
+
     def range_scan(
         self,
         low: Optional[Key] = None,

@@ -13,7 +13,7 @@ Design notes
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Set, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Set, Tuple
 
 import bisect
 
@@ -28,7 +28,7 @@ NormKey = Tuple[Any, ...]
 
 
 def _normalise(key: Key) -> NormKey:
-    return tuple(sort_key(component) for component in key)
+    return tuple(map(sort_key, key))
 
 
 class _Leaf:
@@ -72,6 +72,39 @@ class BTreeIndex(Index):
             if pos < len(leaf.keys) and leaf.keys[pos] == norm:
                 return sorted(leaf.values[pos][1])
             return []
+
+    def search_many(self, keys: Sequence[Key]) -> List[List[RID]]:
+        """:meth:`search` of each of *keys*, in one pass over the leaves.
+
+        The keys are visited in normalised order: one descent finds the
+        first, and each later key walks on along the leaf chain.  Leaf keys
+        are globally sorted along the chain, so a key is in the first leaf
+        whose largest key is not below it; leaves emptied by lazy deletes
+        are stepped over.  A key beyond the next leaf re-descends instead,
+        so sparse keys cost a descent each, never a walk over the leaves
+        between them.
+        """
+        found: List[List[RID]] = [[] for _ in keys]
+        if not keys:
+            return found
+        norms = [_normalise(key) for key in keys]
+        order = sorted(range(len(norms)), key=norms.__getitem__)
+        with self._latch:
+            leaf = self._find_leaf(norms[order[0]])
+            for i in order:
+                norm = norms[i]
+                while not leaf.keys or leaf.keys[-1] < norm:
+                    after = leaf.next
+                    if after is None:
+                        break
+                    if after.keys and after.keys[-1] < norm:
+                        leaf = self._find_leaf(norm)
+                        break
+                    leaf = after
+                pos = bisect.bisect_left(leaf.keys, norm)
+                if pos < len(leaf.keys) and leaf.keys[pos] == norm:
+                    found[i] = sorted(leaf.values[pos][1])
+        return found
 
     def range_scan(
         self,

@@ -207,11 +207,14 @@ class XNFSession:
                  take: Callable[[COProgram, Optional[List[Any]]], Any]) -> Any:
         """Run one statement.  A TAKE text of a shape run before in this
         scope (the same tokens but for literal values) runs the compiled
-        program the plan cache kept, its literals bound from the tokens."""
+        program the plan cache kept, its literals bound from the tokens.
+        View DDL never runs a program, so its text is not looked up."""
         scanned: Optional[Scanned] = None
         scope: Any = None
         literal_tokens: Optional[Dict[int, Any]] = None
-        if isinstance(source, str):
+        if isinstance(source, str) and not source.lstrip()[:6].upper().startswith(
+            ("CREATE", "DROP")
+        ):
             scanned = scan_statement(source, XNF_TOKENS)
             if scanned is not None:
                 scope = self._scope(scanned)

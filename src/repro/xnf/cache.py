@@ -19,12 +19,7 @@ from repro.errors import XNFError
 from repro.xnf.lang import xast
 from repro.xnf.schema import COSchema
 from repro.xnf.semantic_rewrite import COInstance, COProgram
-from repro.xnf.stream import (
-    ConnectionItem,
-    SchemaItem,
-    TupleItem,
-    heterogeneous_stream,
-)
+from repro.xnf.stream import load_order
 
 Row = Tuple[Any, ...]
 
@@ -226,10 +221,48 @@ class COCache:
 
     @classmethod
     def load(cls, instance: COInstance) -> "COCache":
-        """Build the cache by consuming the heterogeneous answer stream."""
+        """Build the cache straight from *instance*: every node's tuples,
+        then each edge's connections, wired to the tuples by row.  Edges
+        come in the answer stream's order (:func:`load_order`), so a
+        tuple's per-edge connection lists are keyed as a stream reader
+        would key them."""
         cache = cls(instance.schema)
-        for item in heterogeneous_stream(instance):
-            cache.consume(item)
+        index = cache._index
+        for name in cache.tuples:
+            columns = list(instance.columns[name])
+            cache.columns[name] = columns
+            cache._positions[name] = {col.upper(): pos for pos, col in enumerate(columns)}
+            tuples = cache.tuples[name]
+            for row in instance.rows[name]:
+                cached = CachedTuple(name, row, cache)
+                tuples.append(cached)
+                index[(name, row)] = cached
+        find = index.get
+        for _node, edges in load_order(instance.schema):
+            for edge in edges:
+                name = edge.name
+                attr_names = cache.edge_attributes[name] = edge.attribute_names()
+                parent_node, child_nodes = edge.parent, edge.child_names()
+                binary, child_node = edge.is_binary, child_nodes[0]
+                connections = cache.edge_connections[name]
+                for parent_row, child_rows, attrs in instance.connections[name]:
+                    parent = find((parent_node, parent_row))
+                    if binary:
+                        children = [find((child_node, child_rows[0]))]
+                    else:
+                        children = [find(key) for key in zip(child_nodes, child_rows)]
+                    if parent is None or None in children:
+                        raise XNFError(
+                            f"connection of {name!r} references a tuple "
+                            "missing from the stream"
+                        )
+                    conn = Connection(
+                        name, parent, children[0], dict(zip(attr_names, attrs)), children[1:]
+                    )
+                    connections.append(conn)
+                    parent.children.setdefault(name, []).append(conn)
+                    for partner in children:
+                        partner.parents.setdefault(name, []).append(conn)
         return cache
 
     def instance(self) -> COInstance:
@@ -250,47 +283,6 @@ class COCache:
                 for conn in self.connections_of(name)
             ]
         return instance
-
-    def consume(self, item) -> None:
-        if isinstance(item, SchemaItem):
-            if item.kind == "node":
-                self.columns[item.component] = list(item.columns)
-                self._positions[item.component] = {
-                    col.upper(): pos for pos, col in enumerate(item.columns)
-                }
-            else:
-                self.edge_attributes[item.component] = list(item.columns)
-            return
-        if isinstance(item, TupleItem):
-            self._add_tuple(item.component, item.row)
-            return
-        if isinstance(item, ConnectionItem):
-            edge = self._edge(item.component)
-            parent = self._index.get((edge.parent, item.parent_row))
-            children = [
-                self._index.get((child_name, child_row))
-                for child_name, child_row in zip(
-                    edge.child_names(), item.child_rows
-                )
-            ]
-            if parent is None or any(child is None for child in children):
-                raise XNFError(
-                    f"connection of {item.component!r} references a tuple "
-                    "missing from the stream"
-                )
-            attr_names = self.edge_attributes.get(item.component, [])
-            attributes = dict(zip(attr_names, item.attributes))
-            self.add_connection(
-                item.component, parent, children[0], attributes, children[1:]
-            )
-            return
-        raise XNFError(f"unknown stream item {item!r}")
-
-    def _edge(self, name: str):
-        edge = self.schema.edges.get(name)
-        if edge is None:
-            raise XNFError(f"unknown relationship {name!r}")
-        return edge
 
     def _add_tuple(self, node: str, row: Row) -> CachedTuple:
         cached = CachedTuple(node, row, self)

@@ -58,26 +58,15 @@ class ConnectionItem:
 StreamItem = Union[SchemaItem, TupleItem, ConnectionItem]
 
 
-def heterogeneous_stream(instance: COInstance) -> Iterator[StreamItem]:
-    """Linearise *instance* into a tagged stream.
-
-    Order: schema headers, then nodes in BFS order from the roots (parents
-    before children, so the cache can wire pointers as connections arrive),
-    each followed by the connections of the edges arriving *into* the nodes
-    already emitted.
-    """
-    schema = instance.schema
-    for name in schema.nodes:
-        yield SchemaItem("node", name, tuple(instance.columns[name]))
-    for edge in schema.edges.values():
-        yield SchemaItem(
-            "edge", edge.name, tuple(name for name, _ in edge.attributes)
-        )
-
-    emitted: List[str] = []
+def load_order(schema: COSchema) -> List[Tuple[str, List[EdgeSchema]]]:
+    """Each node in BFS order from the roots (parents before children),
+    paired with the edges whose partners are all placed once it is: the
+    order in which a single pass can wire every connection to tuples
+    already built."""
+    order: List[Tuple[str, List[EdgeSchema]]] = []
     remaining = set(schema.nodes)
     frontier = [name for name in schema.roots() if name in remaining]
-    emitted_edges = set()
+    placed_edges = set()
     while frontier or remaining:
         if not frontier:  # disconnected or cyclic leftovers
             frontier = [next(iter(remaining))]
@@ -86,29 +75,44 @@ def heterogeneous_stream(instance: COInstance) -> Iterator[StreamItem]:
             if name not in remaining:
                 continue
             remaining.discard(name)
-            emitted.append(name)
-            for row in instance.rows[name]:
-                yield TupleItem(name, row)
+            completed = []
             for edge in schema.edges.values():
-                if edge.name in emitted_edges:
+                if edge.name in placed_edges:
                     continue
                 partners_pending = edge.parent in remaining or any(
                     child in remaining for child in edge.child_names()
                 )
                 if not partners_pending:
-                    emitted_edges.add(edge.name)
-                    for parent_row, child_rows, attrs in instance.connections[
-                        edge.name
-                    ]:
-                        yield ConnectionItem(
-                            edge.name, parent_row, child_rows, attrs
-                        )
+                    placed_edges.add(edge.name)
+                    completed.append(edge)
+            order.append((name, completed))
             for edge in schema.edges.values():
                 if edge.parent == name:
                     for child in edge.child_names():
                         if child in remaining:
                             next_frontier.append(child)
         frontier = next_frontier
+    return order
+
+
+def heterogeneous_stream(instance: COInstance) -> Iterator[StreamItem]:
+    """Linearise *instance* into a tagged stream.
+
+    Order: schema headers, then nodes in :func:`load_order`, each followed
+    by the connections of the edges arriving *into* the nodes already
+    emitted.
+    """
+    schema = instance.schema
+    for name in schema.nodes:
+        yield SchemaItem("node", name, tuple(instance.columns[name]))
+    for edge in schema.edges.values():
+        yield SchemaItem("edge", edge.name, tuple(edge.attribute_names()))
+    for name, edges in load_order(schema):
+        for row in instance.rows[name]:
+            yield TupleItem(name, row)
+        for edge in edges:
+            for parent_row, child_rows, attrs in instance.connections[edge.name]:
+                yield ConnectionItem(edge.name, parent_row, child_rows, attrs)
 
 
 def encode_stream(instance: COInstance) -> Tuple[Dict[str, Any], List[list]]:
@@ -139,27 +143,31 @@ def encode_stream(instance: COInstance) -> Tuple[Dict[str, Any], List[list]]:
     return header, items
 
 
-def decode_stream(
-    header: Dict[str, Any], items: Iterable[Sequence[Any]]
-) -> Tuple[COSchema, List[StreamItem]]:
-    """Invert :func:`encode_stream`.  The schema carries names, roles and
-    projections: enough to navigate, nothing to derive tuples from."""
+def decode_stream(header: Dict[str, Any], items: Iterable[Sequence[Any]]) -> COInstance:
+    """Invert :func:`encode_stream` into the :class:`COInstance` it was
+    encoded from, ready for :meth:`COCache.load`.  The schema carries
+    names, roles, projections and attribute names: enough to navigate,
+    nothing to derive tuples from (an attribute's expression stays on the
+    server)."""
     schema = COSchema(header["name"])
-    stream: List[StreamItem] = []
+    instance = COInstance(schema)
     for name, columns, projection in header["nodes"]:
         schema.add_node(NodeSchema(name, projection=projection))
-        stream.append(SchemaItem("node", name, tuple(columns)))
+        instance.columns[name] = list(columns)
+        instance.rows[name] = []
     for name, parent, parent_role, child, child_role, extra, attrs in header["edges"]:
         schema.add_edge(EdgeSchema(
-            name, parent, child, parent_role=parent_role, child_role=child_role,
+            name, parent, child, attributes=[(attr, None) for attr in attrs],
+            parent_role=parent_role, child_role=child_role,
             extra_partners=[(partner, role) for partner, role in extra],
         ))
-        stream.append(SchemaItem("edge", name, tuple(attrs)))
+        instance.connections[name] = []
+    rows, connections = instance.rows, instance.connections
     for item in items:
-        if item[0] in schema.nodes:
-            stream.append(TupleItem(item[0], tuple(item[1])))
+        if item[0] in rows:
+            rows[item[0]].append(tuple(item[1]))
         else:
-            stream.append(ConnectionItem(
-                item[0], tuple(item[1]), tuple(map(tuple, item[2])), tuple(item[3])
-            ))
-    return schema, stream
+            connections[item[0]].append(
+                (tuple(item[1]), tuple(map(tuple, item[2])), tuple(item[3]))
+            )
+    return instance

@@ -267,6 +267,23 @@ class TestProbeFastPath:
         assert calls["resolve_batch"] > 0 and calls["candidates"] > 0
         writer.rollback()
 
+    def test_index_join_probes_a_clean_table_once_per_batch(self, make_db):
+        db = make_db()
+        rows = load(db, n=1000)
+        join = "SELECT S.x, T.id FROM S, T WHERE S.x = T.k"
+        assert "IndexNLJoin[INNER](T.ik)" in db.explain(join)
+        table = db.catalog.get_table("T")
+        per_key = []
+        probe = table.probe
+        table.probe = lambda *args: per_key.append(args) or probe(*args)
+        calls = count_store_reads(db)
+        got = db.execute(join).rows
+        assert calls == {"resolve": 0, "resolve_batch": 0, "candidates": 0}
+        assert per_key == []
+        assert sorted(got) == sorted(
+            (x, i) for x in (3, 9, 27) for i, (k, _c) in rows.items() if k == x
+        )
+
 
 class TestCounts:
     def test_pk_update_and_delete_probe_a_few_pages(self, make_db):

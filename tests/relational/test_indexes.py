@@ -192,3 +192,79 @@ class TestBTreePropertyBased:
             index.insert_row((key,), RID(0, pos))
         scanned = [k[0] for k, _ in index.range_scan((low,), (high,))]
         assert scanned == sorted(k for k in keys if low <= k <= high)
+
+
+class TestSearchMany:
+    """``search_many`` answers exactly what ``search`` answers, key by key,
+    in the order the keys were given."""
+
+    def _agrees(self, index, keys):
+        assert index.search_many(keys) == [index.search(key) for key in keys]
+
+    def test_missing_keys_and_duplicate_rids(self):
+        index = make_btree(order=4)
+        for i in range(60):
+            index.insert_row((i % 20,), RID(i // 10, i % 10))
+        keys = [(k,) for k in (19, -1, 0, 7, 7, 100, 3, 20, 11)]
+        found = index.search_many(keys)
+        assert found[0] == [RID(1, 9), RID(3, 9), RID(5, 9)]
+        assert found[1] == found[5] == found[7] == []
+        assert found[3] == found[4]
+        self._agrees(index, keys)
+        assert index.search_many([]) == []
+
+    def test_int_float_and_bool_keys_compare_equal(self):
+        index = make_btree(order=4)
+        for i in range(12):
+            index.insert_row((i,), RID(0, i))
+        keys = [(1.0,), (True,), (1,), (2.5,), (False,), (0,), (3,), (3.0,)]
+        found = index.search_many(keys)
+        assert found[0] == found[1] == found[2] == [RID(0, 1)]
+        assert found[3] == []
+        assert found[4] == found[5] == [RID(0, 0)]
+        self._agrees(index, keys)
+
+    def test_leaves_emptied_by_lazy_deletes(self):
+        index = make_btree(order=4)
+        for i in range(100):
+            index.insert_row((i,), RID(0, i))
+        # empty whole runs of leaves; the nodes stay in the chain
+        for i in list(range(10, 60)) + list(range(70, 95)):
+            index.delete_row((i,), RID(0, i))
+        keys = [(k,) for k in (5, 10, 30, 59, 60, 65, 70, 94, 95, 99, 200)]
+        assert [rids != [] for rids in index.search_many(keys)] == [
+            True, False, False, False, True, True, False, False, True, True, False,
+        ]
+        self._agrees(index, keys)
+        self._agrees(index, [(k,) for k in range(-5, 105)])
+
+    def test_hash_index_loops_under_one_latch(self):
+        index = make_hash()
+        for i in range(30):
+            index.insert_row((i % 10,), RID(0, i))
+        keys = [(3,), (3.0,), (True,), (42,), (9,)]
+        found = index.search_many(keys)
+        assert found[0] == found[1] == [RID(0, 3), RID(0, 13), RID(0, 23)]
+        assert found[3] == []
+        self._agrees(index, keys)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "insert", "delete"]),
+                st.integers(min_value=-40, max_value=40),
+                st.integers(min_value=0, max_value=3),
+            ),
+            max_size=250,
+        ),
+        st.lists(st.integers(min_value=-45, max_value=45), max_size=40),
+    )
+    def test_matches_search_after_inserts_and_deletes(self, operations, probes):
+        index = make_btree(order=4)
+        for op, key, slot in operations:
+            if op == "insert":
+                index.insert_row((key,), RID(0, slot))
+            else:
+                index.delete_row((key,), RID(0, slot))
+        self._agrees(index, [(key,) for key in probes])

@@ -41,14 +41,14 @@ EXPECTED = {
         (0, 175, 176, 0, 0, 0, 0),
     ],
     "design.checkout": [
-        (0, 18, 53, 1, 2, 8, 0),
-        (0, 18, 52, 2, 2, 8, 0),
-        (0, 18, 52, 2, 2, 8, 0),
+        (0, 18, 34, 1, 2, 8, 0),
+        (0, 18, 33, 2, 2, 8, 0),
+        (0, 18, 33, 2, 2, 8, 0),
     ],
-    "oo1.closure": [(0, 19, 7543, 0, 0, 19, 0)] * 2,
+    "oo1.closure": [(0, 19, 740, 0, 0, 19, 0), (0, 19, 737, 0, 0, 19, 0)],
     "oo1.closure_sharded": [
-        (0, 21, 7570, 0, 0, 21, 0),
-        (0, 20, 7570, 0, 0, 20, 0),
+        (0, 21, 800, 0, 0, 21, 0),
+        (0, 20, 819, 0, 0, 20, 0),
     ],
 }
 

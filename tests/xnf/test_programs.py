@@ -163,6 +163,24 @@ def test_sessions_share_programs_that_read_no_view():
     assert db.plan_cache.stats()["program_misses"] == misses + 1
 
 
+def test_view_ddl_looks_no_program_up(monkeypatch):
+    """CREATE and DROP VIEW never run a program, so their text is neither
+    scanned nor matched against the plan cache."""
+    db = small_db()
+    session = XNFSession(db)
+    matches = []
+    match = db.plan_cache.match
+    monkeypatch.setattr(
+        db.plan_cache, "match", lambda *args: matches.append(args) or match(*args)
+    )
+    create_view(session, 1)
+    session.execute("  drop view WS")
+    create_view(session, 2)
+    assert matches == []
+    assert outcome(session, VIEW_TEXT) == outcome(session, cold_statement(VIEW_TEXT))
+    assert len(matches) == 1  # the TAKE text; a tree is never looked up
+
+
 def test_a_literal_also_left_in_a_plan_pins_its_token():
     """A relationship attribute's literal reaches the generated queries
     twice: in the SELECT list, where it stays, and through a SUCH THAT on
