@@ -221,32 +221,38 @@ _COMPARATORS = ["=", "<>", "<", "<=", ">", ">="]
 
 
 @st.composite
-def predicates(draw, depth=0):
-    kind = draw(st.sampled_from(
-        ["cmp", "isnull", "between", "in"] + (["and", "or", "not"] if depth < 2 else [])
-    ))
+def predicates(draw, columns=_COLUMNS, depth=0):
+    """A random 3VL predicate over *columns*; with more than one table's
+    columns, comparisons may also be column against column."""
+    kinds = ["cmp", "isnull", "between", "in"] + (["and", "or", "not"] if depth < 2 else [])
+    if columns is not _COLUMNS:
+        kinds.append("cmpcol")
+    kind = draw(st.sampled_from(kinds))
     if kind == "cmp":
-        column = draw(st.sampled_from(_COLUMNS))
+        column = draw(st.sampled_from(columns))
         op = draw(st.sampled_from(_COMPARATORS))
         value = draw(st.integers(min_value=-5, max_value=40))
         return f"{column} {op} {value}"
+    if kind == "cmpcol":
+        left, right = draw(st.sampled_from(columns)), draw(st.sampled_from(columns))
+        return f"{left} {draw(st.sampled_from(_COMPARATORS))} {right}"
     if kind == "isnull":
-        column = draw(st.sampled_from(_COLUMNS))
+        column = draw(st.sampled_from(columns))
         negated = draw(st.booleans())
         return f"{column} IS {'NOT ' if negated else ''}NULL"
     if kind == "between":
-        column = draw(st.sampled_from(_COLUMNS))
+        column = draw(st.sampled_from(columns))
         low = draw(st.integers(min_value=0, max_value=20))
         high = draw(st.integers(min_value=20, max_value=40))
         return f"{column} BETWEEN {low} AND {high}"
     if kind == "in":
-        column = draw(st.sampled_from(_COLUMNS))
+        column = draw(st.sampled_from(columns))
         items = draw(st.lists(st.integers(0, 40), min_size=1, max_size=4))
         return f"{column} IN ({', '.join(map(str, items))})"
     if kind == "not":
-        return f"NOT ({draw(predicates(depth=depth + 1))})"
-    left = draw(predicates(depth=depth + 1))
-    right = draw(predicates(depth=depth + 1))
+        return f"NOT ({draw(predicates(columns, depth + 1))})"
+    left = draw(predicates(columns, depth + 1))
+    right = draw(predicates(columns, depth + 1))
     return f"({left}) {kind.upper()} ({right})"
 
 
@@ -256,6 +262,91 @@ def test_random_predicates_match_sqlite(pred):
     ours, ref = load_engines(ROWS, [])
     query = f"SELECT id FROM P WHERE {pred}"
     assert norm(ours.execute(query).rows) == norm(ref.execute(query).fetchall()), query
+
+
+# ---------------------------------------------------------------------------
+# One predicate in every position an expression is evaluated in
+# ---------------------------------------------------------------------------
+
+#: Columns of P and Q, for predicates that may span both tables.
+_PQ_COLUMNS = ["P.id", "P.age", "P.score", "Q.age", "Q.owner"]
+
+#: Query shapes over P alone: {p} is a predicate over P's columns.
+P_SHAPES = {
+    "case_in_select": "SELECT id, CASE WHEN {p} THEN 1 WHEN NOT ({p}) THEN 0 END FROM P",
+    "case_in_where": "SELECT id FROM P WHERE CASE WHEN {p} THEN 1 WHEN NOT ({p}) THEN 0 END = 1",
+    "case_unknown_in_where": (
+        "SELECT id FROM P WHERE CASE WHEN {p} THEN 1 WHEN NOT ({p}) THEN 0 END IS NULL"
+    ),
+    "having": "SELECT id, age, score FROM P GROUP BY id, age, score HAVING {p}",
+}
+
+#: Query shapes over P and Q: {p} is a predicate over both tables' columns.
+PQ_SHAPES = {
+    "inner_on_beside_equi": "SELECT P.id, Q.pid FROM P JOIN Q ON P.id = Q.owner AND ({p})",
+    "left_on_beside_equi": "SELECT P.id, Q.pid FROM P LEFT JOIN Q ON P.id = Q.owner AND ({p})",
+    "inner_on_non_equi": "SELECT P.id, Q.pid FROM P JOIN Q ON {p}",
+    "left_on_non_equi": "SELECT P.id, Q.pid FROM P LEFT JOIN Q ON {p}",
+    "correlated_exists": (
+        "SELECT P.id FROM P WHERE EXISTS (SELECT 1 FROM Q WHERE Q.owner = P.id AND ({p}))"
+    ),
+}
+
+#: Ordered shapes: the result is compared row by row.
+ORDERED_SHAPES = {
+    "order_by_case": (
+        "SELECT id FROM P ORDER BY CASE WHEN {p} THEN 1 WHEN NOT ({p}) THEN 0 END, id"
+    ),
+}
+
+_small_engines = {}
+
+
+def small_engines():
+    """P and Q of the fixture, loaded once for the positional properties."""
+    if not _small_engines:
+        _small_engines["pair"] = load_engines(ROWS, PET_ROWS)
+    return _small_engines["pair"]
+
+
+@pytest.mark.parametrize("shape", sorted(P_SHAPES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_predicate_positions_over_one_table_match_sqlite(shape, data):
+    query = P_SHAPES[shape].format(p=data.draw(predicates()))
+    check(small_engines(), query)
+
+
+@pytest.mark.parametrize("shape", sorted(PQ_SHAPES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_predicate_positions_over_two_tables_match_sqlite(shape, data):
+    query = PQ_SHAPES[shape].format(p=data.draw(predicates(_PQ_COLUMNS)))
+    check(small_engines(), query)
+
+
+@pytest.mark.parametrize("shape", sorted(ORDERED_SHAPES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_predicate_positions_in_order_match_sqlite(shape, data):
+    query = ORDERED_SHAPES[shape].format(p=data.draw(predicates()))
+    check(small_engines(), query, ordered=True)
+
+
+def test_case_runs_then_only_on_rows_its_when_selected():
+    """``CASE WHEN b <> 0 THEN a / b END`` never divides by zero."""
+    db = Database()
+    db.execute("CREATE TABLE D (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER)")
+    db.execute("INSERT INTO D VALUES (1, 6, 2), (2, 5, 0), (3, 7, NULL), (4, -9, 2)")
+    query = "SELECT id, CASE WHEN b <> 0 THEN a / b ELSE -1 END FROM D ORDER BY id"
+    assert db.execute(query).rows == [(1, 3), (2, -1), (3, -1), (4, -4)]
+    where = "SELECT id FROM D WHERE CASE WHEN b <> 0 THEN a / b END > 0"
+    assert db.execute(where).rows == [(1,)]
+    nested = (
+        "SELECT id FROM D WHERE CASE WHEN b = 0 THEN 0 "
+        "WHEN b IS NULL THEN 1 ELSE a / b END = 1"
+    )
+    assert db.execute(nested).rows == [(3,)]
 
 
 # ---------------------------------------------------------------------------
@@ -348,3 +439,24 @@ def join_queries(draw):
 def test_random_indexed_joins_match_sqlite(query):
     ours, ref = join_engines()
     assert norm(ours.execute(query).rows) == norm(ref.execute(query).fetchall()), query
+
+
+#: An index nested loop's residual and inner filter: B's predicates make the
+#: outer side small, C.x < 30 is the inner quantifier's own predicate.
+INDEX_JOIN_SHAPE = (
+    "SELECT B.id, C.id FROM B JOIN C ON B.id = C.b_id AND ({p}) "
+    "WHERE B.w = 3 AND B.a_id > 5 AND C.x < 30"
+)
+
+
+def test_index_join_shape_probes_an_index():
+    ours, _ = join_engines()
+    plan = ours.explain(INDEX_JOIN_SHAPE.format(p="B.a_id > C.x"))
+    assert "IndexNLJoin" in plan and "filter" in plan
+
+
+@settings(max_examples=100, deadline=None)
+@given(pred=predicates(["B.a_id", "B.w", "C.id", "C.x"]))
+def test_predicate_beside_an_index_join_key_matches_sqlite(pred):
+    check(join_engines(), INDEX_JOIN_SHAPE.format(p=pred))
+
