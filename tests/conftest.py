@@ -1,10 +1,17 @@
 """Shared fixtures: fresh engines and the paper's example databases."""
 
 import pytest
+from hypothesis import settings
 
 from repro.relational.engine import Database
 from repro.workloads import company, oo1
 from repro.xnf.api import XNFSession
+
+# Hypothesis example budgets.  Tier-1 runs "default" (Hypothesis's own 100
+# examples); CI's long step passes --hypothesis-profile=long.  The SQLite
+# crosscheck properties size their budgets from the active profile.
+settings.register_profile("default", max_examples=100)
+settings.register_profile("long", max_examples=1000)
 
 
 @pytest.fixture

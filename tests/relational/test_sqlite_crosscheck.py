@@ -256,7 +256,7 @@ def predicates(draw, columns=_COLUMNS, depth=0):
     return f"({left}) {kind.upper()} ({right})"
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=settings.default.max_examples * 4 // 5, deadline=None)
 @given(pred=predicates())
 def test_random_predicates_match_sqlite(pred):
     ours, ref = load_engines(ROWS, [])
@@ -310,7 +310,7 @@ def small_engines():
 
 
 @pytest.mark.parametrize("shape", sorted(P_SHAPES))
-@settings(max_examples=100, deadline=None)
+@settings(deadline=None)
 @given(data=st.data())
 def test_predicate_positions_over_one_table_match_sqlite(shape, data):
     query = P_SHAPES[shape].format(p=data.draw(predicates()))
@@ -318,7 +318,7 @@ def test_predicate_positions_over_one_table_match_sqlite(shape, data):
 
 
 @pytest.mark.parametrize("shape", sorted(PQ_SHAPES))
-@settings(max_examples=100, deadline=None)
+@settings(deadline=None)
 @given(data=st.data())
 def test_predicate_positions_over_two_tables_match_sqlite(shape, data):
     query = PQ_SHAPES[shape].format(p=data.draw(predicates(_PQ_COLUMNS)))
@@ -326,7 +326,7 @@ def test_predicate_positions_over_two_tables_match_sqlite(shape, data):
 
 
 @pytest.mark.parametrize("shape", sorted(ORDERED_SHAPES))
-@settings(max_examples=100, deadline=None)
+@settings(deadline=None)
 @given(data=st.data())
 def test_predicate_positions_in_order_match_sqlite(shape, data):
     query = ORDERED_SHAPES[shape].format(p=data.draw(predicates()))
@@ -434,7 +434,7 @@ def join_queries(draw):
     return f"SELECT {heads} FROM {', '.join(order)} WHERE {' AND '.join(preds)}"
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=settings.default.max_examples * 2, deadline=None)
 @given(query=join_queries())
 def test_random_indexed_joins_match_sqlite(query):
     ours, ref = join_engines()
@@ -455,7 +455,7 @@ def test_index_join_shape_probes_an_index():
     assert "IndexNLJoin" in plan and "filter" in plan
 
 
-@settings(max_examples=100, deadline=None)
+@settings(deadline=None)
 @given(pred=predicates(["B.a_id", "B.w", "C.id", "C.x"]))
 def test_predicate_beside_an_index_join_key_matches_sqlite(pred):
     check(join_engines(), INDEX_JOIN_SHAPE.format(p=pred))
