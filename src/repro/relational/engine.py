@@ -48,9 +48,9 @@ from repro.relational.plancache import (
     PlanCache,
     bind_rows,
     normalize_statement,
-    record_template,
     referenced_objects,
     scan_statement,
+    sql_template,
 )
 from repro.relational.qgm.build import QGMBuilder
 from repro.relational.qgm.model import Box
@@ -466,8 +466,9 @@ class Database:
             scanned = None
         with self.tracer.span("statement", sql=sql[:200]):
             start = time.perf_counter()
+            literal_tokens: Optional[Dict[int, Any]] = {} if scanned else None
             with self.tracer.span("parse"):
-                statements = parse_statements(sql)
+                statements = parse_statements(sql, literal_tokens)
             self.last_timings["parse"] = time.perf_counter() - start
             if not statements:
                 raise SQLError("empty statement")
@@ -476,7 +477,7 @@ class Database:
                 result = self.execute_ast(stmt)
             if scanned and len(statements) == 1 and isinstance(stmt, self._TEMPLATED):
                 self.plan_cache.remember(
-                    scanned, lambda: record_template(scanned, normalize_statement(stmt))
+                    scanned, lambda: sql_template(scanned, stmt, literal_tokens)
                 )
             return result
 

@@ -40,11 +40,9 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import ReproError
 from repro.relational.catalog import Catalog
 from repro.relational.sql import ast
 from repro.relational.sql.lexer import SQL_TOKENS
-from repro.relational.sql.parser import SQLParser
 
 #: Default number of cached plans per Database.
 DEFAULT_CAPACITY = 256
@@ -295,63 +293,19 @@ class StatementTemplate:
         return values
 
 
-def record_template(
-    scanned: Scanned, normalized: NormalizedStatement
+def sql_template(
+    scanned: Scanned, stmt: ast.Statement, literal_tokens: Dict[int, Tuple[ast.Literal, int]]
 ) -> Optional[StatementTemplate]:
-    """Derive the template of a scanned statement from its tree-path result.
-
-    Each literal token is swapped for a distinct sentinel and the text
-    re-parsed and normalized; a lifted value that is a sentinel (or its
-    negation) names the token that feeds its slot.  A literal token that
-    feeds no slot is kept: its lexeme becomes part of the match.  The
-    template is returned only when re-parsing reproduces *normalized*'s
-    fingerprint and binding the scanned tokens reproduces its lifted values.
-    """
-    key, numbers, strings, literals = scanned
-    names, ops, _ = key
-    base = 10**15  # beyond any literal's position: sentinel = base + position
-
-    def slots_with_sentinels(at: Sequence[int]) -> Optional[Tuple[str, List[Tuple[int, Any]]]]:
-        parts = [name or literal or op for name, literal, op in zip(names, literals, ops)]
-        for pos in at:
-            parts[pos] = str(base + pos) if numbers[pos] else f"'\x00{pos}'"
-        try:
-            (stmt,) = SQLParser(" ".join(parts)).parse_statements()
-        except (ReproError, ValueError):
-            return None
-        probe = normalize_statement(stmt)
-        if probe.n_explicit:
-            return None
-        slots: List[Tuple[int, Any]] = []
-        for value in probe.lifted_values:
-            if type(value) is int and base <= abs(value) < base + len(literals):
-                slots.append((abs(value) - base, 1 if value > 0 else -1))
-            elif type(value) is str and value[:1] == "\x00":
-                slots.append((int(value[1:]), 0))
-            else:
-                slots.append((-1, value))
-        return probe.fingerprint, slots
-
-    positions = [pos for pos, literal in enumerate(literals) if literal]
-    if not positions:
-        return StatementTemplate(
-            normalized, (), tuple((-1, value) for value in normalized.lifted_values)
-        )
-    probed = slots_with_sentinels(positions)
-    if probed is None:
+    """The template of the scanned SQL text that parsed to *stmt*, its parse
+    having put each literal node's token in *literal_tokens*: each lifted
+    value's slot is the token its literal node was read from.  Statements
+    with ``?`` placeholders get none (they run through ``prepare``)."""
+    sources: List[Any] = []
+    normalized = normalize_statement(stmt, sources)
+    if normalized.n_explicit:
         return None
-    fingerprint, slots = probed
-    fed = sorted({pos for pos, _ in slots if pos >= 0})
-    if len(fed) < len(positions):
-        # kept literals changed the fingerprint: probe again with them restored
-        probed = slots_with_sentinels(fed)
-        if probed is None or probed[1] != slots:
-            return None
-        fingerprint = probed[0]
-    if fingerprint != normalized.fingerprint:
-        return None
-    kept = tuple((pos, literals[pos]) for pos in positions if pos not in fed)
-    return _verified(StatementTemplate(normalized, kept, tuple(slots)), scanned)
+    positions = [literal_tokens.get(id(node), (None, None))[1] for node in sources]
+    return token_template(scanned, normalized, positions, set())
 
 
 def token_template(
@@ -359,7 +313,8 @@ def token_template(
 ) -> Optional[StatementTemplate]:
     """The template of a scanned text whose compiler reported, for each of
     *compiled*'s lifted values, the position of the literal token it was
-    parsed from (None: not from one), so no sentinel probe is needed.
+    parsed from (None: not from one; ``~position`` when the parser folded a
+    minus sign into the value), so no sentinel probe is needed.
 
     A token in *pinned* is kept whatever it feeds, and so is a token whose
     value a constant slot also holds: that slot may be a copy of it.
@@ -371,13 +326,16 @@ def token_template(
 
     values = compiled.lifted_values
     constants = {v for v, pos in zip(values, positions) if pos is None}
-    pinned = pinned | {pos for pos, lit in enumerate(literals) if lit and value(pos) in constants}
+    pinned = {pos if pos >= 0 else ~pos for pos in pinned} | {
+        pos for pos, lit in enumerate(literals) if lit and value(pos) in constants
+    }
     slots: List[Tuple[int, Any]] = []
     for v, pos in zip(values, positions):
-        if pos is None or pos in pinned:
+        token = pos if pos is None or pos >= 0 else ~pos
+        if token is None or token in pinned:
             slots.append((-1, v))
         else:
-            slots.append((pos, 0 if strings[pos] else 1 if v == value(pos) else -1))
+            slots.append((token, 0 if strings[token] else 1 if token == pos else -1))
     fed = {pos for pos, _ in slots if pos >= 0}
     kept = tuple((pos, lit) for pos, lit in enumerate(literals) if lit and pos not in fed)
     return _verified(StatementTemplate(compiled, kept, tuple(slots)), scanned)

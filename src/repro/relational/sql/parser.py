@@ -53,7 +53,8 @@ class SQLParser:
         self.pos = 0
         self._param_count = 0  # ordinal for ? placeholders, per batch
         #: when a dict: each literal node parsed from a NUMBER or STRING
-        #: token, by id, with that token's position
+        #: token, by id, with that token's position (``~position`` when a
+        #: minus sign was folded into the value an odd number of times)
         self.literal_tokens: Optional[Dict[int, Tuple[ast.Literal, int]]] = None
 
     # -- token helpers -------------------------------------------------------
@@ -436,7 +437,7 @@ class SQLParser:
         node = ast.Literal(value)
         tokens = self.literal_tokens
         if tokens is not None and (folded is None or id(folded) in tokens):
-            tokens[id(node)] = (node, self.pos - 1 if folded is None else tokens[id(folded)][1])
+            tokens[id(node)] = (node, self.pos - 1 if folded is None else ~tokens[id(folded)][1])
         return node
 
     def parse_primary(self) -> ast.Expr:
@@ -726,6 +727,12 @@ def parse_sql(source: str) -> ast.Statement:
     return statements[0]
 
 
-def parse_statements(source: str) -> List[ast.Statement]:
-    """Parse a semicolon-separated batch of statements."""
-    return SQLParser(source).parse_statements()
+def parse_statements(
+    source: str, literal_tokens: Optional[Dict[int, Tuple[ast.Literal, int]]] = None
+) -> List[ast.Statement]:
+    """Parse a semicolon-separated batch of statements; *literal_tokens*,
+    if given, receives each literal node parsed from a literal token, with
+    its position (see :attr:`SQLParser.literal_tokens`)."""
+    parser = SQLParser(source)
+    parser.literal_tokens = literal_tokens
+    return parser.parse_statements()

@@ -55,9 +55,9 @@ class Counts:
                 self.observations += 1
             return observe(histogram, value)
 
-        def counted_parse(sql):
+        def counted_parse(sql, *literal_tokens):
             self.parses += 1
-            return parse(sql)
+            return parse(sql, *literal_tokens)
 
         monkeypatch.setattr(db.tracer, "span", counted_span)
         monkeypatch.setattr(db.statement_stats, "record", counted_record)

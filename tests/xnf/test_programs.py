@@ -400,6 +400,21 @@ def test_literal_edge_cases_hit_the_program():
     assert warm.db.plan_cache.stats()["program_misses"] == misses + 1
 
 
+def test_a_minus_folded_into_zero_keeps_its_sign():
+    """``-0`` equals 0, so only the parser can tell that a minus sign was
+    folded into it: a later text of the shape binds ``-2``, not 2."""
+    text = (
+        "OUT OF Xp AS (SELECT * FROM P WHERE pid > -{n}), Xc AS C, "
+        "has AS (RELATE Xp, Xc WHERE Xp.pid = Xc.cp) TAKE *"
+    )
+    warm = XNFSession(small_db())
+    outcome(warm, text.format(n=0))
+    hits = warm.db.plan_cache.stats()["program_hits"]
+    got = outcome(warm, text.format(n=2))
+    assert warm.db.plan_cache.stats()["program_hits"] == hits + 1
+    assert got[:3] == outcome(XNFSession(small_db()), text.format(n=2))[:3]
+
+
 def schema_sql(schema):
     """Every SQL text *schema* holds, by component."""
 
