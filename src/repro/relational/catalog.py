@@ -520,16 +520,41 @@ class Table:
         one pin per page per batch — and checking the version entries once,
         lock-free, after that read.  Clean, each key's rows pass through as
         read, in its RIDs' order.  On a versioned table, or when a row left
-        the heap after the index search, each key is probed on its own."""
+        the heap after the index search, the batch is resolved as one probe:
+        one ``resolve_batch`` over the rows read, each key keeping the
+        resolved rows its ``verify`` passes, then one ``candidates`` pass
+        whose rows go to each key they verify under that did not file them."""
         wanted = sorted({rid for rids in rid_lists for rid in rids})
         try:
             read = dict(zip(wanted, self.heap.fetch_rows(wanted)))
         except (ExecutionError, PageNotFoundError):
             read = None  # a row left the heap after the index search
+        mv = self._catalog.mvcc
+        name = self.mvcc_name
         # lock-free clean check after the read (see VersionStore.dirty)
-        if read is not None and not self._catalog.mvcc.store._tables.get(self.mvcc_name):
+        if read is not None and not mv.store._tables.get(name):
             return [[read[rid] for rid in rids] for rids in rid_lists]
-        return [self.probe(rids, verify, key) for key, rids in zip(keys, rid_lists)]
+        if read is None:
+            read = {rid: self._fetch_or_none(rid) for rid in wanted}
+        snap = mv.current_snapshot()
+        if snap is None:
+            return [[read[rid] for rid in rids if read[rid] is not None] for rids in rid_lists]
+        resolved = dict(mv.store.resolve_batch(name, list(read.items()), snap))
+        found = [
+            [row for row in map(resolved.get, rids) if row is not None and verify(row, key)]
+            for key, rids in zip(keys, rid_lists)
+        ]
+        accept = self._mvcc_accept
+        extra = [
+            (rid, row)
+            for rid, row in mv.store.candidates(name, snap, set())
+            if accept is None or accept(rid, row)
+        ]
+        if extra:
+            for key, rids, rows in zip(keys, rid_lists, found):
+                filed = set(rids)
+                rows.extend(row for rid, row in extra if rid not in filed and verify(row, key))
+        return found
 
     def _fetch_or_none(self, rid: RID) -> Optional[Tuple[Any, ...]]:
         try:

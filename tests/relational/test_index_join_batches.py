@@ -151,6 +151,30 @@ class TestProbeMany:
         assert 1000 not in {row[0] for row in seen[2]}
         writer.rollback()
 
+    def test_dirty_batch_is_one_probe(self, parts, monkeypatch):
+        """On a versioned table a batch still makes one ``resolve_batch``
+        and one ``candidates`` call, whatever its number of keys."""
+        db, table, index = parts
+        writer = open_writer(db)
+        store = db.mvcc.store
+        calls = {"resolve_batch": 0, "candidates": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(store, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(store, name, counted)
+        verify = _key_matches(index.column_positions)
+        keys = [(k,) for k in (5, 999, 3, 404, 12, 0)]
+        with db.snapshot_scope():
+            table.probe_many(keys, index.search_many(keys), verify)
+        assert calls == {"resolve_batch": 1, "candidates": 1}
+        with db.snapshot_scope():
+            batched_join(table, index, OUTER_KEYS, "LEFT", 5)
+        # three outer batches of at most five keys
+        assert calls == {"resolve_batch": 4, "candidates": 4}
+        writer.rollback()
+
     def test_row_gone_from_heap_falls_back_per_key(self, parts):
         db, table, index = parts
         verify = _key_matches(index.column_positions)
