@@ -40,7 +40,7 @@ from repro.obs.statements import StatementStatsRegistry
 from repro.obs.trace import NULL_SPAN, Span, TraceContext, Tracer
 from repro.relational.catalog import Catalog, Column, ShardedTable, Table
 from repro.relational.storage.sharded import PartitionSpec
-from repro.relational.executor.exprs import PlanContext
+from repro.relational.executor.exprs import PlanContext, constant_value
 from repro.relational.optimizer.planner import CompiledPlan, Planner
 from repro.relational.plancache import (
     CacheEntry,
@@ -1073,7 +1073,9 @@ class Database:
                     self.builder.resolve_standalone_predicate(e, "__none__", [])
                     for e in row_exprs
                 ]
-                incoming.append(tuple(compiler.compile(e)((), []) for e in resolved))
+                incoming.append(
+                    tuple(constant_value(compiler.compile_value(e), []) for e in resolved)
+                )
         count = 0
         for values in incoming:
             if len(values) != len(positions):

@@ -10,10 +10,13 @@ the same plan object can serve as a correlated subplan executed once per
 outer row (with a different environment each time).  Operators hold only
 compiled closures and child operators — never per-run state.
 
-Filters evaluate a compiled *selection function* once per batch and only
-shrink the selection vector — column data is never copied; projections
-and joins compact to dense batches on output.  Join residuals, sort keys
-and aggregate finalisers are row closures over the combined tuple.
+Operators hold compiled kernels and selection functions
+(:mod:`~repro.relational.executor.exprs`) and run each once per batch.
+Filters only shrink the selection vector — column data is never copied;
+projections and joins compact to dense batches on output.  A join's
+residual selects from a batch of candidate rows (outer row + inner row),
+``HAVING`` and the aggregate head run over a batch of group rows, and a
+sort computes its key columns once before it orders row positions.
 """
 
 from __future__ import annotations
@@ -28,12 +31,11 @@ from repro.relational.executor.batch import (
     batch_from_rows,
     batches_from_rows,
 )
-from repro.relational.executor.exprs import SelFn, VecValueFn
+from repro.relational.executor.exprs import SelFn, VecValueFn, constant_value
 from repro.relational.types import sort_key
 
 Row = Tuple[Any, ...]
 Env = List[Dict]
-RowFn = Callable[[Row, Env], Any]
 
 
 class PlanOp:
@@ -72,6 +74,38 @@ def _join_keys(key_fns: Sequence[VecValueFn], batch: Batch, env: Env) -> Sequenc
     if len(vecs) == 1:
         return vecs[0]
     return [None if None in key else key for key in zip(*vecs)]
+
+
+def _join_rows(
+    left_rows: Sequence[Row],
+    matches: Sequence[Sequence[Row]],
+    residual: Optional[SelFn],
+    pad: Optional[Row],
+    env: Env,
+) -> List[Row]:
+    """Each left row joined with its candidate right rows, in order: the
+    candidates *residual* selects (all of them without one), evaluated over
+    one batch of combined rows.  With *pad* (a LEFT join) a left row none
+    of whose candidates survives is padded instead."""
+    combined = [lrow + rrow for lrow, rrows in zip(left_rows, matches) for rrow in rrows]
+    if residual is None and pad is None:
+        return combined
+    keep: Sequence[int] = range(len(combined))
+    if residual is not None and combined:
+        keep = residual(batch_from_rows(combined).columns, keep, env)
+    if pad is None:
+        return [combined[pos] for pos in keep]
+    out: List[Row] = []
+    taken = end = 0
+    for lrow, rrows in zip(left_rows, matches):
+        end += len(rrows)
+        start = len(out)
+        while taken < len(keep) and keep[taken] < end:
+            out.append(combined[keep[taken]])
+            taken += 1
+        if len(out) == start:
+            out.append(lrow + pad)
+    return out
 
 
 def _key_matches(positions: Sequence[int]) -> Callable[[Row, Row], bool]:
@@ -113,10 +147,10 @@ class SeqScan(PlanOp):
 
 
 class IndexEqScan(PlanOp):
-    """Equality lookup via an index, one batch per probe; key values may
-    depend only on env."""
+    """Equality lookup via an index, one batch per probe; the key kernels
+    are constants (they may depend only on env)."""
 
-    def __init__(self, table, index, key_fns: Sequence[RowFn], emit_rid: bool = False):
+    def __init__(self, table, index, key_fns: Sequence[VecValueFn], emit_rid: bool = False):
         self.table = table
         self.index = index
         self.key_fns = list(key_fns)
@@ -125,7 +159,7 @@ class IndexEqScan(PlanOp):
         self.label = f"IndexEqScan({table.name}.{index.name})"
 
     def batches(self, env: Env) -> Iterable[Batch]:
-        key = tuple([fn((), env) for fn in self.key_fns])
+        key = tuple([constant_value(fn, env) for fn in self.key_fns])
         if None in key:
             return ()
         rows = self.table.probe(self.index.search(key), self._verify, key, self.emit_rid)
@@ -140,8 +174,8 @@ class IndexRangeScan(PlanOp):
         self,
         table,
         index,
-        low_fn: Optional[RowFn],
-        high_fn: Optional[RowFn],
+        low_fn: Optional[VecValueFn],
+        high_fn: Optional[VecValueFn],
         low_inclusive: bool = True,
         high_inclusive: bool = True,
         emit_rid: bool = False,
@@ -158,12 +192,12 @@ class IndexRangeScan(PlanOp):
     def batches(self, env: Env) -> Iterable[Batch]:
         low = high = None
         if self.low_fn is not None:
-            value = self.low_fn((), env)
+            value = constant_value(self.low_fn, env)
             if value is None:
                 return ()
             low = (value,)
         if self.high_fn is not None:
-            value = self.high_fn((), env)
+            value = constant_value(self.high_fn, env)
             if value is None:
                 return ()
             high = (value,)
@@ -252,13 +286,16 @@ class Project(PlanOp):
 
 
 class NestedLoopJoin(PlanOp):
-    """Tuple nested-loop join; the inner side is materialised per run."""
+    """Tuple nested-loop join; the inner side is materialised per run.
+
+    The predicate selects from batches of candidate rows, each a run of
+    whole outer rows times the inner side."""
 
     def __init__(
         self,
         left: PlanOp,
         right: PlanOp,
-        predicate: Optional[RowFn],
+        predicate: Optional[SelFn],
         kind: str = "INNER",
         right_width: int = 0,
     ):
@@ -271,20 +308,14 @@ class NestedLoopJoin(PlanOp):
 
     def batches(self, env: Env) -> Iterator[Batch]:
         inner = list(self.right.rows(env))
-        predicate = self.predicate
-        pad = (None,) * self.right_width
-        left_join = self.kind == "LEFT"
+        pad = (None,) * self.right_width if self.kind == "LEFT" else None
+        step = max(1, BATCH_SIZE // max(1, len(inner)))
         out: List[Row] = []
         for batch in self.left.batches(env):
-            for left_row in batch.to_rows():
-                matched = False
-                for right_row in inner:
-                    combined = left_row + right_row
-                    if predicate is None or predicate(combined, env) is True:
-                        matched = True
-                        out.append(combined)
-                if not matched and left_join:
-                    out.append(left_row + pad)
+            left_rows = batch.to_rows()
+            for start in range(0, len(left_rows), step):
+                chunk = left_rows[start : start + step]
+                out.extend(_join_rows(chunk, [inner] * len(chunk), self.predicate, pad, env))
                 if len(out) >= BATCH_SIZE:
                     yield batch_from_rows(out)
                     out = []
@@ -299,8 +330,8 @@ class HashJoin(PlanOp):
     """Equi-join; builds a hash table on the right input per run.
 
     Keys are extracted as whole vectors per batch.  NULL key components
-    never join.  The optional *residual* is a row predicate over each
-    combined row; a LEFT join pads a left row none of whose key matches
+    never join.  The optional *residual* selects from each outer batch's
+    candidate rows; a LEFT join pads a left row none of whose key matches
     pass it.
     """
 
@@ -310,7 +341,7 @@ class HashJoin(PlanOp):
         right: PlanOp,
         left_keys: Sequence[VecValueFn],
         right_keys: Sequence[VecValueFn],
-        residual: Optional[RowFn] = None,
+        residual: Optional[SelFn] = None,
         kind: str = "INNER",
         right_width: int = 0,
     ):
@@ -331,27 +362,15 @@ class HashJoin(PlanOp):
                 if key is not None:
                     setdefault(key, []).append(row)
         get = table.get
-        residual = self.residual
-        pad = (None,) * self.right_width
-        left_join = self.kind == "LEFT"
+        pad = (None,) * self.right_width if self.kind == "LEFT" else None
         out: List[Row] = []
-        append = out.append
         for batch in self.left.batches(env):
-            for key, lrow in zip(_join_keys(self.left_keys, batch, env), batch.to_rows()):
-                matches = get(key) if key is not None else None
-                if matches and residual is not None:
-                    matches = [
-                        rrow for rrow in matches if residual(lrow + rrow, env) is True
-                    ]
-                if matches:
-                    for rrow in matches:
-                        append(lrow + rrow)
-                elif left_join:
-                    append(lrow + pad)
+            # a NULL key is never in the table
+            matches = [get(key, ()) for key in _join_keys(self.left_keys, batch, env)]
+            out.extend(_join_rows(batch.to_rows(), matches, self.residual, pad, env))
             if len(out) >= BATCH_SIZE:
                 yield batch_from_rows(out)
                 out = []
-                append = out.append
         if out:
             yield batch_from_rows(out)
 
@@ -370,14 +389,14 @@ class IndexNLJoin(PlanOp):
         table,
         index,
         key_fn: VecValueFn,
-        residual: Optional[RowFn] = None,
+        residual: Optional[SelFn] = None,
         kind: str = "INNER",
         right_width: int = 0,
-        inner_filter: Optional[RowFn] = None,
+        inner_filter: Optional[SelFn] = None,
         inner_filter_text: str = "",
     ):
-        """*inner_filter* tests each fetched inner row on its own, before
-        it is joined: the inner quantifier's single-table predicates, which
+        """*inner_filter* selects from the fetched inner rows before they
+        are joined: the inner quantifier's single-table predicates, which
         the probe bypasses by reading the base table."""
         self.left = left
         self.table = table
@@ -400,34 +419,27 @@ class IndexNLJoin(PlanOp):
             return {}
         keys = [(value,) for value in distinct]
         found = self.table.probe_many(keys, self.index.search_many(keys), self._verify)
-        inner_filter = self.inner_filter
-        if inner_filter is not None:
-            found = [[row for row in rows if inner_filter(row, env) is True] for rows in found]
+        if self.inner_filter is not None:
+            flat = [row for rows in found for row in rows]
+            kept = [False] * len(flat)
+            if flat:
+                for pos in self.inner_filter(batch_from_rows(flat).columns, range(len(flat)), env):
+                    kept[pos] = True
+            flags = iter(kept)
+            found = [[row for row in rows if next(flags)] for rows in found]
         return dict(zip(distinct, found))
 
     def batches(self, env: Env) -> Iterator[Batch]:
-        residual = self.residual
-        pad = (None,) * self.right_width
-        left_join = self.kind == "LEFT"
+        pad = (None,) * self.right_width if self.kind == "LEFT" else None
         out: List[Row] = []
-        append = out.append
         for batch in self.left.batches(env):
             values = _join_keys([self.key_fn], batch, env)
             inner = self._inner_rows(values, env)
-            for value, left_row in zip(values, batch.to_rows()):
-                matched = False
-                if value is not None:
-                    for row in inner[value]:
-                        combined = left_row + row
-                        if residual is None or residual(combined, env) is True:
-                            matched = True
-                            append(combined)
-                if not matched and left_join:
-                    append(left_row + pad)
+            matches = [() if value is None else inner[value] for value in values]
+            out.extend(_join_rows(batch.to_rows(), matches, self.residual, pad, env))
             if len(out) >= BATCH_SIZE:
                 yield batch_from_rows(out)
                 out = []
-                append = out.append
         if out:
             yield batch_from_rows(out)
 
@@ -506,10 +518,10 @@ class HashAggregate(PlanOp):
 
     Group keys and aggregate arguments are extracted as whole vectors per
     batch; the accumulation itself stays per row (the dict lookup
-    dominates).  Internal rows have layout ``group_keys +
-    aggregate_results``; the final ``head_fns`` and ``having_fns`` are row
-    closures the planner compiles against that layout (via the expression
-    compiler's *precomputed* map).
+    dominates).  Group rows have layout ``group_keys + aggregate_results``;
+    the ``having_fns`` (selection functions) and ``head_fns`` (kernels)
+    run over batches of them, compiled by the planner against that layout
+    (via the expression compiler's *precomputed* map).
     """
 
     def __init__(
@@ -517,8 +529,8 @@ class HashAggregate(PlanOp):
         child: PlanOp,
         key_fns: Sequence[VecValueFn],
         agg_specs: Sequence[AggSpec],
-        head_fns: Sequence[RowFn],
-        having_fns: Sequence[RowFn] = (),
+        head_fns: Sequence[VecValueFn],
+        having_fns: Sequence[SelFn] = (),
         global_group: bool = False,
     ):
         self.child = child
@@ -529,7 +541,7 @@ class HashAggregate(PlanOp):
         self.global_group = global_group
         self.label = f"HashAggregate(keys={len(key_fns)}, aggs={len(agg_specs)})"
 
-    def batches(self, env: Env) -> Iterator[Batch]:
+    def batches(self, env: Env) -> List[Batch]:
         groups: Dict[tuple, List[_Accumulator]] = {}
         specs = self.agg_specs
         for batch in self.child.batches(env):
@@ -554,13 +566,15 @@ class HashAggregate(PlanOp):
                         acc.add_value(vec[pos])
         if not groups and self.global_group:
             groups[()] = [_Accumulator(spec) for spec in specs]
-        out: List[Row] = []
-        for key, accs in groups.items():
-            internal = key + tuple(acc.result() for acc in accs)
-            if any(fn(internal, env) is not True for fn in self.having_fns):
-                continue
-            out.append(tuple(fn(internal, env) for fn in self.head_fns))
-        return _rebatch(out)
+        group_rows = [key + tuple(acc.result() for acc in accs) for key, accs in groups.items()]
+        out: List[Batch] = []
+        for batch in _rebatch(group_rows):
+            cols, idx = batch.columns, batch.active_indices()
+            for having in self.having_fns:
+                idx = having(cols, idx, env)
+            if idx:
+                out.append(Batch([fn(cols, idx, env) for fn in self.head_fns], len(idx)))
+        return out
 
     def children(self) -> List[PlanOp]:
         return [self.child]
@@ -574,11 +588,14 @@ class HashAggregate(PlanOp):
 class Sort(PlanOp):
     """Materialise, sort with the shared ``sort_key`` order, re-batch.
 
-    Key functions are row closures: sorting is a pipeline breaker, so they
-    run once per row either way.
+    The key kernels run once per input batch; the sort then orders row
+    positions by those key columns, stably, one key at a time from the
+    last to the first.
     """
 
-    def __init__(self, child: PlanOp, key_fns: Sequence[RowFn], ascending: Sequence[bool]):
+    def __init__(
+        self, child: PlanOp, key_fns: Sequence[VecValueFn], ascending: Sequence[bool]
+    ):
         self.child = child
         self.key_fns = list(key_fns)
         self.ascending = list(ascending)
@@ -586,12 +603,17 @@ class Sort(PlanOp):
 
     def batches(self, env: Env) -> Iterator[Batch]:
         data: List[Row] = []
+        key_cols: List[List[Any]] = [[] for _ in self.key_fns]
         for batch in self.child.batches(env):
+            cols, idx = batch.columns, batch.active_indices()
+            for key_col, key_fn in zip(key_cols, self.key_fns):
+                key_col.extend(key_fn(cols, idx, env))
             data.extend(batch.to_rows())
-        # Stable multi-key sort: apply keys right-to-left.
-        for key_fn, asc in reversed(list(zip(self.key_fns, self.ascending))):
-            data.sort(key=lambda row: sort_key(key_fn(row, env)), reverse=not asc)
-        return _rebatch(data)
+        order = list(range(len(data)))
+        for key_col, asc in reversed(list(zip(key_cols, self.ascending))):
+            keys = [sort_key(value) for value in key_col]
+            order.sort(key=keys.__getitem__, reverse=not asc)
+        return _rebatch([data[pos] for pos in order])
 
     def children(self) -> List[PlanOp]:
         return [self.child]

@@ -80,8 +80,8 @@ _INDEX_PROBE_COST = 1.5
 #: where each probe fans out into many fetched rows.
 _FETCH_ROW_COST = 0.05
 #: CPU discount on a hash join's per-row cost when batch loops amortise
-#: interpreter dispatch: an input fills batches (see VEC_MIN_ROWS) and no
-#: residual predicate runs as a row closure per candidate.
+#: interpreter dispatch: an input fills batches (see VEC_MIN_ROWS) and the
+#: join has no residual predicate to evaluate per candidate.
 _VEC_ROW_DISCOUNT = 0.3
 #: Estimated input rows from which a hash join earns _VEC_ROW_DISCOUNT;
 #: below it, per-batch setup outweighs the per-row savings.  A cost input
@@ -262,8 +262,9 @@ class Planner:
     def compiler(
         self, layout: Layout, precomputed: Optional[Dict[str, int]] = None
     ) -> VecExprCompiler:
-        """Batch (``compile_value``/``compile_filter``) and row
-        (``compile``/``compile_predicate``) closures over *layout*."""
+        """The expression compiler over *layout*: kernels
+        (``compile_value``) and selection functions (``compile_filter``),
+        with this planner's subplans and bind-parameter context."""
         return VecExprCompiler(layout, self.subplan_factory, precomputed, self.context)
 
     # -- SELECT boxes -------------------------------------------------------------
@@ -400,7 +401,7 @@ class Planner:
             index = table.index_on([column])
             if index is None:
                 continue
-            key_fn = self.compiler({}).compile(const_expr)
+            key_fn = self.compiler({}).compile_value(const_expr)
             op = IndexEqScan(table, index, [key_fn], emit_rid=emit_rid)
             remaining = [p for p in preds if p is not pred]
             est = rows * predicate_selectivity(pred, table)
@@ -429,8 +430,8 @@ class Planner:
                 continue
             low = sides.get("low")
             high = sides.get("high")
-            low_fn = self.compiler({}).compile(low[0]) if low else None
-            high_fn = self.compiler({}).compile(high[0]) if high else None
+            low_fn = self.compiler({}).compile_value(low[0]) if low else None
+            high_fn = self.compiler({}).compile_value(high[0]) if high else None
             op = IndexRangeScan(
                 table,
                 index,
@@ -632,7 +633,7 @@ class Planner:
 
         combined_compiler = self.compiler(new_layout)
         residual_fn = (
-            combined_compiler.compile_predicate(ast.conjoin(residual))
+            combined_compiler.compile_filter(ast.conjoin(residual))
             if residual
             else None
         )
@@ -674,7 +675,7 @@ class Planner:
                                 ast.BinaryOp("=", lk, rk) for lk, rk in equi[1:]
                             ]
                         inl_residual = (
-                            combined_compiler.compile_predicate(ast.conjoin(extra))
+                            combined_compiler.compile_filter(ast.conjoin(extra))
                             if extra
                             else None
                         )
@@ -686,7 +687,7 @@ class Planner:
                         inner_filter = (
                             self.compiler(
                                 {(name, col): pos for pos, col in enumerate(right_info.columns)}
-                            ).compile_predicate(ast.conjoin(list(inner_preds)))
+                            ).compile_filter(ast.conjoin(list(inner_preds)))
                             if inner_preds
                             else None
                         )
@@ -716,7 +717,7 @@ class Planner:
                             )
                         )
         nl_pred = (
-            combined_compiler.compile_predicate(
+            combined_compiler.compile_filter(
                 ast.conjoin([p for _, p in applicable])
             )
             if applicable
@@ -839,7 +840,7 @@ class Planner:
         if equi:
             left_keys, right_keys = self._key_vectors(equi, left, right_info)
             residual_fn = (
-                combined_compiler.compile_predicate(ast.conjoin(residual))
+                combined_compiler.compile_filter(ast.conjoin(residual))
                 if residual
                 else None
             )
@@ -854,7 +855,7 @@ class Planner:
             )
         else:
             pred_fn = (
-                combined_compiler.compile_predicate(ast.conjoin(join_conds))
+                combined_compiler.compile_filter(ast.conjoin(join_conds))
                 if join_conds
                 else None
             )
@@ -917,8 +918,8 @@ class Planner:
             precomputed[agg.to_sql()] = len(box.group_keys) + offset
 
         final_compiler = self.compiler({}, precomputed)
-        head_fns = [final_compiler.compile(col.expr) for col in box.head]
-        having_fns = [final_compiler.compile_predicate(p) for p in box.having]
+        head_fns = [final_compiler.compile_value(col.expr) for col in box.head]
+        having_fns = [final_compiler.compile_filter(p) for p in box.having]
         op = HashAggregate(
             child.op,
             key_fns,
@@ -939,7 +940,7 @@ class Planner:
                 ("__out__", col): pos for pos, col in enumerate(child.columns)
             }
             compiler = self.compiler(layout)
-            key_fns = [compiler.compile(expr) for expr, _ in box.order_by]
+            key_fns = [compiler.compile_value(expr) for expr, _ in box.order_by]
             op = Sort(op, key_fns, [asc for _, asc in box.order_by])
         if box.limit is not None or box.offset is not None:
             op = Limit(op, box.limit, box.offset)

@@ -69,7 +69,8 @@ def open_writer(db):
 
 
 def per_row_join(table, index, keys, kind, inner_filter=None):
-    """The per-row loop: one probe per live outer row."""
+    """The per-row loop: one probe per live outer row; *inner_filter*, a
+    selection function, is tried on each inner row as a one-row batch."""
     verify = _key_matches(index.column_positions)
     out = []
     for value in keys:
@@ -77,7 +78,7 @@ def per_row_join(table, index, keys, kind, inner_filter=None):
         if value is not None:
             key = (value,)
             for row in table.probe(index.search(key), verify, key):
-                if inner_filter is None or inner_filter(row, None) is True:
+                if inner_filter is None or inner_filter([[v] for v in row], [0], None):
                     matched = True
                     out.append((value,) + row)
         if not matched and kind == "LEFT":
@@ -214,8 +215,8 @@ class TestIndexNLJoinBatches:
     def test_inner_filter_applies_per_inner_row(self, parts):
         db, table, index = parts
 
-        def even_c(row, env):
-            return row[2] % 2 == 0
+        def even_c(cols, idx, env):
+            return [i for i in idx if cols[2][i] % 2 == 0]
 
         with db.snapshot_scope():
             got = batched_join(table, index, OUTER_KEYS, "LEFT", 6, even_c)
