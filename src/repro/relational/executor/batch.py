@@ -216,7 +216,7 @@ def sel_in_set(
 ) -> List[int]:
     """Keep indices satisfying ``column[i] [NOT] IN items``.
 
-    Answers and raises exactly as the row evaluator's left-to-right fold of
+    Answers and raises exactly as ``sql_in``'s left-to-right fold of
     ``sql_compare("=", value, item)``: a NULL probe is unknown (dropped);
     for NOT IN, a NULL *item* makes every non-match unknown (dropped); a
     probe whose domain no non-NULL item shares raises TypeCheckError.  When

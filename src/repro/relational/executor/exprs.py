@@ -77,11 +77,13 @@ class PlanContext:
 
 def constant_value(kernel: VecValueFn, env: List[Dict]) -> Any:
     """The value of a kernel that reads no column: run over one row."""
-    return kernel((), range(1), env)[0]
+    return kernel((), (0,), env)[0]
 
 
-def _column(pos: int) -> VecValueFn:
-    return lambda cols, idx, env: B.gather(cols[pos], idx)
+def column_kernel(pos: int) -> VecValueFn:
+    """The kernel reading input column *pos*."""
+    gather = B.gather
+    return lambda cols, idx, env: gather(cols[pos], idx)
 
 
 def _outer_lookup(key: Tuple[str, str]) -> Callable[[List[Dict]], Any]:
@@ -129,7 +131,7 @@ class VecExprCompiler:
     def compile_value(self, expr: ast.Expr) -> VecValueFn:
         pos = self._precomputed(expr)
         if pos is not None:
-            return _column(pos)
+            return column_kernel(pos)
         builders = _KERNELS.get(type(expr))
         if builders is None:
             raise TypeCheckError(f"cannot compile expression {expr!r}")
@@ -165,7 +167,7 @@ class VecExprCompiler:
             raise ExecutionError(
                 f"column {expr.to_sql()} not in row layout {sorted(self.layout)}"
             )
-        return _column(pos)
+        return column_kernel(pos)
 
     def _outer_ref(self, expr: OuterRef) -> VecValueFn:
         lookup = _outer_lookup((expr.quantifier, expr.column))
@@ -472,22 +474,14 @@ class VecExprCompiler:
         return pos
 
     def _const_fetch(self, expr: ast.Expr) -> Optional[Callable[[List[Dict]], Any]]:
-        """A per-batch fetcher for row-independent operands (literal,
-        parameter, outer reference)."""
+        """A per-batch fetcher for a constant operand (literal, parameter,
+        outer reference): its kernel over a one-row batch."""
+        if type(expr) not in (ast.Literal, ast.Parameter, OuterRef):
+            return None
         if self._precomputed(expr) is not None:
             return None
-        if isinstance(expr, ast.Literal):
-            value = expr.value
-            return lambda env: value
-        if isinstance(expr, ast.Parameter):
-            ctx = self.context
-            if ctx is None:
-                return None
-            slot = expr.index
-            return lambda env: ctx.params[slot]
-        if isinstance(expr, OuterRef):
-            return _outer_lookup((expr.quantifier, expr.column))
-        return None
+        kernel = self.compile_value(expr)
+        return lambda env: constant_value(kernel, env)
 
 
 #: Node class -> (kernel builder, selection builder or None).  A selection

@@ -23,12 +23,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ExecutionError
 from repro.relational.catalog import Catalog, Table
-from repro.relational.executor.batch import gather
 from repro.relational.executor.exprs import (
     Layout,
     PlanContext,
     VecExprCompiler,
     VecValueFn,
+    column_kernel,
 )
 from repro.relational.executor.operators import (
     AggSpec,
@@ -87,11 +87,6 @@ _VEC_ROW_DISCOUNT = 0.3
 #: below it, per-batch setup outweighs the per-row savings.  A cost input
 #: only: every plan runs the same batch operators.
 VEC_MIN_ROWS = 64
-
-
-def _column(pos: int) -> VecValueFn:
-    """Vector closure reading the input column at *pos*."""
-    return lambda cols, idx, env: gather(cols[pos], idx)
 
 
 @dataclass
@@ -222,8 +217,8 @@ class Planner:
                 table.position_of(col): compiler.compile_value(expr)
                 for col, expr in assignments
             }
-            head = [_column(pos) for pos in range(len(names))] + [
-                new_values.get(pos) or _column(pos + 1)
+            head = [column_kernel(pos) for pos in range(len(names))] + [
+                new_values.get(pos) or column_kernel(pos + 1)
                 for pos in range(len(columns))
             ]
             op = Project(op, head, "write")
@@ -946,7 +941,7 @@ class Planner:
             op = Limit(op, box.limit, box.offset)
         columns = child.columns
         if box.visible is not None and box.visible < len(columns):
-            op = Project(op, [_column(p) for p in range(box.visible)], "trim")
+            op = Project(op, [column_kernel(p) for p in range(box.visible)], "trim")
             columns = columns[: box.visible]
         return CompiledPlan(op, columns)
 
