@@ -292,6 +292,30 @@ class TestVacuum:
         assert final["vacuum_runs"] == runs_before + 2
         assert final["versions_pruned"] >= after["versions_pruned"]
 
+    def test_fixed_churn_lag_and_pruned_counts(self):
+        """120 one-row budget transfers with a vacuum every 30: each pass
+        finds exactly the 30 images written since the last one and prunes
+        them all, and the final pass leaves the store empty."""
+        db = _company_db()
+        db.mvcc.autovacuum_threshold = 0
+        session = db.connect()
+        lags, pruned = [], []
+        for i in range(120):
+            session.begin()
+            session.execute(
+                f"UPDATE DEPT SET budget = budget + {1 if i % 2 == 0 else -1} "
+                f"WHERE dno = {1 + i % 3}"
+            )
+            session.commit()
+            if (i + 1) % 30 == 0:
+                lags.append(db.mvcc.store.metrics()["version_images"])
+                db.vacuum()
+                pruned.append(db.mvcc.store.metrics()["versions_pruned"])
+        db.vacuum()
+        assert lags == [30, 30, 30, 30]
+        assert pruned == [30, 60, 90, 120]
+        assert db.mvcc.store.metrics()["version_images"] == 0
+
     def test_last_snapshot_release_sweeps_store(self):
         """Releasing the last active snapshot sweeps committed entries, so
         lightly-written tables return to the clean scan fast path instead

@@ -458,61 +458,57 @@ class TestCoCluster:
         assert parent.row_count == 30
 
     def test_clustered_read_touches_fewer_pages(self):
-        """The E4 effect in miniature: CO-clustered layout needs fewer
-        page fetches per composite object than table-clustered layout."""
-        page_size = 512
-        # Table-clustered: parents then children, separate page runs.
-        disk_t = DiskManager(page_size)
-        pool_t = BufferPool(disk_t, capacity=2)
-        parent_t = HeapFile("P", pool_t)
-        child_t = HeapFile("C", pool_t)
-        # CO-clustered: parent followed by its children.
-        disk_c = DiskManager(page_size)
-        pool_c = BufferPool(disk_c, capacity=2)
-        parent_c = HeapFile("P", pool_c)
-        child_c = HeapFile("C", pool_c)
+        """E4: read 150 composite objects (a parent and its 6 children,
+        1 KB pages).  Through 4 frames, the children's arrival order costs
+        1 050 misses and any object-ordered load 48, with or without
+        CoCluster.  Through one frame, which cannot hold a page of both
+        tables, only CoCluster's shared pages keep it at 48."""
 
-        groups = [
-            ((i, "parent-payload"), [(i, j, "child-payload") for j in range(5)])
-            for i in range(40)
-        ]
-        for parent_row, children in groups:
-            parent_t.insert(parent_row)
-        for _, children in groups:
-            for child_row in children:
-                child_t.insert(child_row)
-        with CoCluster(pool_c) as cluster:
-            for parent_row, children in groups:
-                cluster.load_group(
-                    [(parent_c, parent_row)] + [(child_c, c) for c in children]
-                )
-        for pool in (pool_t, pool_c):
+        def objects():
+            for i in range(150):
+                children = [(i, j, f"child-{i}-{j}", j * 1.5) for j in range(6)]
+                yield (i, f"parent-{i}", i * 10), children
+
+        def read_trace_misses(layout, frames):
+            pool = BufferPool(DiskManager(1024), frames)
+            parents = HeapFile("P", pool)
+            children = HeapFile("C", pool)
+            if layout == "co":
+                with CoCluster(pool) as cluster:
+                    for parent_row, child_rows in objects():
+                        cluster.load_group(
+                            [(parents, parent_row)]
+                            + [(children, row) for row in child_rows]
+                        )
+            elif layout == "object":
+                for parent_row, child_rows in objects():
+                    parents.insert(parent_row)
+                    for row in child_rows:
+                        children.insert(row)
+            else:
+                # arrival order: one object's children scatter over pages
+                for parent_row, _ in objects():
+                    parents.insert(parent_row)
+                for j in range(6):
+                    for _, child_rows in objects():
+                        children.insert(child_rows[j])
+            parent_rids = [rid for rid, _ in parents.scan()]
+            child_rids = {}
+            for rid, row in children.scan():
+                child_rids.setdefault(row[0], []).append(rid)
             pool.clear()
             pool.reset_stats()
+            for i, rid in enumerate(parent_rids):
+                parents.fetch_row(rid)
+                for child_rid in child_rids[i]:
+                    children.fetch_row(child_rid)
+            return pool.misses
 
-        # Read each composite object: parent row + its children.
-        parent_rids_t = [rid for rid, _ in parent_t.scan()]
-        child_rids_t = {}
-        for rid, row in child_t.scan():
-            child_rids_t.setdefault(row[0], []).append(rid)
-        pool_t.clear()
-        pool_t.reset_stats()
-        for i, rid in enumerate(parent_rids_t):
-            parent_t.fetch_row(rid)
-            for crid in child_rids_t.get(i, []):
-                child_t.fetch_row(crid)
-        misses_table = pool_t.misses
-
-        parent_rids_c = [rid for rid, _ in parent_c.scan()]
-        child_rids_c = {}
-        for rid, row in child_c.scan():
-            child_rids_c.setdefault(row[0], []).append(rid)
-        pool_c.clear()
-        pool_c.reset_stats()
-        for i, rid in enumerate(parent_rids_c):
-            parent_c.fetch_row(rid)
-            for crid in child_rids_c.get(i, []):
-                child_c.fetch_row(crid)
-        misses_clustered = pool_c.misses
-
-        assert misses_clustered < misses_table
+        expected = {
+            ("arrival", 4): 1050,
+            ("object", 4): 48,
+            ("co", 4): 48,
+            ("object", 1): 325,
+            ("co", 1): 48,
+        }
+        assert {key: read_trace_misses(*key) for key in expected} == expected

@@ -21,6 +21,7 @@ from repro.errors import (
     ServerShutdownError,
 )
 from repro.client.client import WireClient
+from repro.server.bootstrap import STAFF_CO, demo_database
 from repro.server.server import ServerThread
 from repro.workloads.company import FIGURE1_CO, figure1_database
 
@@ -306,3 +307,83 @@ class TestGracefulShutdown:
         worker.join(30)
         assert len(result.get("rows", [])) == 3 * 3 * 6 * 6 * 6
         client.sock.close()
+
+
+class TestConcurrentClients:
+    """32 clients, each running 12 ops of a fixed mix: the Fig. 1 TAKE and
+    one path, the recursive STAFF TAKE, a 3-level OO1 frontier traversal in
+    SQL, and an indexed point select.  A client sends its 18 requests and
+    a CLOSE, and receives a hello and 19 replies; a session that fails,
+    retries or leaks moves one of the counts."""
+
+    CLIENTS = 32
+    OPS_PER_CLIENT = 12
+
+    @staticmethod
+    def run_op(client, op, slot):
+        if op == 0:
+            co = client.take(FIGURE1_CO)
+            assert co.nodes["Xemp"] == 5
+            assert len(co.path("Xdept", "employment", dname="d2")) == 3
+            co.close()
+        elif op == 1:
+            co = client.take(STAFF_CO)
+            assert co.nodes["Xemp"] == 29
+            co.close()
+        elif op == 2:
+            frontier = [1 + slot % 150]
+            for _ in range(3):
+                ids = ", ".join(map(str, frontier))
+                rows = client.execute(
+                    f"SELECT cto FROM CONN WHERE cfrom IN ({ids})"
+                ).rows()
+                frontier = sorted({row[0] for row in rows})[:32]
+                if not frontier:
+                    break
+        else:
+            row = client.execute(
+                f"SELECT ptype, x, y FROM PART WHERE pid = {1 + slot % 150}"
+            ).first()
+            assert row is not None
+
+    def test_mix_counts_every_frame(self):
+        db = demo_database(mvcc=True, num_parts=150)
+        failures = []
+
+        def worker(port, slot):
+            try:
+                with WireClient(port=port) as client:
+                    for op_index in range(self.OPS_PER_CLIENT):
+                        self.run_op(client, (slot + op_index) % 4, slot * 7 + op_index)
+            except Exception as exc:
+                failures.append((slot, repr(exc)))
+
+        with ServerThread(db, max_connections=self.CLIENTS + 8) as server:
+            threads = [
+                threading.Thread(target=worker, args=(server.port, slot))
+                for slot in range(self.CLIENTS)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+                assert not thread.is_alive()
+        counters = db.network.snapshot()
+        assert failures == []
+        assert len(db.wire_sessions) == 0
+        assert {
+            key: counters[key]
+            for key in (
+                "connections_opened",
+                "connections_refused",
+                "frames_in",
+                "frames_out",
+                "retryable_errors_sent",
+            )
+        } == {
+            "connections_opened": 32,
+            "connections_refused": 0,
+            "frames_in": 32 * 19,
+            "frames_out": 32 * 20,
+            "retryable_errors_sent": 0,
+        }

@@ -62,9 +62,12 @@ def test_per_op_counts(name, monkeypatch):
     workload.setup()
     parses = []
     parse = engine.parse_statements
-    monkeypatch.setattr(
-        engine, "parse_statements", lambda sql: parses.append(sql) or parse(sql)
-    )
+
+    def counted_parse(sql, *literal_tokens):
+        parses.append(sql)
+        return parse(sql, *literal_tokens)
+
+    monkeypatch.setattr(engine, "parse_statements", counted_parse)
     try:
         ops = workload.op_stream("run")
         got = []
