@@ -7,7 +7,7 @@ XNF stages, which :mod:`repro.xnf` adds on top):
 
 and owns the shared substrate: disk, buffer pool, catalog, transaction
 manager.  Per-stage wall-clock timings of the last statement are kept in
-``last_timings`` for the pipeline benchmark (experiment F8).
+``last_timings`` (the stages of Fig. 8).
 """
 
 from __future__ import annotations
@@ -1413,7 +1413,7 @@ class Database:
     # -- helpers ---------------------------------------------------------------------
 
     def io_stats(self) -> Dict[str, int]:
-        """Storage counters used by the clustering/extraction benchmarks."""
+        """Storage counters: the pages an extraction or a scan touched."""
         return {
             "disk_reads": self.disk.reads,
             "disk_writes": self.disk.writes,

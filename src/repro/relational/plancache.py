@@ -26,9 +26,6 @@ engine-side machinery that makes the "once" real:
   parser: its token stream, with literal tokens as slots, is the key, and
   the template binds the lifted values straight from the tokens (see
   :meth:`PlanCache.match`).
-
-Aggregate counters are also mirrored module-globally so the benchmark
-harness can report hit rates across many Database instances.
 """
 
 from __future__ import annotations
@@ -46,24 +43,6 @@ from repro.relational.sql.lexer import SQL_TOKENS
 
 #: Default number of cached plans per Database.
 DEFAULT_CAPACITY = 256
-
-#: Process-wide aggregate counters (all PlanCache instances), for benchmarks.
-GLOBAL_STATS: Dict[str, int] = {
-    "hits": 0,
-    "misses": 0,
-    "invalidations": 0,
-    "evictions": 0,
-}
-
-
-def reset_global_stats() -> None:
-    for key in GLOBAL_STATS:
-        GLOBAL_STATS[key] = 0
-
-
-def snapshot_global_stats() -> Dict[str, int]:
-    return dict(GLOBAL_STATS)
-
 
 # ===========================================================================
 # Normalization: lift WHERE-clause literals into a parameter vector
@@ -535,16 +514,13 @@ class PlanCache:
                     if catalog.object_version(name) != version:
                         del self._entries[key]
                         self.invalidations += 1
-                        GLOBAL_STATS["invalidations"] += 1
                         entry = None
                         break
             if entry is None:
                 self.misses += 1
-                GLOBAL_STATS["misses"] += 1
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            GLOBAL_STATS["hits"] += 1
             return entry
 
     def store(self, key: CacheKey, entry: CacheEntry) -> None:
@@ -554,7 +530,6 @@ class PlanCache:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-                GLOBAL_STATS["evictions"] += 1
 
     def clear(self) -> None:
         with self._mutex:
@@ -575,7 +550,6 @@ class PlanCache:
             self._templates.clear()
             self._template_count = self._program_count = 0
             self.invalidations += dropped
-            GLOBAL_STATS["invalidations"] += dropped
             return dropped
 
     def stats(self) -> Dict[str, int]:

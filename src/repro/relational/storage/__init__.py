@@ -7,7 +7,7 @@ measurable I/O.  We model a paged store:
 * :class:`~repro.relational.storage.disk.DiskManager` — the "disk": a page
   array with read/write counters,
 * :class:`~repro.relational.storage.buffer.BufferPool` — LRU page cache with
-  hit/miss accounting (the unit every clustering benchmark reports),
+  hit/miss accounting (the unit the clustering experiment counts),
 * :class:`~repro.relational.storage.heap.HeapFile` — per-table row storage;
   pages are tagged per slot with the owning table, so a single page can hold
   a department tuple next to its employees (CO clustering, experiment E4),

@@ -1,8 +1,8 @@
 """Buffer pool: LRU page cache over the simulated disk.
 
 Pin/unpin discipline mirrors a textbook buffer manager.  ``hits`` and
-``misses`` are the primary metric of the clustering benchmark (experiment
-E4): a CO-clustered layout touches far fewer distinct pages per composite
+``misses`` are the metric of the clustering experiment (E4,
+``TestCoCluster``): a CO-clustered layout touches far fewer distinct pages per composite
 object, which shows up directly as fewer misses for the same trace.
 """
 

@@ -26,8 +26,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class DiskManager:
     """Allocates page ids and stores checksummed page images.
 
-    ``reads``/``writes`` count physical page transfers; benchmarks reset
-    them via :meth:`reset_stats`.  ``fault_injector`` (optional) is
+    ``reads``/``writes`` count physical page transfers; :meth:`reset_stats`
+    zeroes them.  ``fault_injector`` (optional) is
     consulted on every transfer.
     """
 

@@ -1,7 +1,7 @@
 """``python -m repro.server`` — boot a wire server over a demo database.
 
 The demo instance carries the Fig. 1 company tables (E1), a reports-to
-STAFF chain (E6) and the OO1 parts graph, so a REPL or benchmark client
+STAFF chain (E6) and the OO1 parts graph, so a REPL or a load client
 can exercise every workload the repo measures.  ``--empty`` starts from a
 blank database instead (DDL over the wire).
 """

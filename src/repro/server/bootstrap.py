@@ -1,7 +1,8 @@
-"""Demo/benchmark database behind ``python -m repro.server``.
+"""Demo database behind ``python -m repro.server``.
 
-One Database carrying all three workload families the server benchmarks
-exercise, so a single listener can serve them concurrently:
+One Database carrying three workload families, so a single listener can
+serve them concurrently (``tests/server/test_server.py`` drives 32
+clients over it):
 
 * the paper's Fig. 1 company instance (E1: ``FIGURE1_CO`` extraction),
 * a reports-to STAFF chain (E6: recursive CO fixpoint),
@@ -16,7 +17,7 @@ from repro.relational.engine import Database
 from repro.workloads.company import figure1_database
 from repro.workloads.oo1 import generate_connections
 
-#: E6 CO over the STAFF chain (same shape as benchmarks/bench_recursive_co)
+#: E6 CO over the STAFF chain: the root and the recursive reports-to edge
 STAFF_CO = """
 OUT OF
   Xroot AS (SELECT * FROM STAFF WHERE mgrno IS NULL),

@@ -587,7 +587,7 @@ class XNFServer:
 class ServerThread:
     """Run an :class:`XNFServer` on a dedicated event-loop thread.
 
-    The blocking-world adapter for tests, benchmarks and the CI smoke
+    The blocking-world adapter for tests, ``perf/`` and the CI smoke
     script: ``start()`` returns once the port is bound, ``stop()`` runs the
     graceful drain and joins the thread.  Usable as a context manager.
     """

@@ -1,4 +1,4 @@
-"""Workload generators for examples, tests and benchmarks.
+"""Workload generators for examples, tests and ``perf/``.
 
 * :mod:`~repro.workloads.company` — the paper's running example: the
   company database of Figs 1–5 in both representations of Fig. 2 (implicit

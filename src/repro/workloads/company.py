@@ -8,7 +8,7 @@ Two fixed instances:
   (membership with a percentage attribute, projmanagement closing the
   cycle, and p1 unreachable once 'ownership' is projected away),
 
-plus :func:`scaled_database`, a size-parameterised version for benchmarks,
+plus :func:`scaled_database`, a size-parameterised version for experiments,
 and :func:`create_paper_views` which installs ALL-DEPS, ALL-DEPS-ORG and
 EXT-ALL-DEPS-ORG exactly as sections 3.2–3.4 define them.
 
@@ -188,7 +188,7 @@ def scaled_database(
     seed: int = 7,
     **db_kwargs,
 ) -> Database:
-    """A size-parameterised company database for benchmarks."""
+    """A size-parameterised company database for the experiment counts."""
     rng = random.Random(seed)
     db = empty_company_database(**db_kwargs)
     locations = ["NY", "SF", "LA", "CHI", "AUS"]

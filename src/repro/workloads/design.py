@@ -8,9 +8,10 @@ extraction where on average one tuple out of 10000 to 100000 is selected".
 The generator builds DOCUMENT / VERSION / COMPONENT / SUBCOMP tables whose
 total size scales with *num_documents*, while a *working set* — one
 document version with its components and subcomponents — stays a fixed,
-small size.  :data:`WORKING_SET_CO` extracts exactly that working set as a
-composite object; the benchmark sweeps the database size and measures the
-set-oriented extraction against a navigational one-query-per-tuple loader.
+small size.  :func:`working_set_co` extracts exactly that working set as a
+composite object; experiment E2 (``tests/test_experiment_counts.py``)
+grows the database and counts the queries of the set-oriented extraction
+against a navigational one-query-per-tuple loader.
 """
 
 from __future__ import annotations

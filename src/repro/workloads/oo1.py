@@ -181,21 +181,6 @@ def traverse_sql(db: Database, start_pid: int, depth: int = 7) -> int:
     return visits
 
 
-def traverse_setwise_sql(db: Database, start_pid: int, depth: int = 7) -> int:
-    """Depth-d traversal with one set-oriented SQL query per *level* —
-    the relational engine's best effort without a cache."""
-    frontier = [start_pid]
-    visits = 1
-    for _ in range(depth):
-        ids = ", ".join(str(pid) for pid in frontier)
-        result = db.execute(f"SELECT cto FROM CONN WHERE cfrom IN ({ids})")
-        frontier = [row[0] for row in result.rows]
-        visits += len(frontier)
-        if not frontier:
-            break
-    return visits
-
-
 def insert_parts_sql(db: Database, start_id: int, count: int, rng: random.Random) -> None:
     """OO1 insert: *count* new parts with 3 connections each, via SQL."""
     for offset in range(count):

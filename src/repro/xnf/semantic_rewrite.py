@@ -58,7 +58,7 @@ Row = Tuple[Any, ...]
 
 @dataclass
 class InstantiationStats:
-    """Measurements of one CO instantiation (benchmarks read these)."""
+    """Measurements of one CO instantiation (the count tests read these)."""
 
     iterations: int = 0
     queries_issued: int = 0
