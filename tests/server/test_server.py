@@ -338,8 +338,6 @@ class TestConcurrentClients:
                     f"SELECT cto FROM CONN WHERE cfrom IN ({ids})"
                 ).rows()
                 frontier = sorted({row[0] for row in rows})[:32]
-                if not frontier:
-                    break
         else:
             row = client.execute(
                 f"SELECT ptype, x, y FROM PART WHERE pid = {1 + slot % 150}"
