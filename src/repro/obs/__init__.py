@@ -14,14 +14,13 @@ PR measures against:
   ``Database.metrics_snapshot()`` merges them with the storage, WAL, lock,
   transaction, fixpoint and plan-cache counters.
 * :mod:`repro.obs.analyze` — operator-level instrumentation behind
-  ``EXPLAIN ANALYZE`` (rows in/out and cumulative time per plan operator).
+  ``EXPLAIN ANALYZE`` (rows in/out, the planner's row estimate and
+  cumulative time per plan operator).
 * :mod:`repro.obs.slowlog` — a threshold-configurable slow-query log with
   the statement's span tree attached.
 * :mod:`repro.obs.statements` — bounded per-fingerprint statement stats
   (calls, latency quantiles, plan-cache hits) behind
   ``SYS_STAT_STATEMENTS``.
-* :mod:`repro.obs.feedback` — estimate-vs-actual cardinality feedback with
-  q-errors (``SYS_STAT_ESTIMATES``), optionally consulted by the planner.
 * :mod:`repro.obs.costats` — per-CO instantiation cardinalities and
   fixpoint profiles (``SYS_CO_STATS``).
 * :mod:`repro.obs.export` — JSONL trace exporter (one root span per line,
@@ -36,7 +35,6 @@ PR measures against:
 from repro.obs.analyze import OpStats, instrument_plan, render_analyzed
 from repro.obs.costats import COStat, COStatsRegistry
 from repro.obs.export import JsonlTraceExporter
-from repro.obs.feedback import EstimateFeedback, FeedbackRegistry, q_error
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.network import NetworkStats, WireSessionRegistry, WireSessionStats
 from repro.obs.profile import build_profile, render_profile
@@ -48,9 +46,7 @@ __all__ = [
     "COStat",
     "COStatsRegistry",
     "Counter",
-    "EstimateFeedback",
     "FRESH_CONTEXT",
-    "FeedbackRegistry",
     "Gauge",
     "Histogram",
     "JsonlTraceExporter",
@@ -69,7 +65,6 @@ __all__ = [
     "Tracer",
     "build_profile",
     "instrument_plan",
-    "q_error",
     "render_analyzed",
     "render_profile",
 ]

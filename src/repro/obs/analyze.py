@@ -17,7 +17,10 @@ Recorded per operator:
   subtree (inclusive, like PostgreSQL's ``actual time``);
 * ``batches`` — the number of column batches produced.
 
-``rows in`` for the renderer is simply the children's ``rows_out``.
+``rows in`` for the renderer is simply the children's ``rows_out``.  An
+operator the planner annotated with ``est_rows`` (an access path or a join)
+also shows that estimate as ``est=``, beside the actual ``rows=``, as
+PostgreSQL's ``EXPLAIN ANALYZE`` does.
 """
 
 from __future__ import annotations
@@ -93,6 +96,9 @@ def render_analyzed(root: PlanOp, stats: Dict[int, OpStats], indent: int = 0) ->
             if id(child) in stats
         )
         parts = [f"rows={st.rows_out}"]
+        est = getattr(root, "est_rows", None)
+        if est is not None:
+            parts.append(f"est={est:.0f}")
         if root.children():
             parts.append(f"rows_in={rows_in}")
         parts.append(f"loops={st.loops}")

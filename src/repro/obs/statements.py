@@ -51,13 +51,11 @@ class StatementStatsRegistry:
 
     Thread-safe (one lock per record), bounded at *capacity* fingerprints
     with least-recently-updated eviction; ``evicted`` counts casualties so
-    a snapshot can say how much history was shed.  Disabling the registry
-    stops the per-fingerprint entries, not the latency histogram.
+    a snapshot can say how much history was shed.
     """
 
-    def __init__(self, capacity: int = 512, enabled: bool = True):
+    def __init__(self, capacity: int = 512):
         self.capacity = capacity
-        self.enabled = enabled
         self._stats: "OrderedDict[str, StatementStat]" = OrderedDict()
         self._lock = threading.Lock()
         self.evicted = 0
@@ -65,7 +63,7 @@ class StatementStatsRegistry:
 
     def record(
         self,
-        fingerprint: Optional[str],
+        fingerprint: str,
         elapsed_s: float,
         rows: int = 0,
         cache_hit: bool = False,
@@ -73,11 +71,9 @@ class StatementStatsRegistry:
         session_id: Optional[int] = None,
         trace_id: Optional[int] = None,
     ) -> None:
-        """Record one statement; *fingerprint* may be None while disabled."""
+        """Record one statement."""
         with self._lock:
             self.latency.observe(elapsed_s)
-            if not self.enabled or fingerprint is None:
-                return
             stats = self._stats
             stat = stats.get(fingerprint)
             if stat is None:

@@ -9,8 +9,8 @@ the stack becomes the parent of the next span.
 
 Tracing is cheap (two ``perf_counter`` calls and a list append per span;
 no per-row work) and on by default.  ``Tracer(enabled=False)`` — or
-``Database(tracing=False)`` — degrades every ``span()`` call to a shared
-no-op span so the hot path pays a single attribute check.
+setting ``db.tracer.enabled = False`` — degrades every ``span()`` call to
+a shared no-op span so the hot path pays a single attribute check.
 
 Distributed tracing
 -------------------

@@ -32,7 +32,6 @@ from repro.errors import (
 )
 from repro.obs.analyze import instrument_plan, render_analyzed
 from repro.obs.costats import COStatsRegistry
-from repro.obs.feedback import FeedbackRegistry
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.network import NetworkStats, WireSessionRegistry
 from repro.obs.slowlog import SlowQueryLog
@@ -67,6 +66,12 @@ from repro.relational.txn.manager import (
 from repro.relational.txn.mvcc import current_snapshot, set_ambient_snapshot
 from repro.relational.txn.wal import WriteAheadLog
 from repro.relational.types import type_from_name
+
+#: transient I/O faults (an injected read or write error) re-run a query's
+#: collection or a DML statement this many times, after a backoff that
+#: starts here and doubles per attempt
+IO_RETRIES = 3
+IO_RETRY_BACKOFF_S = 0.001
 
 
 def _sql_of(stmt: ast.Statement) -> str:
@@ -269,13 +274,8 @@ class Database:
         disk: Optional[DiskManager] = None,
         wal: Optional[WriteAheadLog] = None,
         statement_timeout_s: Optional[float] = None,
-        io_retries: int = 3,
-        io_retry_backoff_s: float = 0.001,
-        tracing: bool = True,
-        trace_sample_rate: Optional[float] = None,
+        trace_sample_rate: float = 1.0,
         slow_query_threshold_s: Optional[float] = None,
-        statement_stats: bool = True,
-        optimizer_feedback: bool = False,
         mvcc: bool = True,
         max_concurrent_txns: Optional[int] = None,
         shards: Optional[int] = None,
@@ -306,8 +306,6 @@ class Database:
         #: through the ``statement_timeout_s`` property (Session swaps the
         #: override in and out alongside the transaction pointer).
         self._default_statement_timeout_s = statement_timeout_s
-        self.io_retries = io_retries
-        self.io_retry_backoff_s = io_retry_backoff_s
         self.enable_rewrite = enable_rewrite
         #: default shard count for CREATE TABLE: explicit ``shards=``
         #: argument, then the REPRO_SHARDS environment variable, else 0
@@ -340,19 +338,11 @@ class Database:
         self.statements_executed = 0
         self.plan_cache = PlanCache(plan_cache_capacity)
         #: span tracer: every statement leaves a tree in tracer.last_trace.
-        #: Head-based sampling: explicit ``trace_sample_rate=`` argument,
-        #: then the REPRO_TRACE_SAMPLE environment variable, default 1.0
-        #: (trace everything); slow statements are always sampled once a
-        #: slow-query threshold is configured.
-        if trace_sample_rate is None:
-            try:
-                trace_sample_rate = float(
-                    os.environ.get("REPRO_TRACE_SAMPLE", "1")
-                )
-            except ValueError:
-                trace_sample_rate = 1.0
+        #: Head-based sampling keeps ``trace_sample_rate`` of the roots
+        #: (default 1.0, trace everything); slow statements are always
+        #: sampled once a slow-query threshold is configured.
+        #: ``tracer.enabled`` switches tracing off altogether.
         self.tracer = Tracer(
-            enabled=tracing,
             sample_rate=trace_sample_rate,
             slow_sample_s=slow_query_threshold_s,
         )
@@ -366,12 +356,7 @@ class Database:
         #: XNF explain_analyze path flips this around an instantiation)
         self.analyze_statements = False
         #: per-fingerprint statement statistics (behind SYS_STAT_STATEMENTS)
-        self.statement_stats = StatementStatsRegistry(enabled=statement_stats)
-        #: estimate-vs-actual cardinality feedback (behind SYS_STAT_ESTIMATES)
-        self.feedback = FeedbackRegistry()
-        #: when True, the planner consults ``feedback`` at (re)planning time
-        #: and corrects selectivity guesses with observed cardinalities
-        self.optimizer_feedback = optimizer_feedback
+        self.statement_stats = StatementStatsRegistry()
         #: per-CO instantiation statistics (behind SYS_CO_STATS), fed by the
         #: XNF semantic-rewrite layer
         self.co_stats = COStatsRegistry()
@@ -569,12 +554,9 @@ class Database:
         finally:
             elapsed = time.perf_counter() - start
             rows = result.rowcount if result is not None else 0
-            stats = self.statement_stats
-            fingerprint = None
-            if normalized is not None:
-                fingerprint = normalized.fingerprint
-            elif stats.enabled:
-                fingerprint = _fingerprint_of(stmt)
+            fingerprint = (
+                _fingerprint_of(stmt) if normalized is None else normalized.fingerprint
+            )
             if span is not NULL_SPAN:
                 attrs = span.attrs
                 if sql is not None:
@@ -588,7 +570,7 @@ class Database:
                 span.__exit__(None if error is None else type(error), error, None)
             session_id = self._tls.session_id
             trace_id = span.trace_id or None
-            stats.record(
+            self.statement_stats.record(
                 fingerprint, elapsed, rows, bool(hit), error is not None, session_id, trace_id
             )
             slow = self.slow_query_log
@@ -701,11 +683,11 @@ class Database:
     ) -> CompiledPlan:
         """Uncached, instrumentable compile over the *normalized* statement.
 
-        Normalizing first makes the feedback keys recorded from this run
-        (parameter markers where literals stood) line up with the keys that
-        cached compiles of literal-differing statements produce, so EXPLAIN
-        ANALYZE observations transfer to later re-planning.  A query that
-        comes normalized, with its parameter *values*, is compiled as it is.
+        Normalizing first compiles the plan the cache would hold for this
+        text (parameter markers where literals stood, so the same access
+        paths and join order), which is the plan EXPLAIN ANALYZE should
+        measure.  A query that comes normalized, with its parameter
+        *values*, is compiled as it is.
         """
         if values is not None:
             return self._compile_statement(bind_rows(query, values))
@@ -715,23 +697,6 @@ class Database:
         plan = self._compile_statement(normalized.statement)
         plan.context.params[:] = list(normalized.lifted_values)
         return plan
-
-    def _record_estimates(self, op_stats) -> None:
-        """Feed per-operator estimate-vs-actual pairs into the feedback
-        registry (``SYS_STAT_ESTIMATES``); actuals are per-loop averages so
-        inner sides of nested loops compare against their per-probe estimate."""
-        for stat in op_stats.values():
-            op = stat.op
-            est = getattr(op, "est_rows", None)
-            if est is None or not stat.loops:
-                continue
-            self.feedback.record(
-                getattr(op, "feedback_source", None) or op.label,
-                op.label,
-                getattr(op, "feedback_predicate", ""),
-                float(est),
-                stat.rows_out / stat.loops,
-            )
 
     def _stage_timings_line(self) -> str:
         stages = ("parse", "build_qgm", "rewrite", "optimize", "execute")
@@ -852,9 +817,7 @@ class Database:
         return plan
 
     def _planner(self) -> Planner:
-        return Planner(
-            self.catalog, feedback=self.feedback if self.optimizer_feedback else None
-        )
+        return Planner(self.catalog)
 
     def _rewrite(self, box: Box) -> Box:
         if not self.enable_rewrite:
@@ -898,7 +861,6 @@ class Database:
             if batches:
                 span.annotate(batches=batches)
             span.annotate(detail=render_analyzed(plan.op, op_stats))
-            self._record_estimates(op_stats)
         return Result(plan.columns, rows, len(rows))
 
     @contextlib.contextmanager
@@ -955,13 +917,13 @@ class Database:
           query aborts with :class:`ResourceExhaustedError` instead of
           spinning;
         * a transient :class:`IOFaultError` (injected read error) restarts
-          the whole collection after a short backoff, up to ``io_retries``
+          the whole collection after a short backoff, up to ``IO_RETRIES``
           times — queries have no side effects, so re-running the plan's
           operator tree from scratch is safe.
         """
-        backoff = self.io_retry_backoff_s
+        backoff = IO_RETRY_BACKOFF_S
         timeout = self.statement_timeout_s
-        for attempt in range(self.io_retries + 1):
+        for attempt in range(IO_RETRIES + 1):
             deadline = None if timeout is None else time.perf_counter() + timeout
             try:
                 rows: List[Tuple[Any, ...]] = []
@@ -974,11 +936,10 @@ class Database:
                     self._timed_out()
                 return rows
             except IOFaultError as err:
-                if err.transient and attempt < self.io_retries:
+                if err.transient and attempt < IO_RETRIES:
                     self.metrics.inc("sql.statement_retries")
-                    if backoff > 0:
-                        time.sleep(backoff)
-                        self._note_retry_sleep(backoff)
+                    time.sleep(backoff)
+                    self._note_retry_sleep(backoff)
                     backoff *= 2
                     continue
                 raise
@@ -1011,8 +972,8 @@ class Database:
         txn = self._txn
         assert txn is not None
         try:
-            backoff = self.io_retry_backoff_s
-            for attempt in range(self.io_retries + 1):
+            backoff = IO_RETRY_BACKOFF_S
+            for attempt in range(IO_RETRIES + 1):
                 mark = len(txn.undo)
                 try:
                     with self.snapshot_scope():
@@ -1022,11 +983,10 @@ class Database:
                     raise
                 except IOFaultError as err:
                     self.txn_manager.rollback_statement(txn, mark)
-                    if err.transient and attempt < self.io_retries:
+                    if err.transient and attempt < IO_RETRIES:
                         self.metrics.inc("sql.statement_retries")
-                        if backoff > 0:
-                            time.sleep(backoff)
-                            self._note_retry_sleep(backoff)
+                        time.sleep(backoff)
+                        self._note_retry_sleep(backoff)
                         backoff *= 2
                         continue
                     raise
@@ -1465,10 +1425,6 @@ class Database:
                 "slow_evicted": self.slow_query_log.evicted,
                 "tracked_fingerprints": len(self.statement_stats),
                 "fingerprint_evictions": self.statement_stats.evicted,
-            },
-            "estimates": {
-                "tracked": len(self.feedback),
-                "evicted": self.feedback.evicted,
             },
             "trace": {
                 "orphan_spans": self.tracer.orphans,

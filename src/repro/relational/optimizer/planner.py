@@ -158,16 +158,10 @@ class Planner:
         self,
         catalog: Catalog,
         context: Optional[PlanContext] = None,
-        feedback=None,
     ):
         self.catalog = catalog
         self.context = context if context is not None else PlanContext()
         self._subplan_cache: Dict[int, PlanOp] = {}
-        #: optional FeedbackRegistry (estimate-vs-actual corrections); when
-        #: set, base access paths replace their selectivity guess with the
-        #: cardinality previously *observed* for the same normalized
-        #: predicate on the same table (``Database(optimizer_feedback=True)``).
-        self.feedback = feedback
 
     # -- public API -----------------------------------------------------------
 
@@ -348,25 +342,11 @@ class Planner:
         for pred in preds:
             est *= predicate_selectivity(pred, info.base_table)
         est = max(est, 0.5)
-        predicate_key = ""
-        if info.base_table is not None and preds:
-            predicate_key = self._predicate_key(preds)
-            if self.feedback is not None:
-                observed = self.feedback.lookup_rows(
-                    info.base_table.name, predicate_key
-                )
-                if observed is not None:
-                    est = max(float(observed), 0.5)
         if remaining:
             conj = ast.conjoin(remaining)  # type: ignore[arg-type]
             op = Filter(op, self.compiler(layout).compile_filter(conj), info.name)
-        # Estimate annotations for EXPLAIN ANALYZE's estimate-vs-actual
-        # feedback (SYS_STAT_ESTIMATES): which table/predicate this access
-        # path's cardinality guess belongs to.
+        # EXPLAIN ANALYZE prints the estimate beside the actual row count.
         op.est_rows = est
-        if info.base_table is not None:
-            op.feedback_source = info.base_table.name
-            op.feedback_predicate = predicate_key
         return _Partial(
             frozenset([info.name]), op, layout, info.width, est, cost,
             local_preds=tuple(preds),
@@ -377,7 +357,7 @@ class Planner:
         """Order-insensitive normalized text of an access path's predicates.
 
         Cached compiles see parameter markers where literals stood, so the
-        key aggregates feedback across literal-differing statements.
+        text is the same for literal-differing statements.
         """
         return " AND ".join(sorted(pred.to_sql() for pred in preds))
 
@@ -563,11 +543,10 @@ class Planner:
     ) -> _Partial:
         remaining = {info.name for info in infos}
         # Seed on cost + emitted cardinality, not cost alone: an access
-        # path's cost is computed from catalog stats and never updated when
-        # optimizer feedback overrides est_rows, so seeding purely on cost
-        # could start the greedy chain from a quantifier feedback already
-        # proved huge.  est_rows *is* feedback-corrected, so charging each
-        # emitted row at the sequential rate keeps the seed honest.
+        # path's cost is what it takes to *read* its rows, while every join
+        # above the seed pays per row the seed *emits*.  Charging each
+        # emitted row at the sequential rate lets a selective path win the
+        # seed over a cheap one that feeds the chain many rows.
         start = min(
             remaining,
             key=lambda name: singles[name].cost

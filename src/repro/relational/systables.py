@@ -25,7 +25,6 @@ The catalog of tables:
                          a statement span's ``execute_ms`` is listed as
                          its ``execute`` leaf (span_id = -parent's)
 ``SYS_CO_STATS``         per-CO node/edge cardinalities + fixpoint profile
-``SYS_STAT_ESTIMATES``   optimizer estimate vs. actual rows with q-error
 ``SYS_SESSIONS``         live wire-server sessions (state, statements,
                          open COs/cursors, age/idle)
 ``SYS_STAT_NETWORK``     wire-server frame/byte/error counters (one row)
@@ -53,7 +52,6 @@ SYS_TABLE_NAMES = (
     "SYS_SNAPSHOTS",
     "SYS_TRACE_SPANS",
     "SYS_CO_STATS",
-    "SYS_STAT_ESTIMATES",
     "SYS_SESSIONS",
     "SYS_STAT_NETWORK",
     "SYS_SHARDS",
@@ -232,10 +230,6 @@ def _co_stats_provider(db) -> Callable[[], Iterable[Tuple]]:
     return db.co_stats.rows_snapshot
 
 
-def _estimates_provider(db) -> Callable[[], Iterable[Tuple]]:
-    return db.feedback.rows_snapshot
-
-
 def _wire_sessions_provider(db) -> Callable[[], Iterable[Tuple]]:
     return db.wire_sessions.rows_snapshot
 
@@ -390,19 +384,6 @@ def build_sys_tables(db) -> List[VirtualTable]:
                 ("instantiations", INTEGER),
             ),
             _co_stats_provider(db),
-        ),
-        VirtualTable(
-            "SYS_STAT_ESTIMATES",
-            _columns(
-                ("source", VARCHAR()),
-                ("operator", VARCHAR()),
-                ("predicate", VARCHAR()),
-                ("est_rows", FLOAT),
-                ("actual_rows", FLOAT),
-                ("q_error", FLOAT),
-                ("samples", INTEGER),
-            ),
-            _estimates_provider(db),
         ),
         VirtualTable(
             "SYS_SESSIONS",

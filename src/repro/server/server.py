@@ -171,7 +171,7 @@ class _WireConnection:
         constructor installs the SYS_MONITOR CO, which costs a few
         statements — pure-SQL clients never pay it)."""
         if self._xnf is None:
-            self._xnf = self.server.xnf_session_factory(self.server.db)
+            self._xnf = XNFSession(self.server.db)
         return self._xnf
 
     def next_id(self) -> int:
@@ -404,7 +404,6 @@ class XNFServer:
         fetch_size: Optional[int] = DEFAULT_FETCH_SIZE,
         drain_timeout_s: float = 10.0,
         max_session_handles: int = 256,
-        xnf_session_factory: Callable[[Database], XNFSession] = XNFSession,
     ):
         self.db = db
         self.host = host
@@ -417,7 +416,6 @@ class XNFServer:
         #: per-kind cap on a connection's live handles (prepared statements,
         #: fetch cursors); LRU-evicted past the cap
         self.max_session_handles = max_session_handles
-        self.xnf_session_factory = xnf_session_factory
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: set = set()
         self._draining = False

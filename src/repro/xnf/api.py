@@ -371,7 +371,8 @@ class XNFSession:
         """Rebuild a CO from a snapshot's stored tables.
 
         The stored instance is closed under reachability, so loading is one
-        scan per stored table — no derivation joins, no fixpoint."""
+        ``SELECT *`` per stored table, all on one snapshot — no derivation
+        joins, no fixpoint."""
         from repro.xnf import materialize as mat
 
         handle, schema = self._get_snapshot(name)

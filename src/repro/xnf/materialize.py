@@ -185,38 +185,39 @@ def load_stored_instance(
     """Rebuild the CO instance directly from the snapshot tables.
 
     The stored instance is *closed* under reachability by construction, so
-    no derivation joins and no fixpoint are needed: one scan per node table
-    plus one scan per link table reconstructs tuples and connections.  This
-    is the fast path that makes materialized CO views pay off.
+    no derivation joins and no fixpoint are needed: one ``SELECT *`` per
+    node table plus one per link table reconstructs tuples and
+    connections.  This is the fast path that makes materialized CO views
+    pay off.  All of them read one snapshot, as a TAKE's generated queries
+    do, so a concurrent refresh cannot tear the load.
     """
     snap_schema = snapshot_schema(handle, schema)
     instance = COInstance(snap_schema)
     rid_rows: Dict[str, Dict[int, tuple]] = {}
-    for node_name, table_name in handle.node_tables.items():
-        table = db.catalog.get_table(table_name)
-        columns = table.column_names()  # RID_COLUMN first, then data
-        rows: List[tuple] = []
-        by_rid: Dict[int, tuple] = {}
-        for _, row in table.scan():
-            rows.append(row)
-            by_rid[row[0]] = row
-        instance.columns[node_name] = columns
-        instance.rows[node_name] = rows
-        rid_rows[node_name] = by_rid
+
+    def select_all(table_name: str) -> List[tuple]:
         instance.stats.queries_issued += 1
-    for edge_name, table_name in handle.edge_tables.items():
-        edge = snap_schema.edges[edge_name]
-        table = db.catalog.get_table(table_name)
-        connections = []
-        parents = rid_rows[edge.parent]
-        children = rid_rows[edge.child]
-        for _, row in table.scan():
-            parent_rid, child_rid = row[0], row[1]
-            connections.append(
-                (parents[parent_rid], (children[child_rid],), tuple(row[2:]))
+        return db.execute_ast(
+            sql_ast.SelectStmt(
+                [sql_ast.SelectItem(sql_ast.Star())],
+                [sql_ast.NamedTable(table_name)],
             )
-        instance.connections[edge_name] = connections
-        instance.stats.queries_issued += 1
+        ).rows
+
+    with db.snapshot_scope():
+        for node_name, table_name in handle.node_tables.items():
+            rows = select_all(table_name)  # RID_COLUMN first, then data
+            instance.columns[node_name] = db.catalog.get_table(table_name).column_names()
+            instance.rows[node_name] = rows
+            rid_rows[node_name] = {row[0]: row for row in rows}
+        for edge_name, table_name in handle.edge_tables.items():
+            edge = snap_schema.edges[edge_name]
+            parents = rid_rows[edge.parent]
+            children = rid_rows[edge.child]
+            instance.connections[edge_name] = [
+                (parents[row[0]], (children[row[1]],), tuple(row[2:]))
+                for row in select_all(table_name)
+            ]
     return instance
 
 

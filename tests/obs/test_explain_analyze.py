@@ -107,3 +107,24 @@ class TestRowCountsMatchActuals:
         db.execute("SELECT * FROM EMP WHERE dno = 1")
         db.execute("SELECT * FROM EMP WHERE dno = 1")
         assert db.plan_cache.stats()["hits"] >= 1
+
+
+class TestEstimates:
+    def test_skewed_filter_prints_est_beside_rows(self):
+        """1 000 rows, 990 of them ``b = 0``: ANALYZE's 11 distinct values
+        make the uniform guess 1000 / 11, and the scan's line prints it
+        beside the 990 rows it produced."""
+        db = Database()
+        db.execute("CREATE TABLE s (a INTEGER, b INTEGER)")
+        db.execute("BEGIN")
+        for i in range(1000):
+            db.execute(f"INSERT INTO s VALUES ({i}, {0 if i < 990 else i})")
+        db.execute("COMMIT")
+        db.execute("ANALYZE")
+        result = db.execute("EXPLAIN ANALYZE SELECT * FROM s WHERE b = 0")
+        ops = op_stats_lines("\n".join(row[0] for row in result.rows))
+        estimated = [(op, attrs) for op, attrs in ops if "est" in attrs]
+        assert [(op, a["rows"], a["est"]) for op, a in estimated] == [
+            ("Filter(s)", "990", "91")
+        ]
+        assert list(estimated[0][1])[:2] == ["rows", "est"]

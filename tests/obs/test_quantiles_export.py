@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.obs import Histogram, JsonlTraceExporter, q_error
+from repro.obs import Histogram, JsonlTraceExporter
 from repro.relational.engine import Database
 
 
@@ -59,18 +59,6 @@ class TestHistogramQuantiles:
         assert latency["count"] >= 11
         assert latency["p50"] is not None
         assert latency["p50"] <= latency["p95"] <= latency["p99"]
-
-
-class TestQError:
-    def test_exact_estimate_is_one(self):
-        assert q_error(10, 10) == 1.0
-
-    def test_symmetric(self):
-        assert q_error(10, 100) == q_error(100, 10) == 10.0
-
-    def test_floors_at_one(self):
-        assert q_error(0.0, 0.0) == 1.0
-        assert q_error(0.5, 2.0) == 2.0
 
 
 class TestJsonlExporter:

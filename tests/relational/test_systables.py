@@ -151,18 +151,3 @@ class TestVolatility:
         stats = warm_db.catalog.get_table("SYS_STAT_STATEMENTS").stats
         assert stats.analyzed
         assert stats.row_count > 0
-
-
-class TestEstimates:
-    def test_explain_analyze_populates_estimates(self, warm_db):
-        warm_db.execute("EXPLAIN ANALYZE SELECT * FROM t WHERE b = 2")
-        rows = warm_db.execute(
-            "SELECT source, predicate, est_rows, actual_rows, q_error, samples "
-            "FROM SYS_STAT_ESTIMATES WHERE source = 'T'"
-        ).rows
-        assert rows, "no feedback recorded for T"
-        source, predicate, est, actual, q, samples = rows[0]
-        assert "?0" in predicate  # normalized key, matches cached compiles
-        assert actual == 4.0
-        assert q >= 1.0
-        assert samples >= 1

@@ -123,8 +123,11 @@ def test_e8_snapshot_load_skips_the_derivation():
     session.materialize_view("BIG-ORG", "BIGSNAP")
     live = session.query("OUT OF BIG-ORG TAKE *")
     assert session.last_stats.queries_issued == 10
+    executed = db.statements_executed
     snapshot = session.load_snapshot("BIGSNAP")
     assert session.last_stats.queries_issued == 7
+    # each of the 7 stored tables is read by one engine statement
+    assert db.statements_executed - executed == 7
     for co in (live, snapshot):
         assert co.cache.total_tuples() == 1017
         assert co.cache.total_connections() == 1914
