@@ -3,7 +3,10 @@
 Above :data:`DP_THRESHOLD` quantifiers the planner switches from
 Selinger-style DP enumeration to a greedy chain.  Join order is a pure
 optimisation: whatever order either picks, the result set is fixed by the
-query.  These tests pin that.
+query.  These tests pin that — also on a database whose estimates come
+from ANALYZE statistics and which has run EXPLAIN ANALYZE on both queries.
+EXPLAIN ANALYZE once fed observed row counts back into later plans; it no
+longer does, so it must leave every later plan as it found it.
 """
 
 import pytest
@@ -45,6 +48,11 @@ def scaled_db():
                                    projects_per_dept=2, skills=12)
 
 
+def _plan_text(db, sql):
+    rows = db.execute("EXPLAIN " + sql).rows
+    return [r[0] for r in rows if not r[0].startswith("plan cache:")]
+
+
 def _with_threshold(monkeypatch, db, sql, threshold):
     monkeypatch.setattr(planner, "DP_THRESHOLD", threshold)
     db.plan_cache.clear()
@@ -63,6 +71,23 @@ class TestGreedyVsDP:
         dp = _with_threshold(monkeypatch, scaled_db, FIVE_WAY, 16)
         assert greedy == dp
         assert greedy
+
+    def test_equivalence_survives_optimizer_feedback(
+        self, scaled_db, monkeypatch
+    ):
+        scaled_db.execute("ANALYZE")
+        for sql in (NINE_WAY, FIVE_WAY):
+            for threshold in (1, 16):
+                monkeypatch.setattr(planner, "DP_THRESHOLD", threshold)
+                scaled_db.plan_cache.clear()
+                before = _plan_text(scaled_db, sql)
+                scaled_db.execute("EXPLAIN ANALYZE " + sql)
+                scaled_db.plan_cache.clear()
+                assert _plan_text(scaled_db, sql) == before
+            greedy = _with_threshold(monkeypatch, scaled_db, sql, 1)
+            dp = _with_threshold(monkeypatch, scaled_db, sql, 16)
+            assert greedy == dp
+            assert greedy
 
     def test_greedy_matches_unjoined_baseline(self, scaled_db, monkeypatch):
         # Cross-check against the default configuration (DP for the 5-way,
